@@ -8,8 +8,8 @@ Subcommands:
   report <report-dir> [--bin-width S]
 
 stdout carries only machine-parseable CSV (or diagnostics for validate);
-human prose goes to stderr. Exit codes: 0 success, 1 validation error,
-2 I/O error.
+human prose goes to stderr. Exit codes: 0 success, 1 validation error
+(including an out-of-range option), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -104,6 +104,9 @@ def cmd_run(args) -> int:
             print(problem)
         return EXIT_VALIDATION
     seed = args.seed if args.seed is not None else scenario.seed
+    if seed < 0:
+        print("hasim run: seed must be >= 0", file=sys.stderr)
+        return EXIT_VALIDATION
     report = _run_replicated(scenario, seed, collect_trace=True,
                              emit_monitor_log=args.emit_monitor_log)
     stats = summarize(report)
@@ -120,7 +123,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    report = replicate_experiment(args.experiment, args.n, args.seed)
+    try:
+        report = replicate_experiment(args.experiment, args.n, args.seed)
+    except ValueError as exc:  # --n or --seed out of range
+        print(f"hasim replicate: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     stats = summarize(report)
     sys.stdout.write(format_report_csv(stats))
     if args.out is not None:

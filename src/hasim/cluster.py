@@ -63,7 +63,6 @@ class VirtualMachine:
 class ClusterState:
     hosts: dict[str, PhysicalHost]
     vms: dict[str, VirtualMachine]
-    clock: int = 0
     extra_load: dict[str, float] = field(default_factory=dict)
 
 

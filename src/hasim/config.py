@@ -14,6 +14,7 @@ pass over a broken file reports all of it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .engine import (
     FailureInjection,
     TimingParams,
 )
-from .provisioning import BootProfile
+from .provisioning import DEFAULT_PROFILE, BootProfile
 from .telemetry import TelemetryParams
 
 
@@ -121,6 +122,9 @@ class _Reader:
             return None
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             self.problems.append(f"{where}: expected a number")
+            return None
+        if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
+            self.problems.append(f"{where}: expected a finite number")
             return None
         value = float(value)
         if minimum is not None and (value < minimum or (strict and value == minimum)):
@@ -278,18 +282,10 @@ def _parse_telemetry(raw, reader: _Reader) -> TelemetryParams:
     if not isinstance(raw, dict):
         reader.problems.append(f"{where}: expected an object")
         return params
-    reader.check_keys(raw, {"detection_latency_s", "smoothing"}, where)
-    alpha = None
-    smoothing = raw.get("smoothing")
-    if smoothing is not None:
-        if not isinstance(smoothing, dict) or set(smoothing) != {"alpha"}:
-            reader.problems.append(f"{where}.smoothing: expected null or {{'alpha': x}}")
-        else:
-            alpha = reader.as_number(smoothing["alpha"], f"{where}.smoothing.alpha")
+    reader.check_keys(raw, {"detection_latency_s"}, where)
     return TelemetryParams(
         detection_latency_s=reader.as_int(raw.get("detection_latency_s", 70),
                                           f"{where}.detection_latency_s", 1) or 70,
-        smoothing_alpha=alpha,
     )
 
 
@@ -354,7 +350,6 @@ def _cross_validate(config: ClusterConfig, problems: list[str]) -> None:
 
     # Jitter must stay below every nominal duration it can apply to,
     # including the default profile used for physical host boots.
-    from .provisioning import DEFAULT_PROFILE
     local_totals = [sum(DEFAULT_PROFILE.local_boot_plan())]
     install_totals = [sum(DEFAULT_PROFILE.install_plan())]
     for profile in config.profiles.values():
@@ -495,7 +490,7 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     horizon = reader.as_int(reader.require(doc, "horizon_s", "top level"),
                             "horizon_s", 1)
     replications = reader.as_int(doc.get("replications", 1), "replications", 1)
-    seed = reader.as_int(doc.get("seed", 0), "seed")
+    seed = reader.as_int(doc.get("seed", 0), "seed", 0)
 
     injections = []
     raw_injections = doc.get("injections", [])

@@ -30,7 +30,6 @@ REBOOT = "reboot"
 RESTART = "restart"
 REINSTALL = "reinstall"
 DEFER = "defer"
-NOOP = "noop"
 
 # Completed restart->reinstall rounds tolerated before giving up on a VM.
 MAX_ESCALATION_CYCLES = 3
@@ -97,7 +96,7 @@ class EscalationRecord:
 
 @dataclass(frozen=True)
 class Action:
-    kind: str  # REBOOT, RESTART, REINSTALL, DEFER or NOOP
+    kind: str  # REBOOT, RESTART, REINSTALL or DEFER
     vm_id: str
     target_host: str | None = None
 

@@ -1,7 +1,9 @@
 """Deterministic discrete-event engine: failure injection and recovery replay.
 
 The engine owns the event loop and all cluster mutation. Responsive machines
-heartbeat every 10 simulated seconds; the controller scans on its own grid,
+heartbeat every 10 simulated seconds, as analytic beat trains the monitor
+evaluates at each snapshot; a periodic beat at second t is recorded after
+every other event at t. The controller scans on its own grid,
 and its actions are applied with durations sampled from the provisioning
 plans. Five failure kinds can be injected:
 
@@ -55,8 +57,6 @@ from .telemetry import DOWN, Monitor, serialize_snapshot
 
 if TYPE_CHECKING:
     from .config import ClusterConfig
-
-HEARTBEAT_PERIOD_S = 10
 
 NON_DESTRUCTIVE_CRASH = "non_destructive_crash"
 DESTRUCTIVE_CRASH = "destructive_crash"
@@ -194,7 +194,6 @@ class Simulation:
         self._heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
         self._boot_ticket: dict[str, int] = {}
-        self._beat_ticket: dict[str, int] = {}
         self.now = 0
         self._invariants = invariant_checks
         self.trace: list[str] | None = [] if collect_trace else None
@@ -207,18 +206,15 @@ class Simulation:
         assert 0 <= phase < self.params.scan_period_s
         self._schedule(phase, "scan", ())
         for host_id in sorted(self.state.hosts):
-            host = self.state.hosts[host_id]
-            if host.power_state is PowerState.ON:
-                self.monitor.register(host_id, 0, host_load(self.state, host_id))
-                self._start_beats(host_id, record_now=False)
-            else:
-                self.monitor.register(host_id, 0, 0.0)
+            if self.state.hosts[host_id].power_state is PowerState.ON:
+                self._start_beats(host_id)
+            self.monitor.register(host_id, 0)
         for vm_id in sorted(self.state.vms):
             vm = self.state.vms[vm_id]
             if vm.bound_host is not None:
-                self.monitor.register(vm_id, 0, vm.load_contribution)
                 if vm.lifecycle is VmLifecycle.RUNNING:
-                    self._start_beats(vm_id, record_now=False)
+                    self._start_beats(vm_id)
+                self.monitor.register(vm_id, 0, vm.load_contribution)
 
     # -- scheduling ------------------------------------------------------
 
@@ -232,42 +228,26 @@ class Simulation:
 
     # -- heartbeats ------------------------------------------------------
 
-    def _responsive(self, machine_id: str) -> bool:
-        host = self.state.hosts.get(machine_id)
-        if host is not None:
-            return host.power_state is PowerState.ON
-        return self.state.vms[machine_id].lifecycle is VmLifecycle.RUNNING
-
     def _reported_load(self, machine_id: str) -> float:
         if machine_id in self.state.hosts:
             return host_load(self.state, machine_id)
         return self.state.vms[machine_id].load_contribution
 
-    def _start_beats(self, machine_id: str, record_now: bool = True) -> None:
-        ticket = self._beat_ticket.get(machine_id, 0) + 1
-        self._beat_ticket[machine_id] = ticket
-        if record_now:
-            self.monitor.record_heartbeat(machine_id, self.now,
-                                          self._reported_load(machine_id))
-        self._schedule(self.now + HEARTBEAT_PERIOD_S, "heartbeat", (machine_id, ticket))
+    # A host beats while powered on, a VM while running; trains start and
+    # stop exactly at those transitions.
+    def _start_beats(self, machine_id: str) -> None:
+        self.monitor.start_beats(machine_id, self.now, self._reported_load(machine_id))
 
     def _silence(self, machine_id: str, final_beat: bool) -> None:
         # The staleness clock runs from the last proof of life; a machine
         # that was healthy until the failure instant gets a final beat there.
+        self.monitor.stop_beats(machine_id, self.now)
         if final_beat:
             self.monitor.record_heartbeat(machine_id, self.now,
                                           self._reported_load(machine_id))
-        self._beat_ticket[machine_id] = self._beat_ticket.get(machine_id, 0) + 1
 
-    def _on_heartbeat(self, machine_id: str, ticket: int) -> None:
-        if ticket != self._beat_ticket.get(machine_id, 0):
-            return
-        if not self._responsive(machine_id):
-            return
-        load = self._reported_load(machine_id)
-        self.monitor.record_heartbeat(machine_id, self.now, load)
-        self._trace(f"heartbeat {machine_id} {load!r}")
-        self._schedule(self.now + HEARTBEAT_PERIOD_S, "heartbeat", (machine_id, ticket))
+    def _host_load_changed(self, host_id: str) -> None:
+        self.monitor.load_changed(host_id, self.now, host_load(self.state, host_id))
 
     # -- episodes --------------------------------------------------------
 
@@ -331,6 +311,8 @@ class Simulation:
         if ep is not None:
             ep.actions.append((self.now, action))
         vm = self.state.vms[action.vm_id]
+        # A running VM is never Down (latency > heartbeat period): no train to stop.
+        assert vm.lifecycle is not VmLifecycle.RUNNING, f"action on running {vm.vm_id}"
         if action.kind == REBOOT:
             if vm.lifecycle is VmLifecycle.UNRESPONSIVE:
                 self._power_cycle(vm)
@@ -365,7 +347,6 @@ class Simulation:
             self.state.hosts[vm.bound_host].hosted_vms.remove(vm.vm_id)
             vm.bound_host = None
         vm.lifecycle = VmLifecycle.WAITING_FOR_CAPACITY
-        self._beat_ticket[vm.vm_id] = self._beat_ticket.get(vm.vm_id, 0) + 1
         self._boot_ticket[vm.vm_id] = self._boot_ticket.get(vm.vm_id, 0) + 1
         self.monitor.unregister(vm.vm_id)
 
@@ -410,6 +391,7 @@ class Simulation:
         vm.lifecycle = VmLifecycle.RUNNING
         self._trace(f"boot_complete {machine_id} running")
         self._start_beats(machine_id)
+        self._host_load_changed(vm.bound_host)
         self._close_episode(machine_id)
 
     def _on_install_complete(self, vm_id: str, ticket: int) -> None:
@@ -423,6 +405,7 @@ class Simulation:
         vm.lifecycle = VmLifecycle.RUNNING
         self._trace(f"install_complete {vm_id}")
         self._start_beats(vm_id)
+        self._host_load_changed(vm.bound_host)
         self._close_episode(vm_id)
 
     # -- failure injection -------------------------------------------------
@@ -460,6 +443,7 @@ class Simulation:
             self._fault[inj.vm_id] = (
                 FAULT_HUNG if inj.kind == NON_DESTRUCTIVE_CRASH else FAULT_CORRUPTED)
             vm.lifecycle = VmLifecycle.UNRESPONSIVE
+            self._host_load_changed(vm.bound_host)
             self._open_episode(inj.vm_id, inj.kind)
         elif inj.kind == PHYSICAL_HOST_FAILURE:
             self._trace(f"inject {inj.kind} {inj.host_id}")
@@ -479,6 +463,7 @@ class Simulation:
                         f"{inj.duration_s}")
             self.state.extra_load[inj.host_id] = (
                 self.state.extra_load.get(inj.host_id, 0.0) + inj.extra_load)
+            self._host_load_changed(inj.host_id)
             self._schedule(self.now + inj.duration_s, "spike_end",
                            (inj.host_id, inj.extra_load))
 
@@ -492,10 +477,7 @@ class Simulation:
         self._boot_ticket[host_id] = self._boot_ticket.get(host_id, 0) + 1
         for vm_id in sorted(host.hosted_vms):
             vm = self.state.vms[vm_id]
-            if vm.lifecycle is VmLifecycle.RUNNING:
-                self._silence(vm_id, final_beat=True)
-            else:
-                self._silence(vm_id, final_beat=False)
+            self._silence(vm_id, final_beat=vm.lifecycle is VmLifecycle.RUNNING)
             if vm.lifecycle in BOUND_LIFECYCLES:
                 self._boot_ticket[vm_id] = self._boot_ticket.get(vm_id, 0) + 1
                 vm.lifecycle = VmLifecycle.HALTED
@@ -508,6 +490,7 @@ class Simulation:
             self.state.extra_load.pop(host_id, None)
         else:
             self.state.extra_load[host_id] = remaining
+        self._host_load_changed(host_id)
         self._trace(f"spike_end {host_id}")
 
     # -- main loop ---------------------------------------------------------
@@ -521,21 +504,7 @@ class Simulation:
             assert (at, seq) > last, "event order violated"
             last = (at, seq)
             self.now = at
-            self.state.clock = at
-            if kind == "heartbeat":
-                self._on_heartbeat(*args)
-            elif kind == "scan":
-                self._on_scan()
-            elif kind == "inject":
-                self._on_inject(*args)
-            elif kind == "boot_complete":
-                self._on_boot_complete(*args)
-            elif kind == "install_complete":
-                self._on_install_complete(*args)
-            elif kind == "spike_end":
-                self._on_spike_end(*args)
-            else:  # pragma: no cover
-                raise AssertionError(f"unknown event kind {kind}")
+            getattr(self, f"_on_{kind}")(*args)
             if self._invariants == "event":
                 check_state_invariants(self.state)
         if self._invariants != "off":

@@ -101,6 +101,8 @@ def replicate_experiment(name: str, n: int, seed: int) -> SimReport:
                          f"(expected one of {', '.join(sorted(PRESETS))})")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     preset = PRESETS[name]
     config = parse_cluster_config(preset.cluster_doc)
     episodes = []

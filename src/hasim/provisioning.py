@@ -100,6 +100,3 @@ class Provisioner:
     def complete_install(self, mac: str) -> None:
         """One-shot revert: a finished installation clears the binding."""
         self.bindings.pop(mac, None)
-
-    def mode_of(self, mac: str) -> str:
-        return INSTALL if mac in self.bindings else LOCAL_BOOT

@@ -1,9 +1,10 @@
 """Heartbeat monitor with staleness-based liveness verdicts.
 
 Every machine in the cluster (physical hosts and bound virtual machines)
-reports periodic heartbeats to a central monitor. A machine is judged Down
-in a snapshot once the time since its last heartbeat reaches the configured
-detection latency. Snapshots serialize to a deterministic XML log format.
+reports heartbeats to a central monitor, every HEARTBEAT_PERIOD_S seconds
+while it is healthy. A machine is judged Down in a snapshot once the time
+since its last heartbeat reaches the configured detection latency.
+Snapshots serialize to a deterministic XML log format.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from xml.sax.saxutils import quoteattr
 UP = "up"
 DOWN = "down"
 
+HEARTBEAT_PERIOD_S = 10
+
 
 @dataclass
 class TelemetryParams:
@@ -22,21 +25,17 @@ class TelemetryParams:
 
     detection_latency_s: staleness (seconds since last heartbeat) at which a
         machine is declared Down. The boundary is closed: staleness equal to
-        the latency is already Down.
-    smoothing_alpha: optional exponential smoothing factor applied to
-        reported loads (None disables smoothing, the default).
+        the latency is already Down. It must exceed the heartbeat period, so
+        that a machine beating on schedule is never Down between two beats.
     """
 
     detection_latency_s: int = 70
-    smoothing_alpha: float | None = None
 
     def validate(self) -> list[str]:
-        problems = []
-        if self.detection_latency_s < 1:
-            problems.append("telemetry: detection_latency_s must be >= 1")
-        if self.smoothing_alpha is not None and not (0.0 < self.smoothing_alpha <= 1.0):
-            problems.append("telemetry: smoothing alpha must be in (0, 1]")
-        return problems
+        if self.detection_latency_s > HEARTBEAT_PERIOD_S:
+            return []
+        return [f"telemetry: detection_latency_s must be > {HEARTBEAT_PERIOD_S} "
+                "(the heartbeat period)"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,13 @@ class HeartbeatOrderError(ValueError):
 class Monitor:
     """Tracks last-heartbeat times and loads for registered machines.
 
+    `start_beats` at t records a beat at t and starts a train of one beat
+    every HEARTBEAT_PERIOD_S until `stop_beats`; `snapshot` computes the
+    train's last beat instead of storing each. A periodic beat at second t
+    comes after every other event at t: a snapshot, stop or load change at t
+    sees train beats up to t - 1. A beat reports the load in force when sent:
+    `load_changed` records the last beat before the change with the old load.
+
     Registration controls snapshot membership only; heartbeat history is kept
     for unregistered machines so that a machine parked out of monitoring (a
     VM waiting for capacity) resumes with its original staleness clock when
@@ -70,6 +76,7 @@ class Monitor:
         self._active: set[str] = set()
         self._last_beat: dict[str, int] = {}
         self._load: dict[str, float] = {}
+        self._train: dict[str, tuple[int, float]] = {}  # machine -> (start, load)
 
     def register(self, machine_id: str, at: int, load: float = 0.0) -> None:
         """Add a machine to snapshot coverage.
@@ -84,9 +91,6 @@ class Monitor:
     def unregister(self, machine_id: str) -> None:
         self._active.discard(machine_id)
 
-    def registered(self) -> set[str]:
-        return set(self._active)
-
     def record_heartbeat(self, machine_id: str, at: int, load: float) -> None:
         prev = self._last_beat.get(machine_id)
         if prev is not None and at < prev:
@@ -94,20 +98,48 @@ class Monitor:
                 f"heartbeat for {machine_id} at t={at} precedes previous t={prev}"
             )
         self._last_beat[machine_id] = at
-        alpha = self.params.smoothing_alpha
-        if alpha is not None and machine_id in self._load:
-            load = alpha * load + (1.0 - alpha) * self._load[machine_id]
         self._load[machine_id] = load
+
+    def start_beats(self, machine_id: str, at: int, load: float) -> None:
+        self.record_heartbeat(machine_id, at, load)
+        self._train[machine_id] = (at, load)
+
+    def stop_beats(self, machine_id: str, at: int) -> None:
+        """End the train, recording its last beat before `at` explicitly."""
+        train = self._train.pop(machine_id, None)
+        if train is not None:
+            beat = _last_train_beat(train[0], at)
+            if beat > self._last_beat[machine_id]:
+                self.record_heartbeat(machine_id, beat, train[1])
+
+    def load_changed(self, machine_id: str, at: int, load: float) -> None:
+        """Beats of a running train from second `at` on report `load`."""
+        train = self._train.get(machine_id)
+        if train is not None:
+            self.stop_beats(machine_id, at)
+            self._train[machine_id] = (train[0], load)
 
     def snapshot(self, now: int) -> MonitorSnapshot:
         """Liveness view of all registered machines at time `now`."""
+        latency = self.params.detection_latency_s
         entries = {}
         for machine_id in self._active:
-            last = self._last_beat[machine_id]
+            last, load = self._last_beat[machine_id], self._load[machine_id]
+            train = self._train.get(machine_id)
+            if train is not None:
+                beat = _last_train_beat(train[0], now)
+                if beat > last:
+                    last, load = beat, train[1]
             assert now >= last, f"snapshot at t={now} predates heartbeat of {machine_id}"
-            verdict = DOWN if now - last >= self.params.detection_latency_s else UP
-            entries[machine_id] = SnapshotEntry(last, self._load[machine_id], verdict)
+            verdict = DOWN if now - last >= latency else UP
+            entries[machine_id] = SnapshotEntry(last, load, verdict)
         return MonitorSnapshot(taken_at=now, entries=entries)
+
+
+def _last_train_beat(start: int, before: int) -> int:
+    """Last beat before second `before` of a train started at `start`, which
+    counts as a beat; earlier than `start` when `before` is not after it."""
+    return start + HEARTBEAT_PERIOD_S * ((before - 1 - start) // HEARTBEAT_PERIOD_S)
 
 
 def serialize_snapshot(snapshot: MonitorSnapshot) -> str:

@@ -122,3 +122,34 @@ def test_report_resummarizes_run_dir(tmp_path, capsys):
 
 def test_report_missing_dir_exit_2(tmp_path):
     assert main(["report", str(tmp_path / "nowhere")]) == 2
+
+
+def _fails_with_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_replicate_rejects_zero_episodes(capsys):
+    _fails_with_one_line(capsys, ["replicate", "destructive", "--n", "0"],
+                         "hasim replicate: n must be >= 1")
+
+
+def test_replicate_rejects_negative_seed(capsys):
+    _fails_with_one_line(capsys, ["replicate", "nondestructive", "--seed", "-1"],
+                         "hasim replicate: seed must be >= 0")
+
+
+def test_run_rejects_negative_seed_override(capsys):
+    _fails_with_one_line(capsys, ["run", str(SCENARIOS / "power_glitch.json"),
+                                  "--seed", "-1"],
+                         "hasim run: seed must be >= 0")
+
+
+def test_run_rejects_negative_scenario_seed(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"cluster": VALID_CONFIG, "horizon_s": 100,
+                                "seed": -5}))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().out == "seed: must be >= 0\n"

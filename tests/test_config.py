@@ -214,3 +214,41 @@ def test_scenario_rejects_bad_injection_kind():
             "horizon_s": 600,
         }))
     assert any("kind" in p for p in exc.value.problems)
+
+
+def test_smoothing_key_is_unknown():
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(doc(telemetry={"smoothing": {"alpha": 0.5}}))
+    assert exc.value.problems == ["telemetry: unknown key 'smoothing'"]
+
+
+def test_detection_latency_must_exceed_heartbeat_period():
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(doc(telemetry={"detection_latency_s": 10}))
+    assert exc.value.problems == [
+        "telemetry: detection_latency_s must be > 10 (the heartbeat period)"]
+    config = load_cluster_config(doc(telemetry={"detection_latency_s": 11}))
+    assert config.telemetry.detection_latency_s == 11
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_numbers_rejected(literal):
+    # Python's json module accepts NaN and Infinity; 1e400 overflows to inf and
+    # a 401-digit integer cannot be converted to a float at all.
+    text = doc().replace('"vm_id": "gridce"',
+                         f'"vm_id": "gridce", "load_contribution": {literal}')
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(text)
+    assert exc.value.problems == ["vms[0].load_contribution: expected a finite number"]
+    text = doc().replace('"host_id": "alfa01"',
+                         f'"host_id": "alfa01", "load_threshold": {literal}')
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(text)
+    assert "hosts[0].load_threshold: expected a finite number" in exc.value.problems
+
+
+def test_scenario_rejects_negative_seed():
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(json.dumps({"cluster": json.loads(doc()), "horizon_s": 600,
+                                  "seed": -5}))
+    assert exc.value.problems == ["seed: must be >= 0"]

@@ -5,6 +5,7 @@ import pytest
 
 from hasim.telemetry import (
     DOWN,
+    HEARTBEAT_PERIOD_S,
     UP,
     HeartbeatOrderError,
     Monitor,
@@ -104,11 +105,62 @@ def test_unregistered_machines_keep_history():
     assert m.snapshot(200).entries["a"].verdict == DOWN
 
 
-def test_smoothing_applies_exponential_filter():
-    m = Monitor(TelemetryParams(smoothing_alpha=0.5))
-    m.register("a", 0, 2.0)
-    m.record_heartbeat("a", 10, 4.0)
-    assert m.snapshot(10).entries["a"].reported_load == pytest.approx(3.0)
+def test_beat_train_is_seen_up_to_the_second_before():
+    # A periodic beat at t counts after every other event at t.
+    m = Monitor()
+    m.register("a", 0)
+    m.start_beats("a", 5, 1.0)
+    assert m.snapshot(15).entries["a"].last_heartbeat_at == 5
+    assert m.snapshot(16).entries["a"].last_heartbeat_at == 15
+    m.load_changed("a", 25, 2.0)  # precedes the beat at 25, which reports 2.0
+    assert m.snapshot(25).entries["a"] == SnapshotEntry(15, 1.0, UP)
+    assert m.snapshot(34).entries["a"] == SnapshotEntry(25, 2.0, UP)
+    m.stop_beats("a", 45)  # the beat at 45 is never sent
+    assert m.snapshot(114).entries["a"] == SnapshotEntry(35, 2.0, DOWN)
+
+
+def test_beat_trains_match_beat_by_beat_replay():
+    # Random starts, stops (with or without a final beat), load changes and
+    # snapshots on a few machines. The replay logs every beat as it is sent:
+    # operations at second t in order, then each running train's beat at t.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = Monitor(TelemetryParams(detection_latency_s=int(rng.integers(11, 40))))
+        machines = [f"m{i}" for i in range(int(rng.integers(1, 4)))]
+        history, train, snapshots = [], {}, 0
+        for mid in machines:
+            m.register(mid, 0, 0.5)
+            history.append((0, mid, 0.5))
+        for t in range(0, 400):
+            for _ in range(int(rng.poisson(0.15))):
+                mid = machines[int(rng.integers(0, len(machines)))]
+                op = int(rng.integers(0, 3))
+                load = float(rng.integers(0, 16)) * 0.25
+                if op == 0 and mid not in train:
+                    m.start_beats(mid, t, load)
+                    history.append((t, mid, load))
+                    train[mid] = [t, load]
+                elif op == 0:
+                    m.stop_beats(mid, t)
+                    del train[mid]
+                    if rng.random() < 0.5:  # a final beat, as at a crash
+                        m.record_heartbeat(mid, t, load)
+                        history.append((t, mid, load))
+                elif op == 1:
+                    m.load_changed(mid, t, load)
+                    if mid in train:
+                        train[mid][1] = load
+                else:
+                    snap = m.snapshot(t)
+                    snapshots += 1
+                    replayed = {name: (beat, sent) for beat, name, sent in history}
+                    for name, (beat, sent) in replayed.items():
+                        verdict = DOWN if t - beat >= m.params.detection_latency_s else UP
+                        assert snap.entries[name] == SnapshotEntry(beat, sent, verdict)
+            for mid, (start, load) in train.items():
+                if t > start and (t - start) % HEARTBEAT_PERIOD_S == 0:
+                    history.append((t, mid, load))
+        assert snapshots > 0
 
 
 def random_snapshot(rng) -> MonitorSnapshot:
