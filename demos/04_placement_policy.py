@@ -3,14 +3,15 @@
 
 choose_host filters to powered-on, monitor-up hosts that can take the VM's
 load while staying strictly under their threshold, then ranks by
-(load, hosted VM count, host id). plan_host_failover places a dead host's
-VMs one at a time, each placement visible to the next, so a single backup
-is not oversubscribed by the whole batch.
+(load, hosted VM count, host id). When a host dies, the controller's scan
+(tick) places its VMs one at a time, each placement visible to the next, so
+a single backup is not oversubscribed by the whole batch.
 
 Run: python3 demos/04_placement_policy.py
 """
 
-from hasim import ControllerParams, HostView, VmInfo, choose_host, plan_host_failover
+from hasim import ControllerParams, HostView, MonitorSnapshot, VmInfo, choose_host, tick
+from hasim.telemetry import DOWN, SnapshotEntry
 
 
 def view(host_id, load, vm_count=0, threshold=4.0, power_on=True, up=True):
@@ -51,12 +52,14 @@ def main():
 
     print("Sequential fill: host 'dead' had three 1.5-load VMs; the backup")
     print("(threshold 4.0) can absorb two, the third must wait for capacity:")
-    actions = plan_host_failover(
-        "dead",
-        [VmInfo(f"vm{i}", "dead", 1.5, True) for i in range(3)],
-        [view("backup", 0.0)],
-        ControllerParams(),
-    )
+    vms = [VmInfo(f"vm{i}", "dead", 1.5, True) for i in range(3)]
+    # The scan after the failure sees the host and its VMs Down.
+    down = SnapshotEntry(last_heartbeat_at=0, reported_load=0.0, verdict=DOWN)
+    snapshot = MonitorSnapshot(taken_at=240, entries={
+        machine: down for machine in ["dead"] + [vm.vm_id for vm in vms]})
+    hosts = [view("dead", 0.0, vm_count=3, power_on=False, up=False),
+             view("backup", 0.0)]
+    _, actions = tick({}, snapshot, hosts, 240, ControllerParams(), vms)
     for action in actions:
         print(f"  {action}")
 

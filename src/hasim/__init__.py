@@ -33,7 +33,6 @@ from .controller import (
     Phase,
     VmInfo,
     choose_host,
-    plan_host_failover,
     tick,
 )
 from .engine import (

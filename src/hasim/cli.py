@@ -34,13 +34,9 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
-
-
 def cmd_validate(args) -> int:
     try:
-        text = _read_text(args.config)
+        text = Path(args.config).read_text()
     except OSError as exc:
         print(f"cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -76,10 +72,16 @@ def _run_replicated(scenario: Scenario, seed: int, *, collect_trace: bool,
                      monitor_log=monitor_log if emit_monitor_log else None)
 
 
-def _write_outputs(out_dir: Path, report: SimReport, bin_width_s: int = 10) -> None:
+def _emit(report: SimReport, out: str | None) -> None:
+    """report.csv to stdout and, given --out, every output file to that directory."""
+    stats = summarize(report)
+    report_csv = format_report_csv(stats)
+    sys.stdout.write(report_csv)
+    if out is None:
+        return
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stats = summarize(report, bin_width_s)
-    (out_dir / "report.csv").write_text(format_report_csv(stats))
+    (out_dir / "report.csv").write_text(report_csv)
     (out_dir / "episodes.csv").write_text(format_episodes_csv(report.episodes))
     for s in stats:
         (out_dir / f"histogram_{s.kind}.csv").write_text(format_histogram_csv(s))
@@ -88,6 +90,7 @@ def _write_outputs(out_dir: Path, report: SimReport, bin_width_s: int = 10) -> N
         (out_dir / "trace.txt").write_text("\n".join(report.trace) + "\n")
     if report.monitor_log is not None:
         (out_dir / "monitor_log.xml").write_text("\n".join(report.monitor_log) + "\n")
+    print(f"wrote {out_dir}", file=sys.stderr)
 
 
 def cmd_run(args) -> int:
@@ -109,12 +112,7 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     report = _run_replicated(scenario, seed, collect_trace=True,
                              emit_monitor_log=args.emit_monitor_log)
-    stats = summarize(report)
-    sys.stdout.write(format_report_csv(stats))
-    if args.out is not None:
-        out_dir = Path(args.out)
-        _write_outputs(out_dir, report)
-        print(f"wrote {out_dir}", file=sys.stderr)
+    _emit(report, args.out)
     unrecovered = len(report.unrecovered())
     if unrecovered:
         print(f"{unrecovered} episode(s) not recovered within the horizon",
@@ -128,12 +126,7 @@ def cmd_replicate(args) -> int:
     except ValueError as exc:  # --n or --seed out of range
         print(f"hasim replicate: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    stats = summarize(report)
-    sys.stdout.write(format_report_csv(stats))
-    if args.out is not None:
-        out_dir = Path(args.out)
-        _write_outputs(out_dir, report)
-        print(f"wrote {out_dir}", file=sys.stderr)
+    _emit(report, args.out)
     return EXIT_OK
 
 

@@ -66,13 +66,11 @@ class ClusterState:
     extra_load: dict[str, float] = field(default_factory=dict)
 
 
-def default_threshold(cpu_count: int, per_core_factor: float = 1.0) -> float:
+def default_threshold(cpu_count: int) -> float:
     """Load threshold for a host that does not declare one explicitly."""
     if cpu_count < 1:
         raise ValueError("cpu_count must be >= 1")
-    if per_core_factor <= 0:
-        raise ValueError("per_core_factor must be > 0")
-    return cpu_count * per_core_factor
+    return float(cpu_count)
 
 
 def host_load(state: ClusterState, host_id: str) -> float:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import Container
 
 from .cluster import (
     MAC_RE,
@@ -37,9 +38,10 @@ from .engine import (
     POWER_GLITCH,
     FailureInjection,
     TimingParams,
+    injection_problems,
 )
 from .provisioning import DEFAULT_PROFILE, BootProfile
-from .telemetry import TelemetryParams
+from .telemetry import HEARTBEAT_PERIOD_S, TelemetryParams
 
 
 class ConfigError(ValueError):
@@ -86,13 +88,13 @@ class _Reader:
     def __init__(self, problems: list[str]):
         self.problems = problems
 
-    def check_keys(self, obj: dict, allowed: set[str], where: str) -> None:
+    def check_keys(self, obj: dict, allowed: Container[str], where: str) -> None:
         for key in obj:
             if key not in allowed:
                 self.problems.append(f"{where}: unknown key '{key}'")
 
     def require(self, obj: dict, key: str, where: str):
-        if key not in obj:
+        if obj.get(key) is None:  # a null value counts as missing
             self.problems.append(f"{where}: missing required key '{key}'")
             return None
         return obj[key]
@@ -142,6 +144,36 @@ class _Reader:
         return value
 
 
+# Keys of each parameter block: the fields with a default, each mapped to
+# whether it is a boolean (otherwise it is an integer).
+_PARAM_KEYS = {cls: {f.name: isinstance(f.default, bool) for f in fields(cls)
+                     if f.default is not MISSING}
+               for cls in (ControllerParams, TelemetryParams, TimingParams, BootProfile)}
+
+
+def _parse_params(cls, raw, where: str, reader: _Reader, minimum: int = 1, **fixed):
+    """One parameter block over the fields of `cls`; `fixed` fills the rest.
+
+    Keys are optional and null means absent; integers must be >= minimum. An
+    absent or rejected value keeps its default, so later checks see valid types.
+    """
+    values = dict(fixed)
+    if raw is not None and not isinstance(raw, dict):
+        reader.problems.append(f"{where}: expected an object")
+    elif raw is not None:
+        keys = _PARAM_KEYS[cls]
+        reader.check_keys(raw, keys, where)
+        for name, boolean in keys.items():
+            value = raw.get(name)
+            if value is not None:
+                key = f"{where}.{name}"
+                value = (reader.as_bool(value, key) if boolean
+                         else reader.as_int(value, key, minimum))
+                if value is not None:
+                    values[name] = value
+    return cls(**values)
+
+
 def _parse_profiles(raw, reader: _Reader) -> dict[str, BootProfile]:
     profiles = {}
     if raw is None:
@@ -154,16 +186,7 @@ def _parse_profiles(raw, reader: _Reader) -> dict[str, BootProfile]:
         if not isinstance(body, dict):
             reader.problems.append(f"{where}: expected an object")
             continue
-        reader.check_keys(body, {"pxe_setup_s", "boot_s", "install_s"}, where)
-        profile = BootProfile(
-            name=name,
-            pxe_setup_s=reader.as_int(body.get("pxe_setup_s", 10),
-                                      f"{where}.pxe_setup_s", 1) or 10,
-            boot_s=reader.as_int(body.get("boot_s", 70), f"{where}.boot_s", 1) or 70,
-            install_s=reader.as_int(body.get("install_s", 352),
-                                    f"{where}.install_s", 1) or 352,
-        )
-        profiles[name] = profile
+        profiles[name] = _parse_params(BootProfile, body, where, reader, name=name)
     return profiles
 
 
@@ -248,86 +271,19 @@ def _parse_vms(raw, reader: _Reader) -> list[VirtualMachine]:
     return vms
 
 
-def _parse_controller(raw, reader: _Reader) -> ControllerParams:
-    params = ControllerParams()
-    if raw is None:
-        return params
-    where = "controller"
-    if not isinstance(raw, dict):
-        reader.problems.append(f"{where}: expected an object")
-        return params
-    reader.check_keys(raw, {"scan_period_s", "t1_s", "t2_s", "reboot_step_enabled",
-                            "restart_step_enabled", "reinstall_patience_s"}, where)
-    return ControllerParams(
-        scan_period_s=reader.as_int(raw.get("scan_period_s", 60),
-                                    f"{where}.scan_period_s", 1) or 60,
-        t1_s=reader.as_int(raw.get("t1_s", 180), f"{where}.t1_s", 1) or 180,
-        t2_s=reader.as_int(raw.get("t2_s", 180), f"{where}.t2_s", 1) or 180,
-        reboot_step_enabled=reader.as_bool(raw.get("reboot_step_enabled", True),
-                                           f"{where}.reboot_step_enabled")
-        if "reboot_step_enabled" in raw else True,
-        restart_step_enabled=reader.as_bool(raw.get("restart_step_enabled", True),
-                                            f"{where}.restart_step_enabled")
-        if "restart_step_enabled" in raw else True,
-        reinstall_patience_s=reader.as_int(raw.get("reinstall_patience_s", 600),
-                                           f"{where}.reinstall_patience_s", 1) or 600,
-    )
-
-
-def _parse_telemetry(raw, reader: _Reader) -> TelemetryParams:
-    params = TelemetryParams()
-    if raw is None:
-        return params
-    where = "telemetry"
-    if not isinstance(raw, dict):
-        reader.problems.append(f"{where}: expected an object")
-        return params
-    reader.check_keys(raw, {"detection_latency_s"}, where)
-    return TelemetryParams(
-        detection_latency_s=reader.as_int(raw.get("detection_latency_s", 70),
-                                          f"{where}.detection_latency_s", 1) or 70,
-    )
-
-
-def _parse_timing(raw, reader: _Reader) -> TimingParams:
-    params = TimingParams()
-    if raw is None:
-        return params
-    where = "timing"
-    if not isinstance(raw, dict):
-        reader.problems.append(f"{where}: expected an object")
-        return params
-    reader.check_keys(raw, {"boot_jitter_s", "reinstall_jitter_s",
-                            "controller_phase_s", "rng_seed"}, where)
-    return TimingParams(
-        boot_jitter_s=reader.as_int(raw.get("boot_jitter_s", 10),
-                                    f"{where}.boot_jitter_s", 0)
-        if "boot_jitter_s" in raw else 10,
-        reinstall_jitter_s=reader.as_int(raw.get("reinstall_jitter_s", 17),
-                                         f"{where}.reinstall_jitter_s", 0)
-        if "reinstall_jitter_s" in raw else 17,
-        controller_phase_s=reader.as_int(raw.get("controller_phase_s", 0),
-                                         f"{where}.controller_phase_s", 0)
-        if "controller_phase_s" in raw else 0,
-        rng_seed=reader.as_int(raw.get("rng_seed", 0), f"{where}.rng_seed", 0)
-        if "rng_seed" in raw else 0,
-    )
-
-
 def _cross_validate(config: ClusterConfig, problems: list[str]) -> None:
-    problems.extend(config.controller.validate())
-    problems.extend(config.telemetry.validate())
-    problems.extend(config.timing.validate())
-    for profile in config.profiles.values():
-        problems.extend(profile.validate())
+    for name in ("t1_s", "t2_s", "reinstall_patience_s"):
+        if getattr(config.controller, name) < config.controller.scan_period_s:
+            problems.append(f"controller: {name} must be >= scan_period_s")
+    if config.telemetry.detection_latency_s <= HEARTBEAT_PERIOD_S:
+        problems.append("telemetry: detection_latency_s must be > "
+                        f"{HEARTBEAT_PERIOD_S} (the heartbeat period)")
 
     host_ids = set()
     for h in config.hosts:
         if h.host_id in host_ids:
             problems.append(f"duplicate host_id '{h.host_id}'")
         host_ids.add(h.host_id)
-        if h.load_threshold <= 0:
-            problems.append(f"host '{h.host_id}': load_threshold must be > 0")
 
     vm_ids, macs = set(), set()
     for v in config.vms:
@@ -344,8 +300,7 @@ def _cross_validate(config: ClusterConfig, problems: list[str]) -> None:
         if v.boot_profile not in config.profiles:
             problems.append(f"vm '{v.vm_id}': unknown profile '{v.boot_profile}'")
 
-    phase = config.timing.controller_phase_s
-    if not 0 <= phase < config.controller.scan_period_s:
+    if config.timing.controller_phase_s >= config.controller.scan_period_s:
         problems.append("timing: controller_phase_s must be in [0, scan_period_s)")
 
     # Jitter must stay below every nominal duration it can apply to,
@@ -376,9 +331,12 @@ def parse_cluster_config(doc: dict) -> ClusterConfig:
         hosts=_parse_hosts(doc.get("hosts"), reader),
         vms=_parse_vms(doc.get("vms"), reader),
         profiles=_parse_profiles(doc.get("profiles"), reader),
-        controller=_parse_controller(doc.get("controller"), reader),
-        telemetry=_parse_telemetry(doc.get("telemetry"), reader),
-        timing=_parse_timing(doc.get("timing"), reader),
+        controller=_parse_params(ControllerParams, doc.get("controller"),
+                                 "controller", reader),
+        telemetry=_parse_params(TelemetryParams, doc.get("telemetry"),
+                                "telemetry", reader),
+        timing=_parse_params(TimingParams, doc.get("timing"), "timing", reader,
+                             minimum=0),
     )
     _cross_validate(config, problems)
     if problems:
@@ -492,31 +450,20 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     replications = reader.as_int(doc.get("replications", 1), "replications", 1)
     seed = reader.as_int(doc.get("seed", 0), "seed", 0)
 
-    injections = []
     raw_injections = doc.get("injections", [])
     if not isinstance(raw_injections, list):
         problems.append("injections: expected a list")
         raw_injections = []
-    for i, body in enumerate(raw_injections):
-        inj = _parse_injection(body, f"injections[{i}]", reader)
-        if inj is not None:
-            injections.append(inj)
-
+    parsed = [_parse_injection(body, f"injections[{i}]", reader)
+              for i, body in enumerate(raw_injections)]
     if config is not None:
-        known_vms = {v.vm_id for v in config.vms}
-        known_hosts = {h.host_id for h in config.hosts}
-        for i, inj in enumerate(injections):
-            if inj.vm_id is not None and inj.vm_id not in known_vms:
-                problems.append(f"injections[{i}]: unknown vm '{inj.vm_id}'")
-            if inj.host_id is not None and inj.host_id not in known_hosts:
-                problems.append(f"injections[{i}]: unknown host '{inj.host_id}'")
-            for h in inj.hosts:
-                if h not in known_hosts:
-                    problems.append(f"injections[{i}]: unknown host '{h}'")
-            if horizon is not None and inj.at > horizon:
-                problems.append(f"injections[{i}]: at={inj.at} exceeds horizon_s")
+        problems.extend(injection_problems(
+            parsed, {v.vm_id for v in config.vms}, {h.host_id for h in config.hosts},
+            horizon))
+    injections = [inj for inj in parsed if inj is not None]
 
     if problems:
         raise ConfigError(problems)
     return Scenario(config=config, injections=injections, horizon_s=horizon,
-                    replications=replications, seed=seed if seed is not None else 0)
+                    replications=replications if replications is not None else 1,
+                    seed=seed if seed is not None else 0)

@@ -56,15 +56,6 @@ class ControllerParams:
     restart_step_enabled: bool = True
     reinstall_patience_s: int = 600
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.scan_period_s < 1:
-            problems.append("controller: scan_period_s must be >= 1")
-        for name in ("t1_s", "t2_s", "reinstall_patience_s"):
-            if getattr(self, name) < self.scan_period_s:
-                problems.append(f"controller: {name} must be >= scan_period_s")
-        return problems
-
 
 class Phase(Enum):
     HEALTHY = "healthy"
@@ -170,34 +161,8 @@ def _commit(working: dict[str, HostView], vm: VmInfo, target: str) -> None:
                 src.vm_count -= 1
 
 
-def plan_host_failover(failed_host: str, hosted_vms: Sequence[VmInfo],
-                       view: Iterable[HostView],
-                       params: ControllerParams) -> list[Action]:
-    """Restart placements for every VM of a failed physical host.
-
-    No reboot is attempted: a dead host cannot relay one. VMs are placed in
-    vm_id order, each placement updating the view seen by the next; a VM
-    with no eligible host is deferred.
-    """
-    working = {h.host_id: replace_view(h) for h in view}
-    actions = []
-    for vm in sorted(hosted_vms, key=lambda v: v.vm_id):
-        target = choose_host(working.values(), vm)
-        if target is None:
-            actions.append(Action(DEFER, vm.vm_id))
-            continue
-        actions.append(Action(RESTART, vm.vm_id, target))
-        _commit(working, vm, target)
-    return actions
-
-
-def replace_view(h: HostView) -> HostView:
-    return HostView(h.host_id, h.power_on, h.monitor_up, h.load, h.vm_count,
-                    h.load_threshold)
-
-
 def _entry_level(params: ControllerParams, vm: VmInfo, host_down: bool) -> str:
-    """First intervention for a newly failed VM."""
+    """First intervention for a failed VM; after an expired reboot, pass host_down."""
     if host_down or not params.reboot_step_enabled:
         if params.restart_step_enabled or not vm.reinstall_allowed:
             return RESTART
@@ -215,7 +180,9 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
     for placements.
     """
     assert snapshot.taken_at == now, "snapshot must be taken at the scan instant"
-    working = {h.host_id: replace_view(h) for h in view}
+    # Private copies: placements within the tick update them (sequential fill).
+    working = {h.host_id: HostView(h.host_id, h.power_on, h.monitor_up, h.load,
+                                   h.vm_count, h.load_threshold) for h in view}
     down_hosts = {
         mid for mid, e in snapshot.entries.items()
         if mid in working and e.verdict == DOWN
@@ -270,17 +237,12 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
                     src.load += vm.load_contribution
                 rec = replace(rec, phase=Phase.REBOOT_ISSUED,
                               deadline=now + params.t1_s)
-            elif level == REINSTALL:
-                rec = place(rec, vm, REINSTALL)
             else:
-                rec = place(rec, vm, RESTART)
+                rec = place(rec, vm, level)
 
         elif rec.phase is Phase.REBOOT_ISSUED:
             if now >= rec.deadline:
-                if params.restart_step_enabled or not vm.reinstall_allowed:
-                    rec = place(rec, vm, RESTART)
-                else:
-                    rec = place(rec, vm, REINSTALL)
+                rec = place(rec, vm, _entry_level(params, vm, host_down=True))
 
         elif rec.phase is Phase.RESTART_ISSUED:
             if now >= rec.deadline:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Container
 
 import numpy as np
 
@@ -95,12 +95,6 @@ class TimingParams:
     controller_phase_s: int = 0
     rng_seed: int = 0
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.boot_jitter_s < 0 or self.reinstall_jitter_s < 0:
-            problems.append("timing: jitters must be non-negative")
-        return problems
-
 
 @dataclass(frozen=True)
 class FailureInjection:
@@ -152,13 +146,50 @@ class SimReport:
         return [e for e in self.episodes if e.recovered_at is None]
 
 
+def injection_problems(injections: list[FailureInjection | None],
+                       vm_ids: Container[str], host_ids: Container[str],
+                       horizon_s: int | None) -> list[str]:
+    """`injections[i]: ...` problems of injections against a cluster.
+
+    vm_ids and host_ids are the cluster's machine ids. A None entry stands
+    for an injection its parser already rejected; it keeps its index. A
+    horizon of None skips the horizon test.
+    """
+    problems = []
+    for i, inj in enumerate(injections):
+        if inj is None:
+            continue
+        where = f"injections[{i}]"
+        if inj.kind not in INJECTION_KINDS:
+            problems.append(f"{where}.kind: expected one of "
+                            f"{', '.join(INJECTION_KINDS)}")
+            continue
+        if inj.at < 0:
+            problems.append(f"{where}.at: must be >= 0")
+        if inj.kind in (NON_DESTRUCTIVE_CRASH, DESTRUCTIVE_CRASH):
+            if inj.vm_id not in vm_ids:
+                problems.append(f"{where}: unknown vm '{inj.vm_id}'")
+        elif inj.kind == POWER_GLITCH:
+            problems.extend(f"{where}: unknown host '{h}'"
+                            for h in inj.hosts if h not in host_ids)
+        elif inj.host_id not in host_ids:
+            problems.append(f"{where}: unknown host '{inj.host_id}'")
+        if inj.kind == LOAD_SPIKE and inj.duration_s < 1:
+            problems.append(f"{where}.duration_s: must be >= 1")
+        if horizon_s is not None and inj.at > horizon_s:
+            problems.append(f"{where}: at={inj.at} exceeds horizon_s")
+    return problems
+
+
 def sample_duration(nominal_s: int, jitter_s: int, rng: np.random.Generator) -> int:
     """Uniform integer draw from [nominal - jitter, nominal + jitter].
 
-    Consumes exactly one draw from the generator.
+    Consumes exactly one draw from the generator. Drawing the offset from
+    the lower bound gives the same numbers as drawing the value, and keeps
+    nominal durations beyond the int64 range usable.
     """
     assert 0 <= jitter_s < nominal_s, "jitter must be non-negative and below nominal"
-    return int(rng.integers(nominal_s - jitter_s, nominal_s + jitter_s + 1))
+    return nominal_s - jitter_s + int(rng.integers(0, 2 * jitter_s + 1))
 
 
 class Simulation:
@@ -199,7 +230,10 @@ class Simulation:
         self.trace: list[str] | None = [] if collect_trace else None
         self.monitor_log: list[str] | None = [] if emit_monitor_log else None
 
-        self._validate_injections(injections)
+        problems = injection_problems(injections, self.state.vms, self.state.hosts,
+                                      horizon_s)
+        if problems:
+            raise ScenarioError("; ".join(problems))
         for inj in injections:
             self._schedule(inj.at, "inject", (inj,))
         phase = self.timing.controller_phase_s
@@ -410,28 +444,6 @@ class Simulation:
 
     # -- failure injection -------------------------------------------------
 
-    def _validate_injections(self, injections: list[FailureInjection]) -> None:
-        for inj in injections:
-            if inj.kind not in INJECTION_KINDS:
-                raise ScenarioError(f"unknown injection kind '{inj.kind}'")
-            if inj.at < 0:
-                raise ScenarioError(f"injection at t={inj.at} precedes scenario start")
-            if inj.at > self.horizon_s:
-                raise ScenarioError(
-                    f"injection at t={inj.at} exceeds horizon {self.horizon_s}")
-            if inj.kind in (NON_DESTRUCTIVE_CRASH, DESTRUCTIVE_CRASH):
-                if inj.vm_id not in self.state.vms:
-                    raise ScenarioError(f"injection targets unknown VM '{inj.vm_id}'")
-            elif inj.kind in (PHYSICAL_HOST_FAILURE, LOAD_SPIKE):
-                if inj.host_id not in self.state.hosts:
-                    raise ScenarioError(f"injection targets unknown host '{inj.host_id}'")
-            elif inj.kind == POWER_GLITCH:
-                for h in inj.hosts:
-                    if h not in self.state.hosts:
-                        raise ScenarioError(f"injection targets unknown host '{h}'")
-            if inj.kind == LOAD_SPIKE and inj.duration_s < 1:
-                raise ScenarioError("load_spike duration_s must be >= 1")
-
     def _on_inject(self, inj: FailureInjection) -> None:
         if inj.kind in (NON_DESTRUCTIVE_CRASH, DESTRUCTIVE_CRASH):
             vm = self.state.vms[inj.vm_id]
@@ -470,7 +482,11 @@ class Simulation:
     def _fail_host(self, host_id: str, episode_kind: str) -> bool:
         host = self.state.hosts[host_id]
         if host.power_state is PowerState.OFF:
-            self._trace(f"inject_skipped {episode_kind} {host_id}")
+            if episode_kind == PHYSICAL_HOST_FAILURE:
+                # A new ticket cancels a pending glitch boot: the host stays off.
+                self._boot_ticket[host_id] = self._boot_ticket.get(host_id, 0) + 1
+            else:
+                self._trace(f"inject_skipped {episode_kind} {host_id}")
             return False
         self._silence(host_id, final_beat=True)
         host.power_state = PowerState.OFF

@@ -29,13 +29,6 @@ class BootProfile:
     boot_s: int = 70
     install_s: int = 352
 
-    def validate(self) -> list[str]:
-        problems = []
-        for field_name in ("pxe_setup_s", "boot_s", "install_s"):
-            if getattr(self, field_name) < 1:
-                problems.append(f"profile '{self.name}': {field_name} must be >= 1")
-        return problems
-
     def local_boot_plan(self) -> list[int]:
         return [self.pxe_setup_s, self.boot_s]
 
@@ -76,12 +69,6 @@ class Provisioner:
         self.assignments = dict(assignments or {})
         self.bindings: dict[str, str] = {}  # mac -> profile name, present iff install-bound
 
-    def profile_for(self, mac: str) -> BootProfile:
-        name = self.assignments.get(mac)
-        if name is None:
-            return DEFAULT_PROFILE
-        return self.profiles[name]
-
     def bind_install(self, mac: str, profile_name: str) -> None:
         """Point the MAC at an installation; overwrites any prior mode."""
         if profile_name not in self.profiles:
@@ -94,7 +81,8 @@ class Provisioner:
         if bound is not None:
             profile = self.profiles[bound]
             return BootPlan(INSTALL, bound, profile.install_plan())
-        profile = self.profile_for(mac)
+        name = self.assignments.get(mac)
+        profile = DEFAULT_PROFILE if name is None else self.profiles[name]
         return BootPlan(LOCAL_BOOT, profile.name, profile.local_boot_plan())
 
     def complete_install(self, mac: str) -> None:

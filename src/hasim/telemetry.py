@@ -31,12 +31,6 @@ class TelemetryParams:
 
     detection_latency_s: int = 70
 
-    def validate(self) -> list[str]:
-        if self.detection_latency_s > HEARTBEAT_PERIOD_S:
-            return []
-        return [f"telemetry: detection_latency_s must be > {HEARTBEAT_PERIOD_S} "
-                "(the heartbeat period)"]
-
 
 @dataclass(frozen=True)
 class SnapshotEntry:

@@ -14,7 +14,7 @@ Criteria (all tolerances pinned here, nothing deferred):
      order, reinstall suppression, threshold safety, deadline respect, VM
      conservation - zero violations.
   6. placement oracle equivalence: choose_host on 10,000 random views,
-     plan_host_failover on 1,000 random host failures.
+     tick's batch placement on 1,000 random host failures.
   7. determinism: identical seeds give byte-identical trace, report and
      monitor-log files.
 """
@@ -37,7 +37,7 @@ from hasim.controller import (
     HostView,
     VmInfo,
     choose_host,
-    plan_host_failover,
+    tick,
 )
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
@@ -49,6 +49,7 @@ from hasim.engine import (
     Simulation,
 )
 from hasim.reporting import parse_episodes_csv
+from hasim.telemetry import DOWN, MonitorSnapshot, SnapshotEntry
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -322,6 +323,18 @@ def random_view(rng, n):
             for i in range(n)]
 
 
+def failover_by_tick(vms, view, params, now=240):
+    """The engine's path for a host failure: the first scan after host 'dead'
+    failed sees it powered off and Down, with its VMs Down and no records."""
+    dead = HostView("dead", power_on=False, monitor_up=False, load=0.0,
+                    vm_count=len(vms), load_threshold=1.0)
+    down = SnapshotEntry(last_heartbeat_at=0, reported_load=0.0, verdict=DOWN)
+    entries = {mid: down for mid in ["dead"] + [vm.vm_id for vm in vms]}
+    _, actions = tick({}, MonitorSnapshot(taken_at=now, entries=entries),
+                      view + [dead], now, params, vms)
+    return actions
+
+
 def test_criterion_6_placement_oracle_equivalence():
     rng = np.random.default_rng(424242)
     for _ in range(10_000):
@@ -336,7 +349,7 @@ def test_criterion_6_placement_oracle_equivalence():
         view = random_view(rng, int(rng.integers(1, 6)))
         vms = [VmInfo(f"vm{j}", "dead", round(float(rng.uniform(0.2, 2.0)), 1), True)
                for j in range(int(rng.integers(1, 7)))]
-        actions = plan_host_failover("dead", vms, view, params)
+        actions = failover_by_tick(vms, view, params)
         # Incremental-greedy oracle.
         working = {h.host_id: HostView(h.host_id, h.power_on, h.monitor_up,
                                        h.load, h.vm_count, h.load_threshold)
@@ -352,7 +365,7 @@ def test_criterion_6_placement_oracle_equivalence():
                 working[target].vm_count += 1
         assert actions == expected
     _verdict("criterion 6 (placement oracles)", True,
-             "choose_host 10000/10000, plan_host_failover 1000/1000")
+             "choose_host 10000/10000, tick failover 1000/1000")
 
 
 def test_criterion_7_determinism(tmp_path):

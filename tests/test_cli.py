@@ -37,6 +37,12 @@ def test_validate_dangling_ref_exit_1(tmp_path, capsys):
     assert "ghost" in out
 
 
+def test_validate_malformed_parameter_prints_one_line(tmp_path, capsys):
+    path = write_config(tmp_path, {"timing": {"boot_jitter_s": "x"}})
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "timing.boot_jitter_s: expected an integer\n"
+
+
 def test_validate_unreadable_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 

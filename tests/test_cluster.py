@@ -111,16 +111,14 @@ def test_pending_load_counts_booting_and_installing():
 
 
 def test_default_threshold():
-    assert default_threshold(8, 1.0) == 8.0
-    assert default_threshold(1, 1.0) == 1.0
-    assert default_threshold(4, 1.5) == 6.0
+    assert default_threshold(8) == 8.0
+    assert default_threshold(1) == 1.0
+    assert isinstance(default_threshold(4), float)
 
 
 def test_default_threshold_rejects_bad_input():
     with pytest.raises(ValueError):
-        default_threshold(0, 1.0)
-    with pytest.raises(ValueError):
-        default_threshold(4, 0.0)
+        default_threshold(0)
 
 
 def test_invariants_pass_on_consistent_state():

@@ -1,10 +1,23 @@
 """Configuration document parsing and validation."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hasim.config import ConfigError, load_cluster_config, load_scenario
+from hasim.controller import ControllerParams
+from hasim.engine import (
+    DESTRUCTIVE_CRASH,
+    PHYSICAL_HOST_FAILURE,
+    FailureInjection,
+    TimingParams,
+    run_scenario,
+)
+from hasim.provisioning import BootProfile
+from hasim.telemetry import TelemetryParams
 
 VALID_DOC = {
     "hosts": [
@@ -115,6 +128,18 @@ def test_nonpositive_threshold_rejected():
         load_cluster_config(json.dumps(document))
 
 
+@pytest.mark.parametrize("block,key", [
+    ("hosts", "host_id"), ("hosts", "cpu_count"), ("hosts", "ram_mb"),
+    ("vms", "vm_id"), ("vms", "mac"), ("vms", "bound_host"), ("vms", "boot_profile")])
+def test_null_required_key_is_missing(block, key):
+    # Not a silently dropped machine: a null required value is reported.
+    document = json.loads(doc())
+    document[block][0][key] = None
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(json.dumps(document))
+    assert f"{block}[0]: missing required key '{key}'" in exc.value.problems
+
+
 def test_parse_failure_reported():
     with pytest.raises(ConfigError) as exc:
         load_cluster_config("{not json")
@@ -206,6 +231,19 @@ def test_scenario_rejects_injection_past_horizon():
     assert any("exceeds horizon" in p for p in exc.value.problems)
 
 
+def test_scenario_injection_problems_keep_their_index():
+    # A rejected injection still counts: the unknown vm is the second one.
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(json.dumps({
+            "cluster": json.loads(doc()),
+            "injections": [{"at": "x", "kind": "destructive_crash", "vm": "gridce"},
+                           {"at": 10, "kind": "destructive_crash", "vm": "ghost"}],
+            "horizon_s": 600,
+        }))
+    assert exc.value.problems == ["injections[0].at: expected an integer",
+                                  "injections[1]: unknown vm 'ghost'"]
+
+
 def test_scenario_rejects_bad_injection_kind():
     with pytest.raises(ConfigError) as exc:
         load_scenario(json.dumps({
@@ -247,8 +285,110 @@ def test_non_finite_numbers_rejected(literal):
     assert "hosts[0].load_threshold: expected a finite number" in exc.value.problems
 
 
+@pytest.mark.parametrize("key", ["cluster", "horizon_s"])
+def test_scenario_null_required_key_is_missing(key):
+    document = {"cluster": json.loads(doc()), "horizon_s": 600, key: None}
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(json.dumps(document))
+    assert exc.value.problems == [f"top level: missing required key '{key}'"]
+
+
+def test_scenario_null_optional_key_is_default():
+    scenario = load_scenario(json.dumps({"cluster": json.loads(doc()), "horizon_s": 600,
+                                         "replications": None, "seed": None}))
+    assert (scenario.replications, scenario.seed) == (1, 0)
+
+
 def test_scenario_rejects_negative_seed():
     with pytest.raises(ConfigError) as exc:
         load_scenario(json.dumps({"cluster": json.loads(doc()), "horizon_s": 600,
                                   "seed": -5}))
     assert exc.value.problems == ["seed: must be >= 0"]
+
+
+PARAM_BLOCKS = [("controller", ControllerParams), ("telemetry", TelemetryParams),
+                ("timing", TimingParams), ("profiles", BootProfile)]
+
+
+def bad_field_cases():
+    for block, cls in PARAM_BLOCKS:
+        for f in dataclasses.fields(cls):
+            if f.name == "name":
+                continue  # a profile's name is its key
+            boolean = isinstance(f.default, bool)
+            # true is a valid boolean, so boolean fields get 1 instead.
+            for value in ("x", -1, 1 if boolean else True, 1.5):
+                yield block, f.name, value, boolean
+
+
+@pytest.mark.parametrize("block,name,value,boolean", list(bad_field_cases()))
+def test_bad_parameter_value_is_one_problem(block, name, value, boolean):
+    if block == "profiles":
+        where = "profiles['compute']"
+        document = doc(profiles={"compute": {name: value}})
+    else:
+        where, document = block, doc(**{block: {name: value}})
+    minimum = 0 if block == "timing" else 1
+    if boolean:
+        message = "expected a boolean"
+    elif value == -1:
+        message = f"must be >= {minimum}"
+    else:
+        message = "expected an integer"
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(document)
+    assert exc.value.problems == [f"{where}.{name}: {message}"]
+
+
+# -- fuzz: any JSON under the parameter blocks is rejected or runs ------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+def mostly(likely, rarely):
+    """likely seven times in eight."""
+    return st.integers(0, 7).flatmap(lambda i: rarely if i == 7 else likely)
+
+
+def param_block(cls):
+    """Mostly an object over some of the block's keys with mostly plausible
+    values, so that many documents parse; otherwise arbitrary JSON."""
+    values = {f.name: mostly(st.booleans() if isinstance(f.default, bool)
+                             else st.integers(0, 200), JSON_VALUES)
+              for f in dataclasses.fields(cls) if f.name != "name"}
+    return mostly(st.fixed_dictionaries({}, optional=values), JSON_VALUES)
+
+
+FUZZ_CLUSTER = {
+    "hosts": [{"host_id": "h1", "cpu_count": 2, "ram_mb": 1},
+              {"host_id": "h2", "cpu_count": 2, "ram_mb": 1}],
+    "vms": [{"vm_id": "v1", "mac": "52:54:00:00:00:01", "bound_host": "h1",
+             "boot_profile": "p"},
+            {"vm_id": "v2", "mac": "52:54:00:00:00:02", "bound_host": "h1",
+             "boot_profile": "p"}],
+}
+FUZZ_INJECTIONS = [FailureInjection(30, DESTRUCTIVE_CRASH, "v1"),
+                   FailureInjection(50, PHYSICAL_HOST_FAILURE, host_id="h1")]
+
+
+# Durations beyond the int64 range once made the duration draw raise.
+@example(controller={}, telemetry={}, timing={},
+         profiles={"p": {"boot_s": 2**64, "install_s": 2**64}})
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(controller=param_block(ControllerParams), telemetry=param_block(TelemetryParams),
+       timing=param_block(TimingParams),
+       profiles=mostly(st.fixed_dictionaries({"p": param_block(BootProfile)}),
+                       JSON_VALUES))
+def test_parameter_blocks_are_rejected_or_run(controller, telemetry, timing, profiles):
+    document = dict(FUZZ_CLUSTER, controller=controller, telemetry=telemetry,
+                    timing=timing, profiles=profiles)
+    try:
+        config = load_cluster_config(json.dumps(document))
+    except ConfigError:
+        return
+    report = run_scenario(config, FUZZ_INJECTIONS, 600, invariant_checks="event")
+    assert len(report.episodes) == 2

@@ -14,7 +14,6 @@ from hasim.controller import (
     Phase,
     VmInfo,
     choose_host,
-    plan_host_failover,
     tick,
 )
 from hasim.telemetry import DOWN, UP, MonitorSnapshot, SnapshotEntry
@@ -98,20 +97,28 @@ def test_choose_matches_oracle_randomized():
         assert choose_host(view, vm) == oracle_choose(view, vm)
 
 
-# -- plan_host_failover --------------------------------------------------
+# -- host failover through tick ------------------------------------------
+
+
+def failover(vms, view, params=PARAMS, now=240):
+    """The first scan after host 'dead' failed: the host is powered off and
+    Down, its VMs are Down, and none has an escalation record yet."""
+    dead = hv("dead", power_on=False, up=False, vm_count=len(vms))
+    verdicts = {"dead": DOWN, **{vm.vm_id: DOWN for vm in vms}}
+    _, actions = tick({}, snap(now, **verdicts), view + [dead], now, params, vms)
+    return actions
 
 
 def test_failover_sequential_fill_on_one_backup():
     view = [hv("backup", load=0.0, threshold=4.0)]
     vms = [vi("vm2", "dead", 1.5), vi("vm1", "dead", 1.5)]
-    actions = plan_host_failover("dead", vms, view, PARAMS)
+    actions = failover(vms, view)
     assert actions == [Action(RESTART, "vm1", "backup"),
                        Action(RESTART, "vm2", "backup")]
 
 
 def test_failover_defers_when_no_backup():
-    actions = plan_host_failover("dead", [vi("a", "dead"), vi("b", "dead")],
-                                 [], PARAMS)
+    actions = failover([vi("a", "dead"), vi("b", "dead")], [])
     assert actions == [Action(DEFER, "a"), Action(DEFER, "b")]
 
 
@@ -119,7 +126,7 @@ def test_failover_overflow_defers_excess():
     # Backup takes two 1.5-load VMs (3.0 < 4.0) but not a third.
     view = [hv("backup", load=0.0, threshold=4.0)]
     vms = [vi(f"vm{i}", "dead", 1.5) for i in range(3)]
-    actions = plan_host_failover("dead", vms, view, PARAMS)
+    actions = failover(vms, view)
     assert actions == [Action(RESTART, "vm0", "backup"),
                        Action(RESTART, "vm1", "backup"),
                        Action(DEFER, "vm2")]
@@ -154,8 +161,7 @@ def test_failover_matches_greedy_oracle_randomized():
         ]
         vms = [vi(f"vm{j}", "dead", round(float(rng.uniform(0.2, 2.0)), 1))
                for j in range(int(rng.integers(1, 7)))]
-        assert plan_host_failover("dead", vms, backups, PARAMS) == \
-            oracle_failover("dead", vms, backups)
+        assert failover(vms, backups) == oracle_failover("dead", vms, backups)
 
 
 # -- tick ----------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Event-loop semantics: injections, recovery timelines, sampling, statistics."""
 
+import dataclasses
 import statistics
 
 import numpy as np
 import pytest
 
+from hasim.cluster import PowerState
 from hasim.config import parse_cluster_config
 from hasim.controller import REBOOT, REINSTALL, RESTART
 from hasim.engine import (
@@ -174,6 +176,29 @@ def test_power_glitch_host_comes_back_but_vms_need_recovery():
     assert all(ep.recovered_at is not None for ep in report.episodes)
 
 
+def test_host_failure_while_glitched_host_boots_back_keeps_it_off():
+    # node01 would be back at 180; the failure at 120 cancels that boot, so
+    # the first scan that sees node01 Down restarts both VMs on node02.
+    glitch = FailureInjection(100, POWER_GLITCH, hosts=("node01",))
+    failure = FailureInjection(120, PHYSICAL_HOST_FAILURE, host_id="node01")
+    sim = Simulation(two_host_config(), [glitch, failure], 900, seed=1,
+                     collect_trace=True)
+    report = sim.run()
+    assert sim.state.hosts["node01"].power_state is PowerState.OFF
+    assert not any("node01 up" in line for line in report.trace)
+    assert [(ep.vm_id, ep.recovered_on, [(t, str(a)) for t, a in ep.actions])
+            for ep in report.episodes] == [
+        ("svc01", "node02", [(180, "restart svc01 node02")]),
+        ("svc02", "node02", [(180, "restart svc02 node02")])]
+
+    # A second glitch on a host that is booting back changes nothing.
+    sim = Simulation(two_host_config(), [glitch, dataclasses.replace(glitch, at=120)],
+                     900, seed=1, collect_trace=True)
+    sim.run()
+    assert sim.state.hosts["node01"].power_state is PowerState.ON
+    assert "120 inject_skipped power_glitch node01" in sim.trace
+
+
 def test_load_spike_defers_restart_until_it_ends():
     # Destructive crash on a host pinned over threshold: the restart due at
     # t=420 is deferred; the spike ends at 520 and the next scan (540)
@@ -209,6 +234,27 @@ def test_injection_unknown_target_rejected():
     with pytest.raises(ScenarioError):
         run_scenario(one_host_config(),
                      [FailureInjection(10, NON_DESTRUCTIVE_CRASH, "ghost")], 100)
+
+
+def test_simulation_reports_every_injection_problem():
+    injections = [
+        FailureInjection(10, NON_DESTRUCTIVE_CRASH, "ghost"),
+        FailureInjection(-1, PHYSICAL_HOST_FAILURE, host_id="node01"),
+        FailureInjection(10, LOAD_SPIKE, host_id="node01", extra_load=1.0),
+        FailureInjection(10, "meteor_strike"),
+        FailureInjection(700, POWER_GLITCH, hosts=("node01", "nope")),
+    ]
+    with pytest.raises(ScenarioError) as exc:
+        Simulation(one_host_config(), injections, 600)
+    assert str(exc.value).split("; ") == [
+        "injections[0]: unknown vm 'ghost'",
+        "injections[1].at: must be >= 0",
+        "injections[2].duration_s: must be >= 1",
+        "injections[3].kind: expected one of non_destructive_crash, "
+        "destructive_crash, physical_host_failure, power_glitch, load_spike",
+        "injections[4]: unknown host 'nope'",
+        "injections[4]: at=700 exceeds horizon_s",
+    ]
 
 
 def test_injection_on_non_running_vm_skipped():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hasim.config import ConfigError, parse_cluster_config
 from hasim.provisioning import (
     INSTALL,
     LOCAL_BOOT,
@@ -76,5 +77,9 @@ def test_plans_strictly_positive_and_sum():
 
 
 def test_profile_validation():
-    assert BootProfile("bad", pxe_setup_s=0).validate()
-    assert not BootProfile("good").validate()
+    # Profile durations are range-checked where profiles are read.
+    with pytest.raises(ConfigError) as exc:
+        parse_cluster_config({"profiles": {"bad": {"pxe_setup_s": 0}, "good": {}}})
+    assert exc.value.problems == ["profiles['bad'].pxe_setup_s: must be >= 1"]
+    config = parse_cluster_config({"profiles": {"good": {}}})
+    assert config.profiles == {"good": BootProfile("good")}
