@@ -107,29 +107,45 @@ def pending_load(state: ClusterState, host_id: str) -> float:
 def check_state_invariants(state: ClusterState) -> None:
     """Assert binding and lifecycle consistency of the whole cluster graph.
 
-    Raises AssertionError on the first violation; called by the engine after
-    event applications when invariant checking is enabled.
+    Raises AssertionError naming the first violating VM or host; called by
+    the engine after event applications when invariant checking is enabled.
+    The hosted_vms lists must name known VMs, each once, and their vm -> host
+    map must equal the bound VMs' bound_host map.
     """
-    seen_bound: set[str] = set()
+    hosts = state.hosts.values()
+    hosted = {vm_id: host.host_id for host in hosts for vm_id in host.hosted_vms}
+    listed = sum(len(host.hosted_vms) for host in hosts)
+    bound = {}
+    waiting = VmLifecycle.WAITING_FOR_CAPACITY
+    for vm in state.vms.values():
+        if vm.bound_host is not None:
+            assert vm.lifecycle is not waiting, \
+                f"VM {vm.vm_id} is waiting for capacity but still bound"
+            bound[vm.vm_id] = vm.bound_host
+        else:
+            assert vm.lifecycle not in BOUND_LIFECYCLES, \
+                f"VM {vm.vm_id} is {vm.lifecycle.value} but unbound"
+    if listed != len(hosted) or hosted != bound:
+        _raise_binding_violation(state)
+
+
+def _raise_binding_violation(state: ClusterState) -> None:
+    """Name the first host entry or VM binding that breaks the vm -> host map."""
+    seen: dict[str, str] = {}
     for host in state.hosts.values():
-        assert len(set(host.hosted_vms)) == len(host.hosted_vms), \
-            f"host {host.host_id}: duplicate entries in hosted_vms"
         for vm_id in host.hosted_vms:
+            assert vm_id not in seen or seen[vm_id] != host.host_id, \
+                f"host {host.host_id}: duplicate entries in hosted_vms ({vm_id})"
+            assert vm_id not in seen, f"VM {vm_id} hosted by more than one host"
             vm = state.vms.get(vm_id)
             assert vm is not None, f"host {host.host_id} references unknown VM {vm_id}"
             assert vm.bound_host == host.host_id, \
                 f"VM {vm_id} binding ({vm.bound_host}) disagrees with host {host.host_id}"
-            assert vm_id not in seen_bound, f"VM {vm_id} hosted by more than one host"
-            seen_bound.add(vm_id)
+            seen[vm_id] = host.host_id
     for vm in state.vms.values():
-        if vm.lifecycle in BOUND_LIFECYCLES:
-            assert vm.bound_host is not None, \
-                f"VM {vm.vm_id} is {vm.lifecycle.value} but unbound"
-        if vm.lifecycle is VmLifecycle.WAITING_FOR_CAPACITY:
-            assert vm.bound_host is None, \
-                f"VM {vm.vm_id} is waiting for capacity but still bound"
         if vm.bound_host is not None:
-            host = state.hosts.get(vm.bound_host)
-            assert host is not None, f"VM {vm.vm_id} bound to unknown host {vm.bound_host}"
-            assert vm.vm_id in host.hosted_vms, \
+            assert vm.bound_host in state.hosts, \
+                f"VM {vm.vm_id} bound to unknown host {vm.bound_host}"
+            assert vm.vm_id in seen, \
                 f"VM {vm.vm_id} bound to {vm.bound_host} but absent from its hosted_vms"
+    raise AssertionError("hosted_vms and bound_host disagree")

@@ -99,6 +99,12 @@ class _Reader:
             return None
         return obj[key]
 
+    @staticmethod
+    def optional(obj: dict, key: str, default):
+        """The value of an optional key; absent and null both give `default`."""
+        value = obj.get(key)
+        return default if value is None else value
+
     def as_str(self, value, where: str) -> str | None:
         if value is None:
             return None
@@ -212,14 +218,14 @@ def _parse_hosts(raw, reader: _Reader) -> list[PhysicalHost]:
                                f"{where}.ram_mb", 1)
         threshold = reader.as_number(body.get("load_threshold"),
                                      f"{where}.load_threshold", 0.0, strict=True)
-        power_raw = body.get("power_state", "on")
+        power_raw = reader.optional(body, "power_state", "on")
         if power_raw not in ("on", "off"):
             reader.problems.append(f"{where}.power_state: must be 'on' or 'off'")
             power_raw = "on"
         if host_id is None or cpu_count is None or ram_mb is None:
             continue
         if threshold is None:
-            if "load_threshold" in body:
+            if body.get("load_threshold") is not None:
                 continue  # problem already recorded
             threshold = default_threshold(cpu_count)
         hosts.append(PhysicalHost(host_id, cpu_count, ram_mb, threshold,
@@ -254,14 +260,14 @@ def _parse_vms(raw, reader: _Reader) -> list[VirtualMachine]:
                                    f"{where}.bound_host")
         boot_profile = reader.as_str(reader.require(body, "boot_profile", where),
                                      f"{where}.boot_profile")
-        lifecycle_raw = body.get("lifecycle", "running")
+        lifecycle_raw = reader.optional(body, "lifecycle", "running")
         if lifecycle_raw not in ("running", "halted"):
             reader.problems.append(
                 f"{where}.lifecycle: initial lifecycle must be 'running' or 'halted'")
             lifecycle_raw = "running"
-        reinstall = reader.as_bool(body.get("reinstall_allowed", True),
+        reinstall = reader.as_bool(reader.optional(body, "reinstall_allowed", True),
                                    f"{where}.reinstall_allowed")
-        contribution = reader.as_number(body.get("load_contribution", 1.0),
+        contribution = reader.as_number(reader.optional(body, "load_contribution", 1.0),
                                         f"{where}.load_contribution", 0.0)
         if None in (vm_id, mac, bound_host, boot_profile, reinstall, contribution):
             continue
@@ -447,10 +453,11 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
 
     horizon = reader.as_int(reader.require(doc, "horizon_s", "top level"),
                             "horizon_s", 1)
-    replications = reader.as_int(doc.get("replications", 1), "replications", 1)
-    seed = reader.as_int(doc.get("seed", 0), "seed", 0)
+    replications = reader.as_int(reader.optional(doc, "replications", 1),
+                                 "replications", 1)
+    seed = reader.as_int(reader.optional(doc, "seed", 0), "seed", 0)
 
-    raw_injections = doc.get("injections", [])
+    raw_injections = reader.optional(doc, "injections", [])
     if not isinstance(raw_injections, list):
         problems.append("injections: expected a list")
         raw_injections = []
@@ -465,5 +472,4 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     if problems:
         raise ConfigError(problems)
     return Scenario(config=config, injections=injections, horizon_s=horizon,
-                    replications=replications if replications is not None else 1,
-                    seed=seed if seed is not None else 0)
+                    replications=replications, seed=seed)

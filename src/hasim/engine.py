@@ -49,6 +49,7 @@ from .controller import (
     Action,
     EscalationRecord,
     HostView,
+    Phase,
     VmInfo,
     tick,
 )
@@ -195,9 +196,15 @@ def sample_duration(nominal_s: int, jitter_s: int, rng: np.random.Generator) -> 
 class Simulation:
     """One scenario run over a private cluster state.
 
+    A scan costs in proportion to the machines that can lead to a decision:
+    `tick` visits the VMs the monitor holds silent (the only ones that can be
+    Down) and the VMs whose escalation record is not HEALTHY (the only ones
+    kept). Each host's committed load is cached until an event changes it.
+
     invariant_checks: "off", "scan" (default: full graph check at every
-    controller scan and action application) or "event" (after every event;
-    slow, meant for focused tests).
+    controller scan and action application) or "event" (after every event,
+    together with the coherence of the load cache and the silent set; slow,
+    meant for focused tests).
     """
 
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
@@ -218,7 +225,10 @@ class Simulation:
             config.profiles,
             {vm.mac: vm.boot_profile for vm in self.state.vms.values()},
         )
-        self.records: dict[str, EscalationRecord] = {}
+        self.records: dict[str, EscalationRecord] = {}  # non-HEALTHY only
+        self._host_ids = sorted(self.state.hosts)
+        # host -> host_load + pending_load, until _dirty drops it
+        self._loads: dict[str, float] = {}
         self.episodes: list[Episode] = []
         self._open: dict[str, Episode] = {}
         self._fault: dict[str, str | None] = {v: None for v in self.state.vms}
@@ -239,7 +249,7 @@ class Simulation:
         phase = self.timing.controller_phase_s
         assert 0 <= phase < self.params.scan_period_s
         self._schedule(phase, "scan", ())
-        for host_id in sorted(self.state.hosts):
+        for host_id in self._host_ids:
             if self.state.hosts[host_id].power_state is PowerState.ON:
                 self._start_beats(host_id)
             self.monitor.register(host_id, 0)
@@ -283,6 +293,10 @@ class Simulation:
     def _host_load_changed(self, host_id: str) -> None:
         self.monitor.load_changed(host_id, self.now, host_load(self.state, host_id))
 
+    def _dirty(self, host_id: str) -> None:
+        """The host's power, VM list, VM lifecycles or extra load changed."""
+        self._loads.pop(host_id, None)
+
     # -- episodes --------------------------------------------------------
 
     def _open_episode(self, vm_id: str, kind: str) -> None:
@@ -301,37 +315,51 @@ class Simulation:
 
     # -- controller scan -------------------------------------------------
 
+    def _committed_load(self, host_id: str) -> float:
+        load = self._loads.get(host_id)
+        if load is None:
+            load = self._loads[host_id] = (host_load(self.state, host_id)
+                                           + pending_load(self.state, host_id))
+        return load
+
     def _build_view(self, snapshot) -> list[HostView]:
         views = []
-        for host_id in sorted(self.state.hosts):
+        for host_id in self._host_ids:
             host = self.state.hosts[host_id]
             entry = snapshot.entries.get(host_id)
             views.append(HostView(
                 host_id=host_id,
                 power_on=host.power_state is PowerState.ON,
                 monitor_up=entry is not None and entry.verdict != DOWN,
-                load=host_load(self.state, host_id) + pending_load(self.state, host_id),
+                load=self._committed_load(host_id),
                 vm_count=len(host.hosted_vms),
                 load_threshold=host.load_threshold,
             ))
         return views
 
     def _on_scan(self) -> None:
-        snapshot = self.monitor.snapshot(self.now)
+        # Unvisited VMs are Up or unmonitored with a HEALTHY record: tick
+        # would emit nothing for them and return HEALTHY.
+        vms = self.state.vms
+        visit = sorted({m for m in self.monitor.silent if m in vms}
+                       | self.records.keys())
         if self.monitor_log is not None:
+            snapshot = self.monitor.snapshot(self.now)
             self.monitor_log.append(serialize_snapshot(snapshot))
+        else:
+            snapshot = self.monitor.snapshot_of(self.now, self._host_ids + visit)
         for vm_id, ep in self._open.items():
             if ep.detected_at is None:
                 entry = snapshot.entries.get(vm_id)
                 if entry is not None and entry.verdict == DOWN:
                     ep.detected_at = self.now
         view = self._build_view(snapshot)
-        infos = [
-            VmInfo(vm.vm_id, vm.bound_host, vm.load_contribution, vm.reinstall_allowed)
-            for _, vm in sorted(self.state.vms.items())
-        ]
-        self.records, actions = tick(self.records, snapshot, view, self.now,
-                                     self.params, infos)
+        infos = [VmInfo(vm_id, vms[vm_id].bound_host, vms[vm_id].load_contribution,
+                        vms[vm_id].reinstall_allowed) for vm_id in visit]
+        records, actions = tick(self.records, snapshot, view, self.now,
+                                self.params, infos)
+        self.records = {vm_id: rec for vm_id, rec in records.items()
+                        if rec.phase is not Phase.HEALTHY}
         self._trace("scan")
         for action in actions:
             self._apply(action)
@@ -369,6 +397,8 @@ class Simulation:
         if vm.bound_host != target:
             if vm.bound_host is not None:
                 self.state.hosts[vm.bound_host].hosted_vms.remove(vm.vm_id)
+                self._dirty(vm.bound_host)
+            # The _power_cycle that follows every rebind marks the target.
             self.state.hosts[target].hosted_vms.append(vm.vm_id)
             vm.bound_host = target
         if was_parked:
@@ -379,6 +409,7 @@ class Simulation:
     def _park(self, vm: VirtualMachine) -> None:
         if vm.bound_host is not None:
             self.state.hosts[vm.bound_host].hosted_vms.remove(vm.vm_id)
+            self._dirty(vm.bound_host)
             vm.bound_host = None
         vm.lifecycle = VmLifecycle.WAITING_FOR_CAPACITY
         self._boot_ticket[vm.vm_id] = self._boot_ticket.get(vm.vm_id, 0) + 1
@@ -390,6 +421,7 @@ class Simulation:
             f"boot scheduled for {vm.vm_id} on powered-off host {host.host_id}"
         ticket = self._boot_ticket.get(vm.vm_id, 0) + 1
         self._boot_ticket[vm.vm_id] = ticket
+        self._dirty(host.host_id)
         plan = self.provisioner.boot_outcome(vm.mac)
         if plan.mode == INSTALL:
             duration = sample_duration(plan.total_s, self.timing.reinstall_jitter_s,
@@ -411,11 +443,13 @@ class Simulation:
         host = self.state.hosts.get(machine_id)
         if host is not None:
             host.power_state = PowerState.ON
+            self._dirty(machine_id)
             self._trace(f"boot_complete {machine_id} up")
             self._start_beats(machine_id)
             return
         vm = self.state.vms[machine_id]
         assert vm.lifecycle is VmLifecycle.BOOTING
+        self._dirty(vm.bound_host)
         if self._fault[machine_id] == FAULT_CORRUPTED:
             # The boot completes but the corrupted system never comes up.
             vm.lifecycle = VmLifecycle.UNRESPONSIVE
@@ -433,6 +467,7 @@ class Simulation:
             return
         vm = self.state.vms[vm_id]
         assert vm.lifecycle is VmLifecycle.INSTALLING
+        self._dirty(vm.bound_host)
         self.provisioner.complete_install(vm.mac)
         self._trace(f"pxe_bind {vm.mac} local")
         self._fault[vm_id] = None
@@ -455,6 +490,7 @@ class Simulation:
             self._fault[inj.vm_id] = (
                 FAULT_HUNG if inj.kind == NON_DESTRUCTIVE_CRASH else FAULT_CORRUPTED)
             vm.lifecycle = VmLifecycle.UNRESPONSIVE
+            self._dirty(vm.bound_host)
             self._host_load_changed(vm.bound_host)
             self._open_episode(inj.vm_id, inj.kind)
         elif inj.kind == PHYSICAL_HOST_FAILURE:
@@ -475,6 +511,7 @@ class Simulation:
                         f"{inj.duration_s}")
             self.state.extra_load[inj.host_id] = (
                 self.state.extra_load.get(inj.host_id, 0.0) + inj.extra_load)
+            self._dirty(inj.host_id)
             self._host_load_changed(inj.host_id)
             self._schedule(self.now + inj.duration_s, "spike_end",
                            (inj.host_id, inj.extra_load))
@@ -490,6 +527,7 @@ class Simulation:
             return False
         self._silence(host_id, final_beat=True)
         host.power_state = PowerState.OFF
+        self._dirty(host_id)
         self._boot_ticket[host_id] = self._boot_ticket.get(host_id, 0) + 1
         for vm_id in sorted(host.hosted_vms):
             vm = self.state.vms[vm_id]
@@ -506,8 +544,15 @@ class Simulation:
             self.state.extra_load.pop(host_id, None)
         else:
             self.state.extra_load[host_id] = remaining
+        self._dirty(host_id)
         self._host_load_changed(host_id)
         self._trace(f"spike_end {host_id}")
+
+    def _check_caches(self) -> None:
+        for host_id, load in self._loads.items():
+            fresh = host_load(self.state, host_id) + pending_load(self.state, host_id)
+            assert load == fresh, f"host {host_id}: cached load {load!r} is stale ({fresh!r})"
+        self.monitor.check_silent()
 
     # -- main loop ---------------------------------------------------------
 
@@ -523,6 +568,7 @@ class Simulation:
             getattr(self, f"_on_{kind}")(*args)
             if self._invariants == "event":
                 check_state_invariants(self.state)
+                self._check_caches()
         if self._invariants != "off":
             check_state_invariants(self.state)
         return SimReport(episodes=self.episodes, horizon_s=self.horizon_s,

@@ -10,6 +10,8 @@ Snapshots serialize to a deterministic XML log format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Iterable
 from xml.etree import ElementTree
 from xml.sax.saxutils import quoteattr
 
@@ -63,6 +65,10 @@ class Monitor:
     for unregistered machines so that a machine parked out of monitoring (a
     VM waiting for capacity) resumes with its original staleness clock when
     it is registered again.
+
+    `silent` holds the registered machines without a train. A machine with a
+    train is never Down, since the latency exceeds the heartbeat period, so
+    only silent machines can be Down in a snapshot.
     """
 
     def __init__(self, params: TelemetryParams | None = None):
@@ -71,6 +77,7 @@ class Monitor:
         self._last_beat: dict[str, int] = {}
         self._load: dict[str, float] = {}
         self._train: dict[str, tuple[int, float]] = {}  # machine -> (start, load)
+        self.silent: set[str] = set()
 
     def register(self, machine_id: str, at: int, load: float = 0.0) -> None:
         """Add a machine to snapshot coverage.
@@ -79,11 +86,14 @@ class Monitor:
         a re-registered machine keeps its existing heartbeat history.
         """
         self._active.add(machine_id)
+        if machine_id not in self._train:
+            self.silent.add(machine_id)
         if machine_id not in self._last_beat:
             self.record_heartbeat(machine_id, at, load)
 
     def unregister(self, machine_id: str) -> None:
         self._active.discard(machine_id)
+        self.silent.discard(machine_id)
 
     def record_heartbeat(self, machine_id: str, at: int, load: float) -> None:
         prev = self._last_beat.get(machine_id)
@@ -97,27 +107,46 @@ class Monitor:
     def start_beats(self, machine_id: str, at: int, load: float) -> None:
         self.record_heartbeat(machine_id, at, load)
         self._train[machine_id] = (at, load)
+        self.silent.discard(machine_id)
 
     def stop_beats(self, machine_id: str, at: int) -> None:
         """End the train, recording its last beat before `at` explicitly."""
-        train = self._train.pop(machine_id, None)
-        if train is not None:
-            beat = _last_train_beat(train[0], at)
-            if beat > self._last_beat[machine_id]:
-                self.record_heartbeat(machine_id, beat, train[1])
+        self._record_train_beat(machine_id, at)
+        self._train.pop(machine_id, None)
+        if machine_id in self._active:
+            self.silent.add(machine_id)
 
     def load_changed(self, machine_id: str, at: int, load: float) -> None:
         """Beats of a running train from second `at` on report `load`."""
         train = self._train.get(machine_id)
         if train is not None:
-            self.stop_beats(machine_id, at)
+            self._record_train_beat(machine_id, at)
             self._train[machine_id] = (train[0], load)
+
+    def _record_train_beat(self, machine_id: str, before: int) -> None:
+        train = self._train.get(machine_id)
+        if train is not None:
+            beat = _last_train_beat(train[0], before)
+            if beat > self._last_beat[machine_id]:
+                self.record_heartbeat(machine_id, beat, train[1])
+
+    def check_silent(self) -> None:
+        """Assert that `silent` is exactly the registered machines without a train."""
+        expected = self._active - self._train.keys()
+        assert self.silent == expected, \
+            f"silent set differs from the beat trains: {sorted(self.silent ^ expected)}"
 
     def snapshot(self, now: int) -> MonitorSnapshot:
         """Liveness view of all registered machines at time `now`."""
+        return self.snapshot_of(now, self._active)
+
+    def snapshot_of(self, now: int, machine_ids: Iterable[str]) -> MonitorSnapshot:
+        """Liveness view at time `now` of the registered machines among `machine_ids`."""
         latency = self.params.detection_latency_s
         entries = {}
-        for machine_id in self._active:
+        for machine_id in machine_ids:
+            if machine_id not in self._active:
+                continue
             last, load = self._last_beat[machine_id], self._load[machine_id]
             train = self._train.get(machine_id)
             if train is not None:
@@ -136,6 +165,10 @@ def _last_train_beat(start: int, before: int) -> int:
     return start + HEARTBEAT_PERIOD_S * ((before - 1 - start) // HEARTBEAT_PERIOD_S)
 
 
+# Machine names never change, so each is quoted once (up to 65 536 names).
+_quote_name = lru_cache(maxsize=1 << 16)(quoteattr)
+
+
 def serialize_snapshot(snapshot: MonitorSnapshot) -> str:
     """Render a snapshot as a single-line XML document.
 
@@ -146,7 +179,7 @@ def serialize_snapshot(snapshot: MonitorSnapshot) -> str:
     for name in sorted(snapshot.entries):
         e = snapshot.entries[name]
         parts.append(
-            f"<HOST NAME={quoteattr(name)}"
+            f"<HOST NAME={_quote_name(name)}"
             f' LAST_HEARTBEAT="{e.last_heartbeat_at}"'
             f' LOAD="{e.reported_load!r}"'
             f' VERDICT="{e.verdict.upper()}"/>'

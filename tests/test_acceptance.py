@@ -6,6 +6,9 @@ Criteria (all tolerances pinned here, nothing deferred):
      within [140, 220] s, >= 90% of samples in [150, 210] s, < 10 s wall.
   2. destructive batch (n=1000): mean in [535, 550] s, support within
      [495, 589] s, < 10 s wall.
+     Both batches also pass a chi-square test (p >= 0.01) against the exact
+     pmf of recovery: detection uniform over 70..129 s plus the boot or
+     install duration.
   3. detection: mean of detected - failed in [95, 105] s, support within
      [70, 130] s over 1000 episodes.
   4. power-glitch replay: gridce recovers onto alfa04, < 480 s with the
@@ -24,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hasim.cli import main
 from hasim.cluster import PowerState, host_load, pending_load
@@ -92,8 +96,14 @@ def test_criterion_1_nondestructive_distribution(nondestructive_run):
              f"wall={wall:.1f}s")
 
 
-def test_criterion_2_destructive_distribution(tmp_path):
-    episodes, wall = _replicate_via_cli("destructive", tmp_path)
+@pytest.fixture(scope="module")
+def destructive_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("destructive")
+    return _replicate_via_cli("destructive", out)
+
+
+def test_criterion_2_destructive_distribution(destructive_run):
+    episodes, wall = destructive_run
     rec = np.array([e.recovered_at - e.failure_at for e in episodes
                     if e.recovered_at is not None])
     ok = (
@@ -105,6 +115,49 @@ def test_criterion_2_destructive_distribution(tmp_path):
     _verdict("criterion 2 (destructive recovery)", ok,
              f"n={len(rec)} mean={rec.mean():.1f}s support=[{rec.min()},{rec.max()}]s "
              f"wall={wall:.1f}s")
+
+
+def recovery_pmf(duration_lo: int, duration_hi: int) -> tuple[int, np.ndarray]:
+    """Exact pmf of recovery under a preset, and the value of its first point.
+
+    Detection minus failure is uniform over {70..129}: the crash instant is
+    uniform over one 60 s scan period and detection is the first scan at
+    least 70 s after it. Recovery adds the boot or install duration, uniform
+    over {duration_lo..duration_hi}.
+    """
+    detection = np.full(60, 1 / 60)
+    duration = np.full(duration_hi - duration_lo + 1, 1 / (duration_hi - duration_lo + 1))
+    return 70 + duration_lo, np.convolve(detection, duration)
+
+
+def merge_sparse_bins(observed, expected, min_expected=5.0):
+    """Merge adjacent bins, left to right, until each expects min_expected."""
+    merged_o, merged_e, o, e = [], [], 0.0, 0.0
+    for oi, ei in zip(observed, expected):
+        o, e = o + oi, e + ei
+        if e >= min_expected:
+            merged_o.append(o)
+            merged_e.append(e)
+            o, e = 0.0, 0.0
+    merged_o[-1] += o
+    merged_e[-1] += e
+    return np.array(merged_o), np.array(merged_e)
+
+
+@pytest.mark.parametrize("run,duration", [
+    ("nondestructive_run", (70, 90)),     # boot 80 +/- 10
+    ("destructive_run", (425, 459))])     # install 442 +/- 17
+def test_criteria_1_2_recovery_goodness_of_fit(run, duration, request):
+    episodes, _ = request.getfixturevalue(run)
+    rec = np.array([e.recovered_at - e.failure_at for e in episodes
+                    if e.recovered_at is not None])
+    first, pmf = recovery_pmf(*duration)
+    assert len(rec) == 1000 and first <= rec.min() and rec.max() < first + len(pmf)
+    observed = np.bincount(rec - first, minlength=len(pmf))
+    merged_o, merged_e = merge_sparse_bins(observed, pmf * len(rec))
+    p_value = stats.chisquare(merged_o, merged_e).pvalue
+    _verdict(f"criteria 1-2 ({run[:-4]} goodness of fit)", p_value >= 0.01,
+             f"chi-square over {len(merged_o)} bins, p={p_value:.3f}")
 
 
 def test_criterion_3_detection_model(nondestructive_run):

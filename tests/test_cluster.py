@@ -145,3 +145,54 @@ def test_invariants_catch_bound_waiting_vm():
     state.vms["a"].lifecycle = VmLifecycle.WAITING_FOR_CAPACITY
     with pytest.raises(AssertionError):
         check_state_invariants(state)
+
+
+def two_host_state():
+    state = make_state()
+    state.hosts["h2"] = PhysicalHost("h2", cpu_count=4, ram_mb=8192, load_threshold=4.0)
+    return state
+
+
+def test_invariants_catch_unknown_hosted_vm():
+    state = make_state()
+    state.hosts["h1"].hosted_vms.append("ghost")
+    with pytest.raises(AssertionError, match="host h1 references unknown VM ghost"):
+        check_state_invariants(state)
+
+
+def test_invariants_catch_duplicate_hosted_entry():
+    state = make_state()
+    state.hosts["h1"].hosted_vms.append("b")
+    with pytest.raises(AssertionError, match=r"host h1: duplicate entries in hosted_vms \(b\)"):
+        check_state_invariants(state)
+
+
+def test_invariants_catch_vm_hosted_twice():
+    state = two_host_state()
+    state.hosts["h2"].hosted_vms.append("a")
+    with pytest.raises(AssertionError, match="VM a hosted by more than one host"):
+        check_state_invariants(state)
+
+
+def test_invariants_catch_binding_to_unknown_host():
+    state = make_state()
+    state.hosts["h1"].hosted_vms.remove("c")
+    state.vms["c"].bound_host = "h9"
+    with pytest.raises(AssertionError, match="VM c bound to unknown host h9"):
+        check_state_invariants(state)
+
+
+def test_invariants_catch_bound_vm_missing_from_hosted_vms():
+    state = two_host_state()
+    state.hosts["h1"].hosted_vms.remove("b")
+    with pytest.raises(AssertionError,
+                       match="VM b bound to h1 but absent from its hosted_vms"):
+        check_state_invariants(state)
+
+
+def test_invariants_pass_with_unbound_waiting_vm_and_empty_host():
+    state = two_host_state()
+    state.hosts["h1"].hosted_vms.remove("c")
+    state.vms["c"].bound_host = None
+    state.vms["c"].lifecycle = VmLifecycle.WAITING_FOR_CAPACITY
+    check_state_invariants(state)

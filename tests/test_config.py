@@ -7,12 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hasim.cluster import PowerState, VmLifecycle
 from hasim.config import ConfigError, load_cluster_config, load_scenario
 from hasim.controller import ControllerParams
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
+    INJECTION_KINDS,
+    LOAD_SPIKE,
+    NON_DESTRUCTIVE_CRASH,
     PHYSICAL_HOST_FAILURE,
+    POWER_GLITCH,
     FailureInjection,
+    Simulation,
     TimingParams,
     run_scenario,
 )
@@ -295,8 +301,24 @@ def test_scenario_null_required_key_is_missing(key):
 
 def test_scenario_null_optional_key_is_default():
     scenario = load_scenario(json.dumps({"cluster": json.loads(doc()), "horizon_s": 600,
-                                         "replications": None, "seed": None}))
-    assert (scenario.replications, scenario.seed) == (1, 0)
+                                         "replications": None, "seed": None,
+                                         "injections": None}))
+    assert (scenario.replications, scenario.seed, scenario.injections) == (1, 0, [])
+
+
+@pytest.mark.parametrize("block,key,field,default", [
+    ("hosts", "load_threshold", "load_threshold", 4.0),
+    ("hosts", "power_state", "power_state", PowerState.ON),
+    ("vms", "lifecycle", "lifecycle", VmLifecycle.RUNNING),
+    ("vms", "reinstall_allowed", "reinstall_allowed", True),
+    ("vms", "load_contribution", "load_contribution", 1.0)])
+def test_null_optional_key_is_default(block, key, field, default):
+    # A null optional value once dropped its machine without a problem.
+    document = json.loads(doc())
+    document[block][0][key] = None
+    config = load_cluster_config(json.dumps(document))
+    assert (len(config.hosts), len(config.vms)) == (4, 1)
+    assert getattr(getattr(config, block)[0], field) == default
 
 
 def test_scenario_rejects_negative_seed():
@@ -392,3 +414,74 @@ def test_parameter_blocks_are_rejected_or_run(controller, telemetry, timing, pro
         return
     report = run_scenario(config, FUZZ_INJECTIONS, 600, invariant_checks="event")
     assert len(report.episodes) == 2
+
+
+# -- fuzz: any hosts, VMs and injections are rejected or run ------------------
+
+
+def plausible(values):
+    """values 29 times in 30; otherwise arbitrary JSON."""
+    return st.integers(0, 29).flatmap(lambda i: JSON_VALUES if i == 0 else values)
+
+
+def machine(required, optional):
+    """An object with mostly plausible required values and optional keys that
+    are absent, null, plausible or, rarely, arbitrary JSON."""
+    return st.fixed_dictionaries(
+        {k: plausible(v) for k, v in required.items()},
+        optional={k: plausible(st.none() | v) for k, v in optional.items()})
+
+
+def quarters(lo, hi):
+    return st.integers(lo, hi).map(lambda q: q * 0.25)
+
+
+@st.composite
+def scenario_docs(draw):
+    host_ids = [f"h{i}" for i in range(draw(st.integers(1, 3)))]
+    vm_ids = [f"v{j}" for j in range(draw(st.integers(0, 3)))]
+    hosts = [draw(machine(
+        {"host_id": st.just(h), "cpu_count": st.integers(1, 4), "ram_mb": st.integers(1, 8)},
+        {"load_threshold": quarters(1, 16), "power_state": st.sampled_from(["on", "off"])}))
+        for h in host_ids]
+    vms = [draw(machine(
+        {"vm_id": st.just(v), "mac": st.just(f"52:54:00:00:00:{j:02x}"),
+         "bound_host": st.sampled_from(host_ids), "boot_profile": st.just("p")},
+        {"lifecycle": st.sampled_from(["running", "halted"]),
+         "reinstall_allowed": st.booleans(), "load_contribution": quarters(0, 8)}))
+        for j, v in enumerate(vm_ids)]
+    at, vm, host = st.integers(0, 600), st.sampled_from(vm_ids or ["v0"]), \
+        st.sampled_from(host_ids)
+    bodies = {
+        NON_DESTRUCTIVE_CRASH: {"at": at, "vm": vm},
+        DESTRUCTIVE_CRASH: {"at": at, "vm": vm},
+        PHYSICAL_HOST_FAILURE: {"at": at, "host": host},
+        POWER_GLITCH: {"at": at, "hosts": st.lists(host, min_size=1, max_size=3)},
+        LOAD_SPIKE: {"at": at, "host": host, "extra_load": quarters(0, 16),
+                     "duration_s": st.integers(1, 400)},
+    }
+    injection = st.sampled_from(INJECTION_KINDS).flatmap(
+        lambda kind: machine({"kind": st.just(kind), **bodies[kind]}, {}))
+    injections = draw(st.lists(injection, max_size=4))
+    return {"cluster": {"hosts": draw(plausible(st.just(hosts))),
+                        "vms": draw(plausible(st.just(vms))), "profiles": {"p": {}}},
+            "injections": draw(plausible(st.none() | st.just(injections))),
+            "horizon_s": 600}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(document=scenario_docs())
+def test_machines_and_injections_are_rejected_or_run(document):
+    try:
+        scenario = load_scenario(json.dumps(document))
+    except ConfigError:
+        return
+    # Every machine and injection the document lists is kept.
+    cluster, config = document["cluster"], scenario.config
+    assert [h.host_id for h in config.hosts] == [h["host_id"] for h in cluster["hosts"] or []]
+    assert [v.vm_id for v in config.vms] == [v["vm_id"] for v in cluster["vms"] or []]
+    assert len(scenario.injections) == len(document["injections"] or [])
+    sim = Simulation(config, scenario.injections, scenario.horizon_s,
+                     invariant_checks="event")
+    sim.run()
+    assert sim.now <= scenario.horizon_s
