@@ -3,7 +3,7 @@
 Subcommands:
 
   validate <config>                                 check a cluster config
-  run <scenario> [--seed N] [--out DIR] [--emit-monitor-log]
+  run <scenario> [--seed N] [--out DIR [--emit-monitor-log]]
   replicate <nondestructive|destructive> [--n N] [--seed N] [--out DIR]
   report <report-dir> [--bin-width S]
 
@@ -94,6 +94,9 @@ def _emit(report: SimReport, out: str | None) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.emit_monitor_log and args.out is None:
+        print("hasim run: --emit-monitor-log needs --out", file=sys.stderr)
+        return EXIT_VALIDATION
     path = Path(args.scenario)
     try:
         text = path.read_text()
@@ -110,7 +113,7 @@ def cmd_run(args) -> int:
     if seed < 0:
         print("hasim run: seed must be >= 0", file=sys.stderr)
         return EXIT_VALIDATION
-    report = _run_replicated(scenario, seed, collect_trace=True,
+    report = _run_replicated(scenario, seed, collect_trace=args.out is not None,
                              emit_monitor_log=args.emit_monitor_log)
     _emit(report, args.out)
     unrecovered = len(report.unrecovered())
@@ -168,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the scenario's seed")
     p.add_argument("--out", default=None, help="directory for output files")
     p.add_argument("--emit-monitor-log", action="store_true",
-                   help="write the XML monitor snapshot log")
+                   help="write the XML monitor snapshot log (needs --out)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("replicate", help="run a batch crash experiment preset")

@@ -196,13 +196,14 @@ def _parse_profiles(raw, reader: _Reader) -> dict[str, BootProfile]:
     return profiles
 
 
-def _parse_hosts(raw, reader: _Reader) -> list[PhysicalHost]:
-    hosts = []
+def _parse_hosts(raw, reader: _Reader) -> tuple[list[PhysicalHost], set[str]]:
+    """The valid hosts, and the ids of all hosts, rejected ones too."""
+    hosts, declared = [], set()
     if raw is None:
-        return hosts
+        return hosts, declared
     if not isinstance(raw, list):
         reader.problems.append("hosts: expected a list")
-        return hosts
+        return hosts, declared
     for i, body in enumerate(raw):
         where = f"hosts[{i}]"
         if not isinstance(body, dict):
@@ -222,6 +223,7 @@ def _parse_hosts(raw, reader: _Reader) -> list[PhysicalHost]:
         if power_raw not in ("on", "off"):
             reader.problems.append(f"{where}.power_state: must be 'on' or 'off'")
             power_raw = "on"
+        declared.add(host_id)
         if host_id is None or cpu_count is None or ram_mb is None:
             continue
         if threshold is None:
@@ -230,7 +232,7 @@ def _parse_hosts(raw, reader: _Reader) -> list[PhysicalHost]:
             threshold = default_threshold(cpu_count)
         hosts.append(PhysicalHost(host_id, cpu_count, ram_mb, threshold,
                                   PowerState(power_raw)))
-    return hosts
+    return hosts, declared
 
 
 def _parse_vms(raw, reader: _Reader) -> list[VirtualMachine]:
@@ -277,7 +279,7 @@ def _parse_vms(raw, reader: _Reader) -> list[VirtualMachine]:
     return vms
 
 
-def _cross_validate(config: ClusterConfig, problems: list[str]) -> None:
+def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -> None:
     for name in ("t1_s", "t2_s", "reinstall_patience_s"):
         if getattr(config.controller, name) < config.controller.scan_period_s:
             problems.append(f"controller: {name} must be >= scan_period_s")
@@ -301,7 +303,7 @@ def _cross_validate(config: ClusterConfig, problems: list[str]) -> None:
         if v.mac in macs:
             problems.append(f"duplicate mac '{v.mac}'")
         macs.add(v.mac)
-        if v.bound_host not in host_ids:
+        if v.bound_host not in declared:  # a rejected host is reported already
             problems.append(f"vm '{v.vm_id}': unknown bound_host '{v.bound_host}'")
         if v.boot_profile not in config.profiles:
             problems.append(f"vm '{v.vm_id}': unknown profile '{v.boot_profile}'")
@@ -333,8 +335,9 @@ def parse_cluster_config(doc: dict) -> ClusterConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["top level: expected an object"])
     reader.check_keys(doc, TOP_LEVEL_KEYS, "top level")
+    hosts, declared = _parse_hosts(doc.get("hosts"), reader)
     config = ClusterConfig(
-        hosts=_parse_hosts(doc.get("hosts"), reader),
+        hosts=hosts,
         vms=_parse_vms(doc.get("vms"), reader),
         profiles=_parse_profiles(doc.get("profiles"), reader),
         controller=_parse_params(ControllerParams, doc.get("controller"),
@@ -344,7 +347,7 @@ def parse_cluster_config(doc: dict) -> ClusterConfig:
         timing=_parse_params(TimingParams, doc.get("timing"), "timing", reader,
                              minimum=0),
     )
-    _cross_validate(config, problems)
+    _cross_validate(config, problems, declared)
     if problems:
         raise ConfigError(problems)
     return config

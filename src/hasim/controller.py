@@ -81,7 +81,6 @@ class EscalationRecord:
     deadline: int | None = None
     pending: str | None = None
     cycles: int = 0
-    last_seen_up_at: int = 0
     episode_started_at: int | None = None
 
 
@@ -214,7 +213,7 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
         entry = snapshot.entries.get(vm.vm_id)
 
         if entry is not None and entry.verdict == UP:
-            out[vm.vm_id] = EscalationRecord(vm_id=vm.vm_id, last_seen_up_at=now)
+            out[vm.vm_id] = EscalationRecord(vm_id=vm.vm_id)
             continue
 
         down = entry is not None and entry.verdict == DOWN

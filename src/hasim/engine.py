@@ -34,6 +34,7 @@ import numpy as np
 from .cluster import (
     BOUND_LIFECYCLES,
     ClusterState,
+    PhysicalHost,
     PowerState,
     VirtualMachine,
     VmLifecycle,
@@ -73,11 +74,6 @@ INJECTION_KINDS = (
     LOAD_SPIKE,
 )
 
-# VM fault conditions; the lifecycle alone does not say why a machine is down.
-FAULT_HUNG = "hung"          # cleared by any completed boot
-FAULT_CORRUPTED = "corrupted"  # cleared only by a completed installation
-
-
 class ScenarioError(ValueError):
     """A scenario references unknown machines or is otherwise unrunnable."""
 
@@ -88,13 +84,12 @@ class TimingParams:
 
     Sampled durations are uniform over [nominal - jitter, nominal + jitter].
     controller_phase_s offsets the controller scan grid within the scan
-    period. rng_seed seeds the run unless overridden per run.
+    period.
     """
 
     boot_jitter_s: int = 10
     reinstall_jitter_s: int = 17
     controller_phase_s: int = 0
-    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -199,12 +194,14 @@ class Simulation:
     A scan costs in proportion to the machines that can lead to a decision:
     `tick` visits the VMs the monitor holds silent (the only ones that can be
     Down) and the VMs whose escalation record is not HEALTHY (the only ones
-    kept). Each host's committed load is cached until an event changes it.
+    kept). Each host's committed load is cached until a transition changes it:
+    `_set_lifecycle`, `_set_power`, `_move` and `_add_extra_load` make every
+    change of machine state, and the bookkeeping that follows it.
 
     invariant_checks: "off", "scan" (default: full graph check at every
     controller scan and action application) or "event" (after every event,
-    together with the coherence of the load cache and the silent set; slow,
-    meant for focused tests).
+    together with the coherence of the load cache and the monitor's beat
+    trains, registrations and silent set; slow, meant for focused tests).
     """
 
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
@@ -215,11 +212,7 @@ class Simulation:
         self.params = config.controller
         self.timing = config.timing
         self.horizon_s = horizon_s
-        if rng is not None:
-            self.rng = rng
-        else:
-            self.rng = np.random.default_rng(
-                seed if seed is not None else config.timing.rng_seed)
+        self.rng = rng if rng is not None else np.random.default_rng(seed or 0)
         self.monitor = Monitor(config.telemetry)
         self.provisioner = Provisioner(
             config.profiles,
@@ -227,13 +220,15 @@ class Simulation:
         )
         self.records: dict[str, EscalationRecord] = {}  # non-HEALTHY only
         self._host_ids = sorted(self.state.hosts)
-        # host -> host_load + pending_load, until _dirty drops it
+        # host -> host_load + pending_load, until a transition drops it
         self._loads: dict[str, float] = {}
         self.episodes: list[Episode] = []
         self._open: dict[str, Episode] = {}
-        self._fault: dict[str, str | None] = {v: None for v in self.state.vms}
+        # VMs whose system only a completed installation repairs
+        self._corrupted: set[str] = set()
         self._heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
+        # A completion counts only if no transition bumped the ticket since.
         self._boot_ticket: dict[str, int] = {}
         self.now = 0
         self._invariants = invariant_checks
@@ -282,20 +277,68 @@ class Simulation:
     def _start_beats(self, machine_id: str) -> None:
         self.monitor.start_beats(machine_id, self.now, self._reported_load(machine_id))
 
-    def _silence(self, machine_id: str, final_beat: bool) -> None:
-        # The staleness clock runs from the last proof of life; a machine
-        # that was healthy until the failure instant gets a final beat there.
+    def _silence(self, machine_id: str) -> None:
+        # The staleness clock runs from the last proof of life: a machine
+        # healthy until the failure instant gets a final beat there.
         self.monitor.stop_beats(machine_id, self.now)
-        if final_beat:
-            self.monitor.record_heartbeat(machine_id, self.now,
-                                          self._reported_load(machine_id))
+        self.monitor.record_heartbeat(machine_id, self.now,
+                                      self._reported_load(machine_id))
 
     def _host_load_changed(self, host_id: str) -> None:
         self.monitor.load_changed(host_id, self.now, host_load(self.state, host_id))
 
-    def _dirty(self, host_id: str) -> None:
-        """The host's power, VM list, VM lifecycles or extra load changed."""
+    # -- transitions -----------------------------------------------------
+
+    def _set_lifecycle(self, vm: VirtualMachine, lifecycle: VmLifecycle) -> None:
+        was_running = vm.lifecycle is VmLifecycle.RUNNING
+        if was_running:
+            self._silence(vm.vm_id)
+        vm.lifecycle = lifecycle
+        self._loads.pop(vm.bound_host, None)
+        self._boot_ticket[vm.vm_id] = self._boot_ticket.get(vm.vm_id, 0) + 1
+        if lifecycle is VmLifecycle.RUNNING:
+            self._start_beats(vm.vm_id)
+            self._host_load_changed(vm.bound_host)
+            self._close_episode(vm.vm_id)
+        elif was_running:
+            self._host_load_changed(vm.bound_host)
+
+    def _set_power(self, host: PhysicalHost, power: PowerState) -> None:
+        if power is PowerState.OFF:
+            self._silence(host.host_id)
+        host.power_state = power
+        self._loads.pop(host.host_id, None)
+        self._boot_ticket[host.host_id] = self._boot_ticket.get(host.host_id, 0) + 1
+        if power is PowerState.ON:
+            self._start_beats(host.host_id)
+
+    def _move(self, vm: VirtualMachine, target: str | None) -> None:
+        """Bind the VM to `target`, or park it unbound and unmonitored for None."""
+        source = vm.bound_host
+        if source == target:  # keeps the VM list's order, which orders the load sum
+            return
+        if source is None:
+            # Heartbeat history survives parking, so the staleness clock
+            # still dates from the original failure.
+            self.monitor.register(vm.vm_id, self.now)
+        else:
+            self.state.hosts[source].hosted_vms.remove(vm.vm_id)
+            self._loads.pop(source, None)
+        if target is None:
+            self.monitor.unregister(vm.vm_id)
+        else:
+            self.state.hosts[target].hosted_vms.append(vm.vm_id)
+            self._loads.pop(target, None)
+        vm.bound_host = target
+
+    def _add_extra_load(self, host_id: str, delta: float) -> None:
+        extra = self.state.extra_load.get(host_id, 0.0) + delta
+        if extra <= 1e-12:  # the last spike ended; drop the rounding residue
+            self.state.extra_load.pop(host_id, None)
+        else:
+            self.state.extra_load[host_id] = extra
         self._loads.pop(host_id, None)
+        self._host_load_changed(host_id)
 
     # -- episodes --------------------------------------------------------
 
@@ -381,58 +424,29 @@ class Simulation:
             else:
                 # Halted or unreachable guests cannot execute a reboot.
                 self._trace(f"reboot_unreachable {vm.vm_id}")
-        elif action.kind == RESTART:
-            self._rebind(vm, action.target_host)
-            self._power_cycle(vm)
-        elif action.kind == REINSTALL:
-            self.provisioner.bind_install(vm.mac, vm.boot_profile)
-            self._trace(f"pxe_bind {vm.mac} install:{vm.boot_profile}")
-            self._rebind(vm, action.target_host)
+        elif action.kind in (RESTART, REINSTALL):
+            if action.kind == REINSTALL:
+                self.provisioner.bind_install(vm.mac, vm.boot_profile)
+                self._trace(f"pxe_bind {vm.mac} install:{vm.boot_profile}")
+            self._move(vm, action.target_host)
             self._power_cycle(vm)
         elif action.kind == DEFER:
-            self._park(vm)
-
-    def _rebind(self, vm: VirtualMachine, target: str) -> None:
-        was_parked = vm.lifecycle is VmLifecycle.WAITING_FOR_CAPACITY
-        if vm.bound_host != target:
-            if vm.bound_host is not None:
-                self.state.hosts[vm.bound_host].hosted_vms.remove(vm.vm_id)
-                self._dirty(vm.bound_host)
-            # The _power_cycle that follows every rebind marks the target.
-            self.state.hosts[target].hosted_vms.append(vm.vm_id)
-            vm.bound_host = target
-        if was_parked:
-            # Heartbeat history survives parking, so the staleness clock
-            # still dates from the original failure.
-            self.monitor.register(vm.vm_id, self.now)
-
-    def _park(self, vm: VirtualMachine) -> None:
-        if vm.bound_host is not None:
-            self.state.hosts[vm.bound_host].hosted_vms.remove(vm.vm_id)
-            self._dirty(vm.bound_host)
-            vm.bound_host = None
-        vm.lifecycle = VmLifecycle.WAITING_FOR_CAPACITY
-        self._boot_ticket[vm.vm_id] = self._boot_ticket.get(vm.vm_id, 0) + 1
-        self.monitor.unregister(vm.vm_id)
+            self._move(vm, None)
+            self._set_lifecycle(vm, VmLifecycle.WAITING_FOR_CAPACITY)
 
     def _power_cycle(self, vm: VirtualMachine) -> None:
         host = self.state.hosts[vm.bound_host]
         assert host.power_state is PowerState.ON, \
             f"boot scheduled for {vm.vm_id} on powered-off host {host.host_id}"
-        ticket = self._boot_ticket.get(vm.vm_id, 0) + 1
-        self._boot_ticket[vm.vm_id] = ticket
-        self._dirty(host.host_id)
         plan = self.provisioner.boot_outcome(vm.mac)
         if plan.mode == INSTALL:
-            duration = sample_duration(plan.total_s, self.timing.reinstall_jitter_s,
-                                       self.rng)
-            vm.lifecycle = VmLifecycle.INSTALLING
-            self._schedule(self.now + duration, "install_complete", (vm.vm_id, ticket))
+            lifecycle, jitter_s = VmLifecycle.INSTALLING, self.timing.reinstall_jitter_s
         else:
-            duration = sample_duration(plan.total_s, self.timing.boot_jitter_s,
-                                       self.rng)
-            vm.lifecycle = VmLifecycle.BOOTING
-            self._schedule(self.now + duration, "boot_complete", (vm.vm_id, ticket))
+            lifecycle, jitter_s = VmLifecycle.BOOTING, self.timing.boot_jitter_s
+        duration = sample_duration(plan.total_s, jitter_s, self.rng)
+        self._set_lifecycle(vm, lifecycle)
+        self._schedule(self.now + duration, "boot_complete",
+                       (vm.vm_id, self._boot_ticket.get(vm.vm_id, 0)))
         self._trace(f"boot_start {vm.vm_id} {plan.mode} {duration}")
 
     # -- boot and install completion --------------------------------------
@@ -442,40 +456,24 @@ class Simulation:
             return
         host = self.state.hosts.get(machine_id)
         if host is not None:
-            host.power_state = PowerState.ON
-            self._dirty(machine_id)
             self._trace(f"boot_complete {machine_id} up")
-            self._start_beats(machine_id)
+            self._set_power(host, PowerState.ON)
             return
         vm = self.state.vms[machine_id]
-        assert vm.lifecycle is VmLifecycle.BOOTING
-        self._dirty(vm.bound_host)
-        if self._fault[machine_id] == FAULT_CORRUPTED:
+        assert vm.lifecycle in (VmLifecycle.BOOTING, VmLifecycle.INSTALLING)
+        if vm.lifecycle is VmLifecycle.INSTALLING:
+            self.provisioner.complete_install(vm.mac)
+            self._trace(f"pxe_bind {vm.mac} local")
+            self._corrupted.discard(machine_id)
+            self._trace(f"install_complete {machine_id}")
+        elif machine_id in self._corrupted:
             # The boot completes but the corrupted system never comes up.
-            vm.lifecycle = VmLifecycle.UNRESPONSIVE
             self._trace(f"boot_complete {machine_id} silent")
+            self._set_lifecycle(vm, VmLifecycle.UNRESPONSIVE)
             return
-        self._fault[machine_id] = None
-        vm.lifecycle = VmLifecycle.RUNNING
-        self._trace(f"boot_complete {machine_id} running")
-        self._start_beats(machine_id)
-        self._host_load_changed(vm.bound_host)
-        self._close_episode(machine_id)
-
-    def _on_install_complete(self, vm_id: str, ticket: int) -> None:
-        if ticket != self._boot_ticket.get(vm_id, 0):
-            return
-        vm = self.state.vms[vm_id]
-        assert vm.lifecycle is VmLifecycle.INSTALLING
-        self._dirty(vm.bound_host)
-        self.provisioner.complete_install(vm.mac)
-        self._trace(f"pxe_bind {vm.mac} local")
-        self._fault[vm_id] = None
-        vm.lifecycle = VmLifecycle.RUNNING
-        self._trace(f"install_complete {vm_id}")
-        self._start_beats(vm_id)
-        self._host_load_changed(vm.bound_host)
-        self._close_episode(vm_id)
+        else:
+            self._trace(f"boot_complete {machine_id} running")
+        self._set_lifecycle(vm, VmLifecycle.RUNNING)
 
     # -- failure injection -------------------------------------------------
 
@@ -486,12 +484,9 @@ class Simulation:
                 self._trace(f"inject_skipped {inj.kind} {inj.vm_id}")
                 return
             self._trace(f"inject {inj.kind} {inj.vm_id}")
-            self._silence(inj.vm_id, final_beat=True)
-            self._fault[inj.vm_id] = (
-                FAULT_HUNG if inj.kind == NON_DESTRUCTIVE_CRASH else FAULT_CORRUPTED)
-            vm.lifecycle = VmLifecycle.UNRESPONSIVE
-            self._dirty(vm.bound_host)
-            self._host_load_changed(vm.bound_host)
+            if inj.kind == DESTRUCTIVE_CRASH:
+                self._corrupted.add(inj.vm_id)
+            self._set_lifecycle(vm, VmLifecycle.UNRESPONSIVE)
             self._open_episode(inj.vm_id, inj.kind)
         elif inj.kind == PHYSICAL_HOST_FAILURE:
             self._trace(f"inject {inj.kind} {inj.host_id}")
@@ -501,18 +496,14 @@ class Simulation:
             for host_id in sorted(inj.hosts):
                 if self._fail_host(host_id, inj.kind):
                     # Power returns: the host boots itself back.
-                    ticket = self._boot_ticket.get(host_id, 0)
                     duration = sample_duration(sum(DEFAULT_PROFILE.local_boot_plan()),
                                                self.timing.boot_jitter_s, self.rng)
                     self._schedule(self.now + duration, "boot_complete",
-                                   (host_id, ticket))
+                                   (host_id, self._boot_ticket.get(host_id, 0)))
         elif inj.kind == LOAD_SPIKE:
             self._trace(f"inject {inj.kind} {inj.host_id} {inj.extra_load!r} "
                         f"{inj.duration_s}")
-            self.state.extra_load[inj.host_id] = (
-                self.state.extra_load.get(inj.host_id, 0.0) + inj.extra_load)
-            self._dirty(inj.host_id)
-            self._host_load_changed(inj.host_id)
+            self._add_extra_load(inj.host_id, inj.extra_load)
             self._schedule(self.now + inj.duration_s, "spike_end",
                            (inj.host_id, inj.extra_load))
 
@@ -525,34 +516,28 @@ class Simulation:
             else:
                 self._trace(f"inject_skipped {episode_kind} {host_id}")
             return False
-        self._silence(host_id, final_beat=True)
-        host.power_state = PowerState.OFF
-        self._dirty(host_id)
-        self._boot_ticket[host_id] = self._boot_ticket.get(host_id, 0) + 1
+        self._set_power(host, PowerState.OFF)
         for vm_id in sorted(host.hosted_vms):
             vm = self.state.vms[vm_id]
-            self._silence(vm_id, final_beat=vm.lifecycle is VmLifecycle.RUNNING)
             if vm.lifecycle in BOUND_LIFECYCLES:
-                self._boot_ticket[vm_id] = self._boot_ticket.get(vm_id, 0) + 1
-                vm.lifecycle = VmLifecycle.HALTED
+                self._set_lifecycle(vm, VmLifecycle.HALTED)
                 self._open_episode(vm_id, episode_kind)
         return True
 
     def _on_spike_end(self, host_id: str, extra_load: float) -> None:
-        remaining = self.state.extra_load.get(host_id, 0.0) - extra_load
-        if remaining <= 1e-12:
-            self.state.extra_load.pop(host_id, None)
-        else:
-            self.state.extra_load[host_id] = remaining
-        self._dirty(host_id)
-        self._host_load_changed(host_id)
+        self._add_extra_load(host_id, -extra_load)
         self._trace(f"spike_end {host_id}")
 
-    def _check_caches(self) -> None:
+    def _check_coherence(self) -> None:
+        """Assert the caches and the monitor's trains and coverage match the state."""
         for host_id, load in self._loads.items():
             fresh = host_load(self.state, host_id) + pending_load(self.state, host_id)
             assert load == fresh, f"host {host_id}: cached load {load!r} is stale ({fresh!r})"
-        self.monitor.check_silent()
+        hosts, vms = self.state.hosts, self.state.vms.values()
+        self.monitor.check_coverage(
+            {h for h, host in hosts.items() if host.power_state is PowerState.ON}
+            | {vm.vm_id for vm in vms if vm.lifecycle is VmLifecycle.RUNNING},
+            hosts.keys() | {vm.vm_id for vm in vms if vm.bound_host is not None})
 
     # -- main loop ---------------------------------------------------------
 
@@ -568,7 +553,7 @@ class Simulation:
             getattr(self, f"_on_{kind}")(*args)
             if self._invariants == "event":
                 check_state_invariants(self.state)
-                self._check_caches()
+                self._check_coherence()
         if self._invariants != "off":
             check_state_invariants(self.state)
         return SimReport(episodes=self.episodes, horizon_s=self.horizon_s,

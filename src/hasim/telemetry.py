@@ -130,11 +130,15 @@ class Monitor:
             if beat > self._last_beat[machine_id]:
                 self.record_heartbeat(machine_id, beat, train[1])
 
-    def check_silent(self) -> None:
-        """Assert that `silent` is exactly the registered machines without a train."""
-        expected = self._active - self._train.keys()
-        assert self.silent == expected, \
-            f"silent set differs from the beat trains: {sorted(self.silent ^ expected)}"
+    def check_coverage(self, responsive: set[str], monitored: set[str]) -> None:
+        """Assert that the trains are exactly `responsive`, the registered
+        machines exactly `monitored`, and `silent` the rest of `monitored`."""
+        for name, actual, expected in (
+                ("beat trains", self._train.keys(), responsive),
+                ("registered machines", self._active, monitored),
+                ("silent set", self.silent, monitored - responsive)):
+            assert actual == expected, \
+                f"{name} differ from the state: {sorted(actual ^ expected)}"
 
     def snapshot(self, now: int) -> MonitorSnapshot:
         """Liveness view of all registered machines at time `now`."""

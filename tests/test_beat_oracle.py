@@ -45,18 +45,13 @@ class EventBeatSimulation(Simulation):
                                       self._reported_load(machine_id))
         self._schedule(self.now + HEARTBEAT_PERIOD_S, "heartbeat", (machine_id, ticket))
 
-    def _silence(self, machine_id, final_beat):
-        if final_beat:
-            self.monitor.record_heartbeat(machine_id, self.now,
-                                          self._reported_load(machine_id))
+    def _silence(self, machine_id):
+        self.monitor.record_heartbeat(machine_id, self.now,
+                                      self._reported_load(machine_id))
         self._beat_ticket[machine_id] = self._beat_ticket.get(machine_id, 0) + 1
 
     def _host_load_changed(self, host_id):
         pass  # each beat reads the load when it is sent
-
-    def _park(self, vm):
-        self._beat_ticket[vm.vm_id] = self._beat_ticket.get(vm.vm_id, 0) + 1
-        super()._park(vm)
 
     def _responsive(self, machine_id):
         host = self.state.hosts.get(machine_id)

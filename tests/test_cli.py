@@ -153,6 +153,22 @@ def test_run_rejects_negative_seed_override(capsys):
                          "hasim run: seed must be >= 0")
 
 
+def test_run_rejects_monitor_log_without_out(capsys):
+    _fails_with_one_line(capsys, ["run", str(SCENARIOS / "power_glitch.json"),
+                                  "--emit-monitor-log"],
+                         "hasim run: --emit-monitor-log needs --out")
+
+
+def test_run_without_out_prints_the_same_report(tmp_path, capsys):
+    # Without --out no trace is collected; stdout is the same report.csv.
+    assert main(["run", str(SCENARIOS / "power_glitch.json")]) == 0
+    alone = capsys.readouterr().out
+    assert main(["run", str(SCENARIOS / "power_glitch.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == alone
+    assert alone == (tmp_path / "out" / "report.csv").read_text()
+
+
 def test_run_rejects_negative_scenario_seed(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"cluster": VALID_CONFIG, "horizon_s": 100,

@@ -266,6 +266,38 @@ def test_smoothing_key_is_unknown():
     assert exc.value.problems == ["telemetry: unknown key 'smoothing'"]
 
 
+def test_rng_seed_key_is_unknown():
+    # Runs are seeded by the scenario's seed, --seed or the caller; never by timing.
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(doc(timing={"rng_seed": 12345}))
+    assert exc.value.problems == ["timing: unknown key 'rng_seed'"]
+
+
+@pytest.mark.parametrize("key,value,problem", [
+    ("load_threshold", "x", "hosts[0].load_threshold: expected a number"),
+    ("load_threshold", 0, "hosts[0].load_threshold: must be > 0.0"),
+    ("cpu_count", 0, "hosts[0].cpu_count: must be >= 1"),
+    ("ram_mb", "x", "hosts[0].ram_mb: expected an integer"),
+])
+def test_rejected_host_is_not_an_unknown_bound_host(key, value, problem):
+    # gridce is bound to hosts[0]; the host's own problem is the only one.
+    document = json.loads(doc())
+    document["hosts"][0][key] = value
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(json.dumps(document))
+    assert exc.value.problems == [problem]
+
+
+def test_undeclared_bound_host_is_still_unknown():
+    document = json.loads(doc())
+    document["hosts"][0]["cpu_count"] = 0
+    document["vms"][0]["bound_host"] = "ghost"
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(json.dumps(document))
+    assert exc.value.problems == ["hosts[0].cpu_count: must be >= 1",
+                                  "vm 'gridce': unknown bound_host 'ghost'"]
+
+
 def test_detection_latency_must_exceed_heartbeat_period():
     with pytest.raises(ConfigError) as exc:
         load_cluster_config(doc(telemetry={"detection_latency_s": 10}))
@@ -332,6 +364,9 @@ PARAM_BLOCKS = [("controller", ControllerParams), ("telemetry", TelemetryParams)
                 ("timing", TimingParams), ("profiles", BootProfile)]
 
 
+REMOVED_KEYS = [("timing", "rng_seed")]
+
+
 def bad_field_cases():
     for block, cls in PARAM_BLOCKS:
         for f in dataclasses.fields(cls):
@@ -341,6 +376,10 @@ def bad_field_cases():
             # true is a valid boolean, so boolean fields get 1 instead.
             for value in ("x", -1, 1 if boolean else True, 1.5):
                 yield block, f.name, value, boolean
+    # A deleted field's key is one unknown-key problem, whatever its value.
+    for block, name in REMOVED_KEYS:
+        for value in ("x", -1, True, 1.5):
+            yield block, name, value, False
 
 
 @pytest.mark.parametrize("block,name,value,boolean", list(bad_field_cases()))
@@ -351,6 +390,11 @@ def test_bad_parameter_value_is_one_problem(block, name, value, boolean):
     else:
         where, document = block, doc(**{block: {name: value}})
     minimum = 0 if block == "timing" else 1
+    if (block, name) in REMOVED_KEYS:
+        with pytest.raises(ConfigError) as exc:
+            load_cluster_config(document)
+        assert exc.value.problems == [f"{where}: unknown key '{name}'"]
+        return
     if boolean:
         message = "expected a boolean"
     elif value == -1:

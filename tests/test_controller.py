@@ -211,9 +211,7 @@ def test_up_resets_any_phase_to_healthy():
     records, actions = tick(records, snap(300, alfa01=UP, v=UP), [hv("alfa01")],
                             300, PARAMS, [vi("v")])
     assert actions == []
-    assert records["v"].phase is Phase.HEALTHY
-    assert records["v"].last_seen_up_at == 300
-    assert records["v"].episode_started_at is None
+    assert records["v"] == EscalationRecord("v")
 
 
 def test_expired_restart_escalates_to_reinstall():

@@ -6,7 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
-from hasim.cluster import PowerState
+from hasim.cluster import PowerState, VmLifecycle
 from hasim.config import parse_cluster_config
 from hasim.controller import REBOOT, REINSTALL, RESTART
 from hasim.engine import (
@@ -111,6 +111,18 @@ def test_destructive_crash_timeline():
     assert ep.detected_at == 240
     assert ep.recovered_at == 600 + 442
     assert ep.recovery_s == 912
+
+
+def test_reinstall_repairs_the_system_for_later_crashes():
+    # After the reinstall completes at 1042, a soft crash needs one reboot.
+    report = run_scenario(one_host_config(),
+                          [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01"),
+                           FailureInjection(1100, NON_DESTRUCTIVE_CRASH, "svc01")],
+                          1500, seed=1)
+    assert report.episodes[0].recovered_at == 1042
+    ep = report.episodes[1]
+    assert [(t, a.kind) for t, a in ep.actions] == [(1200, REBOOT)]
+    assert ep.recovered_at == 1200 + 80
 
 
 def test_non_destructive_episode_has_no_reinstall():
@@ -286,6 +298,14 @@ def test_different_seeds_differ():
     assert a.episodes[0].recovered_at != b.episodes[0].recovered_at
 
 
+def test_unseeded_simulation_uses_seed_zero():
+    config = one_host_config(timing={"boot_jitter_s": 10, "reinstall_jitter_s": 17})
+    injections = [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")]
+    unseeded = run_scenario(config, injections, 1500, collect_trace=True)
+    assert unseeded.trace == run_scenario(config, injections, 1500, seed=0,
+                                          collect_trace=True).trace
+
+
 def test_trace_contains_pxe_bind_records():
     report = run_scenario(one_host_config(),
                           [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")],
@@ -411,3 +431,63 @@ def test_random_scenarios_with_per_event_invariants():
         else:
             injections = [FailureInjection(inj.at, inj.kind, hosts=inj.hosts)]
         run_scenario(config, injections, 720, seed=i, invariant_checks="event")
+
+
+# -- transitions ---------------------------------------------------------
+
+
+def test_each_transition_keeps_caches_and_monitor_coherent_by_itself():
+    # Every host's load is cached before each transition, which must then
+    # leave the caches, the beat trains and the coverage matching the state.
+    sim = Simulation(two_host_config(), [], 900, seed=1)
+    vm, host = sim.state.vms["svc01"], sim.state.hosts["node02"]
+    steps = [
+        lambda: sim._set_lifecycle(vm, VmLifecycle.UNRESPONSIVE),
+        lambda: sim._set_lifecycle(vm, VmLifecycle.BOOTING),
+        lambda: sim._move(vm, "node02"),
+        lambda: sim._move(vm, None),
+        lambda: sim._set_lifecycle(vm, VmLifecycle.WAITING_FOR_CAPACITY),
+        lambda: sim._move(vm, "node02"),
+        lambda: sim._set_lifecycle(vm, VmLifecycle.INSTALLING),
+        lambda: sim._set_lifecycle(vm, VmLifecycle.RUNNING),
+        lambda: sim._add_extra_load("node02", 0.5),
+        lambda: sim._set_power(host, PowerState.OFF),
+        lambda: sim._set_lifecycle(vm, VmLifecycle.HALTED),
+        lambda: sim._add_extra_load("node02", -0.5),
+        lambda: sim._set_power(host, PowerState.ON),
+    ]
+    for step in steps:
+        for host_id in sim.state.hosts:
+            sim._committed_load(host_id)
+        step()
+        sim._check_coherence()
+
+
+def test_power_transition_cancels_a_pending_host_boot():
+    sim = Simulation(two_host_config(), [], 900, seed=1, collect_trace=True)
+    sim.now = 100
+    sim._on_inject(FailureInjection(100, POWER_GLITCH, hosts=("node01",)))
+    (at, _, _, (_, ticket)), = [e for e in sim._heap if e[2] == "boot_complete"]
+    # Power comes back before the scheduled boot completes.
+    sim._set_power(sim.state.hosts["node01"], PowerState.ON)
+    sim.now = at
+    sim._on_boot_complete("node01", ticket)
+    assert not any("boot_complete node01" in line for line in sim.trace)
+
+
+def test_restart_on_its_own_host_keeps_the_vm_list():
+    # The VM list orders the summed host load, which the monitor log reports.
+    config = parse_cluster_config({
+        "hosts": [{"host_id": "node01", "cpu_count": 4, "ram_mb": 8192}],
+        "vms": [{"vm_id": f"svc0{i}", "mac": f"52:54:00:00:00:0{i}",
+                 "bound_host": "node01", "boot_profile": "default"}
+                for i in (1, 2)],
+        "profiles": {"default": {}},
+        "controller": {"reboot_step_enabled": False},
+    })
+    sim = Simulation(config, [FailureInjection(130, NON_DESTRUCTIVE_CRASH, "svc01")],
+                     600, seed=1)
+    report = sim.run()
+    assert [str(a) for _, a in report.episodes[0].actions] == ["restart svc01 node01"]
+    assert report.episodes[0].recovered_at is not None
+    assert sim.state.hosts["node01"].hosted_vms == ["svc01", "svc02"]

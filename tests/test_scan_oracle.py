@@ -5,12 +5,9 @@ scans: a snapshot of every registered machine, every host's load summed
 afresh, every VM passed to `tick`, and every record kept, HEALTHY ones
 included. Its trace, episodes and monitor log must equal the engine's byte
 for byte, with the monitor log on and off, and its non-HEALTHY records must
-equal the engine's records. A record's `last_seen_up_at` is left out of that
-comparison: the engine drops HEALTHY records, so a VM that fails starts from
-a fresh record, and nothing reads the field.
+equal the engine's records.
 """
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +71,8 @@ class FullScanSimulation(Simulation):
 
 
 def escalations(records):
-    return {vm_id: dataclasses.replace(rec, last_seen_up_at=0)
-            for vm_id, rec in records.items() if rec.phase is not Phase.HEALTHY}
+    return {vm_id: rec for vm_id, rec in records.items()
+            if rec.phase is not Phase.HEALTHY}
 
 
 def assert_same_as_full_scans(config, injections, horizon_s, seed):
