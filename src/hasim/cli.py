@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .config import ConfigError, Scenario, load_cluster_config, load_scenario
 from .engine import SimReport, Simulation, summarize
@@ -34,14 +35,20 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 input file; undecodable bytes are a parse error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"parse error: {exc}"]) from exc
+
+
 def cmd_validate(args) -> int:
     try:
-        text = Path(args.config).read_text()
+        load_cluster_config(_read_text(Path(args.config)))
     except OSError as exc:
         print(f"cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        load_cluster_config(text)
     except ConfigError as exc:
         for problem in exc.problems:
             print(problem)
@@ -72,25 +79,42 @@ def _run_replicated(scenario: Scenario, seed: int, *, collect_trace: bool,
                      monitor_log=monitor_log if emit_monitor_log else None)
 
 
-def _emit(report: SimReport, out: str | None) -> None:
+def _write(out_dir: Path, files: Iterable[tuple[str, str]]) -> int:
+    """Write each (name, text) to out_dir; an OSError is one line and EXIT_IO."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            (out_dir / name).write_text(text)
+    except OSError as exc:
+        print(f"cannot write {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
+
+
+def _emit(report: SimReport, out: str | None) -> int:
     """report.csv to stdout and, given --out, every output file to that directory."""
     stats = summarize(report)
     report_csv = format_report_csv(stats)
     sys.stdout.write(report_csv)
     if out is None:
-        return
+        return EXIT_OK
+
+    def files():
+        yield "report.csv", report_csv
+        yield "episodes.csv", format_episodes_csv(report.episodes)
+        for s in stats:
+            yield f"histogram_{s.kind}.csv", format_histogram_csv(s)
+        yield "summary.txt", summary_text(report, stats)
+        if report.trace is not None:
+            yield "trace.txt", "\n".join(report.trace) + "\n"
+        if report.monitor_log is not None:
+            yield "monitor_log.xml", "\n".join(report.monitor_log) + "\n"
+
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.csv").write_text(report_csv)
-    (out_dir / "episodes.csv").write_text(format_episodes_csv(report.episodes))
-    for s in stats:
-        (out_dir / f"histogram_{s.kind}.csv").write_text(format_histogram_csv(s))
-    (out_dir / "summary.txt").write_text(summary_text(report, stats))
-    if report.trace is not None:
-        (out_dir / "trace.txt").write_text("\n".join(report.trace) + "\n")
-    if report.monitor_log is not None:
-        (out_dir / "monitor_log.xml").write_text("\n".join(report.monitor_log) + "\n")
+    if _write(out_dir, files()):
+        return EXIT_IO
     print(f"wrote {out_dir}", file=sys.stderr)
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:
@@ -99,12 +123,10 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     path = Path(args.scenario)
     try:
-        text = path.read_text()
+        scenario = load_scenario(_read_text(path), base_dir=path.parent)
     except OSError as exc:
         print(f"cannot read {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        scenario = load_scenario(text, base_dir=path.parent)
     except ConfigError as exc:
         for problem in exc.problems:
             print(problem)
@@ -115,7 +137,8 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     report = _run_replicated(scenario, seed, collect_trace=args.out is not None,
                              emit_monitor_log=args.emit_monitor_log)
-    _emit(report, args.out)
+    if _emit(report, args.out):
+        return EXIT_IO
     unrecovered = len(report.unrecovered())
     if unrecovered:
         print(f"{unrecovered} episode(s) not recovered within the horizon",
@@ -129,28 +152,29 @@ def cmd_replicate(args) -> int:
     except ValueError as exc:  # --n or --seed out of range
         print(f"hasim replicate: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _emit(report, args.out)
-    return EXIT_OK
+    return _emit(report, args.out)
 
 
 def cmd_report(args) -> int:
-    episodes_path = Path(args.report_dir) / "episodes.csv"
+    if args.bin_width < 1:
+        print("hasim report: --bin-width must be >= 1", file=sys.stderr)
+        return EXIT_VALIDATION
+    report_dir = Path(args.report_dir)
+    episodes_path = report_dir / "episodes.csv"
     try:
-        text = episodes_path.read_text()
+        episodes = parse_episodes_csv(episodes_path.read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"cannot read {episodes_path}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        episodes = parse_episodes_csv(text)
-    except ValueError as exc:
+    except ValueError as exc:  # not an episodes.csv, undecodable bytes included
         print(f"{episodes_path}: {exc}")
         return EXIT_VALIDATION
     report = SimReport(episodes=episodes, horizon_s=0)
     stats = summarize(report, args.bin_width)
     sys.stdout.write(format_report_csv(stats))
-    for s in stats:
-        out = Path(args.report_dir) / f"histogram_{s.kind}.csv"
-        out.write_text(format_histogram_csv(s))
+    if _write(report_dir, ((f"histogram_{s.kind}.csv", format_histogram_csv(s))
+                           for s in stats)):
+        return EXIT_IO
     print(summary_text(report, stats), file=sys.stderr, end="")
     return EXIT_OK
 

@@ -17,7 +17,6 @@ import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Container
 
 from .cluster import (
     MAC_RE,
@@ -82,201 +81,239 @@ class ClusterConfig:
         return ClusterState(hosts=hosts, vms=vms)
 
 
+class _Rejected(Exception):
+    """A value of the wrong type or out of bounds; the message says which."""
+
+
+_TOP_LEVEL = "top level"
+
+
 class _Reader:
-    """Typed field extraction with problem collection."""
+    """Reads JSON objects against specs, collecting every problem.
 
-    def __init__(self, problems: list[str]):
-        self.problems = problems
-
-    def check_keys(self, obj: dict, allowed: Container[str], where: str) -> None:
-        for key in obj:
-            if key not in allowed:
-                self.problems.append(f"{where}: unknown key '{key}'")
-
-    def require(self, obj: dict, key: str, where: str):
-        if obj.get(key) is None:  # a null value counts as missing
-            self.problems.append(f"{where}: missing required key '{key}'")
-            return None
-        return obj[key]
-
-    @staticmethod
-    def optional(obj: dict, key: str, default):
-        """The value of an optional key; absent and null both give `default`."""
-        value = obj.get(key)
-        return default if value is None else value
-
-    def as_str(self, value, where: str) -> str | None:
-        if value is None:
-            return None
-        if not isinstance(value, str) or not value:
-            self.problems.append(f"{where}: expected a non-empty string")
-            return None
-        return value
-
-    def as_int(self, value, where: str, minimum: int | None = None) -> int | None:
-        if value is None:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool):
-            self.problems.append(f"{where}: expected an integer")
-            return None
-        if minimum is not None and value < minimum:
-            self.problems.append(f"{where}: must be >= {minimum}")
-            return None
-        return value
-
-    def as_number(self, value, where: str, minimum: float | None = None,
-                  strict: bool = False) -> float | None:
-        if value is None:
-            return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.problems.append(f"{where}: expected a number")
-            return None
-        if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
-            self.problems.append(f"{where}: expected a finite number")
-            return None
-        value = float(value)
-        if minimum is not None and (value < minimum or (strict and value == minimum)):
-            op = ">" if strict else ">="
-            self.problems.append(f"{where}: must be {op} {minimum}")
-            return None
-        return value
-
-    def as_bool(self, value, where: str) -> bool | None:
-        if value is None:
-            return None
-        if not isinstance(value, bool):
-            self.problems.append(f"{where}: expected a boolean")
-            return None
-        return value
-
-
-# Keys of each parameter block: the fields with a default, each mapped to
-# whether it is a boolean (otherwise it is an integer).
-_PARAM_KEYS = {cls: {f.name: isinstance(f.default, bool) for f in fields(cls)
-                     if f.default is not MISSING}
-               for cls in (ControllerParams, TelemetryParams, TimingParams, BootProfile)}
-
-
-def _parse_params(cls, raw, where: str, reader: _Reader, minimum: int = 1, **fixed):
-    """One parameter block over the fields of `cls`; `fixed` fills the rest.
-
-    Keys are optional and null means absent; integers must be >= minimum. An
-    absent or rejected value keeps its default, so later checks see valid types.
+    A spec maps each key to (kind, required, bound), in reading order. A kind
+    is a method of this class that takes the JSON value and the bound, and
+    returns the accepted value or raises _Rejected. The kinds that hold
+    records read them with this reader, which keeps the ids its hosts and
+    VMs declare.
     """
-    values = dict(fixed)
-    if raw is not None and not isinstance(raw, dict):
-        reader.problems.append(f"{where}: expected an object")
-    elif raw is not None:
-        keys = _PARAM_KEYS[cls]
-        reader.check_keys(raw, keys, where)
-        for name, boolean in keys.items():
-            value = raw.get(name)
-            if value is not None:
-                key = f"{where}.{name}"
-                value = (reader.as_bool(value, key) if boolean
-                         else reader.as_int(value, key, minimum))
-                if value is not None:
-                    values[name] = value
-    return cls(**values)
 
+    def __init__(self, problems: list[str], base_dir: Path | None = None):
+        self.problems = problems
+        self.base_dir = base_dir  # resolves a scenario's cluster path
+        self.declared: dict[str, set] = {"hosts": set(), "vms": set()}
 
-def _parse_profiles(raw, reader: _Reader) -> dict[str, BootProfile]:
-    profiles = {}
-    if raw is None:
-        return profiles
-    if not isinstance(raw, dict):
-        reader.problems.append("profiles: expected an object of name -> profile")
-        return profiles
-    for name, body in raw.items():
-        where = f"profiles['{name}']"
+    def record(self, body, spec: dict, where: str) -> tuple[dict, bool]:
+        """The accepted values of one object, and whether it is complete.
+
+        Null means absent. An absent or rejected optional key is left out of
+        the values, so it keeps its default; a missing or rejected required
+        key makes the record incomplete. Keys of the top level are named bare.
+        """
         if not isinstance(body, dict):
-            reader.problems.append(f"{where}: expected an object")
-            continue
-        profiles[name] = _parse_params(BootProfile, body, where, reader, name=name)
-    return profiles
+            self.problems.append(f"{where}: expected an object")
+            return {}, False
+        if not body.keys() <= spec.keys():
+            self.problems.extend(f"{where}: unknown key '{key}'"
+                                 for key in body if key not in spec)
+        values, complete = {}, True
+        for key, (kind, required, bound) in spec.items():
+            value = body.get(key)
+            if value is None:
+                if required:
+                    self.problems.append(f"{where}: missing required key '{key}'")
+                    complete = False
+                continue
+            try:
+                values[key] = kind(self, value, bound)
+            except _Rejected as exc:
+                at = key if where == _TOP_LEVEL else f"{where}.{key}"
+                self.problems.append(f"{at}: {exc}")
+                complete = complete and not required
+        return values, complete
 
+    def string(self, value, _bound) -> str:
+        if not isinstance(value, str) or not value:
+            raise _Rejected("expected a non-empty string")
+        return value
 
-def _parse_hosts(raw, reader: _Reader) -> tuple[list[PhysicalHost], set[str]]:
-    """The valid hosts, and the ids of all hosts, rejected ones too."""
-    hosts, declared = [], set()
-    if raw is None:
-        return hosts, declared
-    if not isinstance(raw, list):
-        reader.problems.append("hosts: expected a list")
-        return hosts, declared
-    for i, body in enumerate(raw):
-        where = f"hosts[{i}]"
+    def integer(self, value, minimum: int) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise _Rejected("expected an integer")
+        if value < minimum:
+            raise _Rejected(f"must be >= {minimum}")
+        return value
+
+    def cpu_count(self, value, _bound) -> int:
+        """An integer >= 1 that a float can hold: it is the default threshold."""
+        value = self.integer(value, 1)
+        if value > sys.float_info.max:
+            raise _Rejected("expected a finite number")
+        return value
+
+    def number(self, value, bound: tuple[str, float]) -> float:
+        """bound is (">=", minimum) or (">", minimum)."""
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise _Rejected("expected a number")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
+            raise _Rejected("expected a finite number")
+        op, minimum = bound
+        value = float(value)
+        if value < minimum or (op == ">" and value == minimum):
+            raise _Rejected(f"must be {op} {minimum}")
+        return value
+
+    def boolean(self, value, _bound) -> bool:
+        if not isinstance(value, bool):
+            raise _Rejected("expected a boolean")
+        return value
+
+    def one_of(self, value, members: tuple):
+        for member in members:
+            if value == member.value:
+                return member
+        raise _Rejected("must be " + " or ".join(f"'{m.value}'" for m in members))
+
+    def string_list(self, value, _bound) -> tuple[str, ...]:
+        if not isinstance(value, list) or not value or \
+                not all(isinstance(s, str) for s in value):
+            raise _Rejected("expected a non-empty string list")
+        return tuple(value)
+
+    def mac(self, value, _bound) -> str:
+        mac = self.string(value, None).lower()
+        if not MAC_RE.match(mac):
+            raise _Rejected(f"'{mac}' is not a colon-separated 48-bit address")
+        return mac
+
+    def machines(self, raw, bound) -> list:
+        """bound is (list name, spec, build); a machine's id is its first key."""
+        where, spec, build = bound
+        if not isinstance(raw, list):
+            raise _Rejected("expected a list")
+        found = []
+        for i, body in enumerate(raw):
+            values, complete = self.record(body, spec, f"{where}[{i}]")
+            self.declared[where].add(values.get(next(iter(spec))))
+            if complete:
+                found.append(build(**values))
+        return found
+
+    def profiles(self, raw, _bound) -> dict[str, BootProfile]:
+        if not isinstance(raw, dict):
+            raise _Rejected("expected an object of name -> profile")
+        found = {}
+        for name, body in raw.items():
+            values, complete = self.record(body, _PROFILE, f"profiles['{name}']")
+            if complete:
+                found[name] = BootProfile(name=name, **values)
+        return found
+
+    def block(self, raw, where: str):
+        cls, spec = _BLOCKS[where]
+        return cls(**self.record(raw, spec, where)[0])
+
+    def cluster(self, raw, _bound) -> tuple[ClusterConfig, dict[str, set]]:
+        if isinstance(raw, str):
+            path = Path(raw)
+            if self.base_dir is not None and not path.is_absolute():
+                path = self.base_dir / path
+            try:
+                raw = _decode(path.read_text(encoding="utf-8"))
+            except ConfigError as exc:
+                raise _Rejected(exc.problems[0]) from exc
+            except (OSError, ValueError) as exc:  # undecodable bytes, a NUL byte
+                raise _Rejected(f"cannot read {raw!r}: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise _Rejected(f"{_TOP_LEVEL}: expected an object")
+        elif not isinstance(raw, dict):
+            raise _Rejected("expected an object or a path string")
+        found: list[str] = []
+        result = _read_cluster(raw, found)
+        self.problems.extend(f"cluster: {p}" for p in found)
+        return result
+
+    def injections(self, raw, _bound) -> list[FailureInjection | None]:
+        """Each injection, or None for a rejected one, so that all keep their index."""
+        if not isinstance(raw, list):
+            raise _Rejected("expected a list")
+        return [self.injection(body, f"injections[{i}]") for i, body in enumerate(raw)]
+
+    def injection(self, body, where: str) -> FailureInjection | None:
         if not isinstance(body, dict):
-            reader.problems.append(f"{where}: expected an object")
-            continue
-        reader.check_keys(body, {"host_id", "cpu_count", "ram_mb",
-                                 "load_threshold", "power_state"}, where)
-        host_id = reader.as_str(reader.require(body, "host_id", where),
-                                f"{where}.host_id")
-        cpu_count = reader.as_int(reader.require(body, "cpu_count", where),
-                                  f"{where}.cpu_count", 1)
-        ram_mb = reader.as_int(reader.require(body, "ram_mb", where),
-                               f"{where}.ram_mb", 1)
-        threshold = reader.as_number(body.get("load_threshold"),
-                                     f"{where}.load_threshold", 0.0, strict=True)
-        power_raw = reader.optional(body, "power_state", "on")
-        if power_raw not in ("on", "off"):
-            reader.problems.append(f"{where}.power_state: must be 'on' or 'off'")
-            power_raw = "on"
-        declared.add(host_id)
-        if host_id is None or cpu_count is None or ram_mb is None:
-            continue
-        if threshold is None:
-            if body.get("load_threshold") is not None:
-                continue  # problem already recorded
-            threshold = default_threshold(cpu_count)
-        hosts.append(PhysicalHost(host_id, cpu_count, ram_mb, threshold,
-                                  PowerState(power_raw)))
-    return hosts, declared
+            self.problems.append(f"{where}: expected an object")
+            return None
+        if body.get("kind") not in INJECTION_KINDS:
+            self.problems.append(
+                f"{where}.kind: expected one of {', '.join(INJECTION_KINDS)}")
+            return None
+        values, complete = self.record(body, _INJECTIONS[body["kind"]], where)
+        if not complete:
+            return None
+        return FailureInjection(vm_id=values.pop("vm", None),
+                                host_id=values.pop("host", None), **values)
 
 
-def _parse_vms(raw, reader: _Reader) -> list[VirtualMachine]:
-    vms = []
-    if raw is None:
-        return vms
-    if not isinstance(raw, list):
-        reader.problems.append("vms: expected a list")
-        return vms
-    for i, body in enumerate(raw):
-        where = f"vms[{i}]"
-        if not isinstance(body, dict):
-            reader.problems.append(f"{where}: expected an object")
-            continue
-        reader.check_keys(body, {"vm_id", "mac", "bound_host", "boot_profile",
-                                 "lifecycle", "reinstall_allowed",
-                                 "load_contribution"}, where)
-        vm_id = reader.as_str(reader.require(body, "vm_id", where), f"{where}.vm_id")
-        mac = reader.as_str(reader.require(body, "mac", where), f"{where}.mac")
-        if mac is not None:
-            mac = mac.lower()
-            if not MAC_RE.match(mac):
-                reader.problems.append(
-                    f"{where}.mac: '{mac}' is not a colon-separated 48-bit address")
-                mac = None
-        bound_host = reader.as_str(reader.require(body, "bound_host", where),
-                                   f"{where}.bound_host")
-        boot_profile = reader.as_str(reader.require(body, "boot_profile", where),
-                                     f"{where}.boot_profile")
-        lifecycle_raw = reader.optional(body, "lifecycle", "running")
-        if lifecycle_raw not in ("running", "halted"):
-            reader.problems.append(
-                f"{where}.lifecycle: initial lifecycle must be 'running' or 'halted'")
-            lifecycle_raw = "running"
-        reinstall = reader.as_bool(reader.optional(body, "reinstall_allowed", True),
-                                   f"{where}.reinstall_allowed")
-        contribution = reader.as_number(reader.optional(body, "load_contribution", 1.0),
-                                        f"{where}.load_contribution", 0.0)
-        if None in (vm_id, mac, bound_host, boot_profile, reinstall, contribution):
-            continue
-        vms.append(VirtualMachine(vm_id, mac, bound_host, boot_profile,
-                                  VmLifecycle(lifecycle_raw), reinstall,
-                                  contribution))
-    return vms
+_HOST = {
+    "host_id": (_Reader.string, True, None),
+    "cpu_count": (_Reader.cpu_count, True, None),
+    "ram_mb": (_Reader.integer, True, 1),
+    "load_threshold": (_Reader.number, False, (">", 0.0)),
+    "power_state": (_Reader.one_of, False, tuple(PowerState)),
+}
+_VM = {
+    "vm_id": (_Reader.string, True, None),
+    "mac": (_Reader.mac, True, None),
+    "bound_host": (_Reader.string, True, None),
+    "boot_profile": (_Reader.string, True, None),
+    "lifecycle": (_Reader.one_of, False, (VmLifecycle.RUNNING, VmLifecycle.HALTED)),
+    "reinstall_allowed": (_Reader.boolean, False, None),
+    "load_contribution": (_Reader.number, False, (">=", 0.0)),
+}
+
+
+def _param_spec(cls, minimum: int) -> dict:
+    """Every field of a parameter block with a default is an optional key."""
+    return {f.name: (_Reader.boolean, False, None) if isinstance(f.default, bool)
+            else (_Reader.integer, False, minimum)
+            for f in fields(cls) if f.default is not MISSING}
+
+
+_PROFILE = _param_spec(BootProfile, 1)
+_BLOCKS = {"controller": (ControllerParams, _param_spec(ControllerParams, 1)),
+           "telemetry": (TelemetryParams, _param_spec(TelemetryParams, 1)),
+           "timing": (TimingParams, _param_spec(TimingParams, 0))}
+
+
+def _host(**values) -> PhysicalHost:
+    values.setdefault("load_threshold", default_threshold(values["cpu_count"]))
+    return PhysicalHost(**values)
+
+
+_CLUSTER = {
+    "hosts": (_Reader.machines, False, ("hosts", _HOST, _host)),
+    "vms": (_Reader.machines, False, ("vms", _VM, VirtualMachine)),
+    "profiles": (_Reader.profiles, False, None),
+    **{name: (_Reader.block, False, name) for name in _BLOCKS},
+}
+_AT, _NAME = (_Reader.integer, True, 0), (_Reader.string, True, None)
+_CRASH = {"at": _AT, "kind": _NAME, "vm": _NAME}
+_INJECTIONS = {
+    NON_DESTRUCTIVE_CRASH: _CRASH,
+    DESTRUCTIVE_CRASH: _CRASH,
+    PHYSICAL_HOST_FAILURE: {"at": _AT, "kind": _NAME, "host": _NAME},
+    POWER_GLITCH: {"at": _AT, "kind": _NAME, "hosts": (_Reader.string_list, True, None)},
+    LOAD_SPIKE: {"at": _AT, "kind": _NAME, "host": _NAME,
+                 "extra_load": (_Reader.number, True, (">=", 0.0)),
+                 "duration_s": (_Reader.integer, True, 1)},
+}
+_SCENARIO = {
+    "cluster": (_Reader.cluster, True, None),
+    "horizon_s": (_Reader.integer, True, 1),
+    "replications": (_Reader.integer, False, 1),
+    "seed": (_Reader.integer, False, 0),
+    "injections": (_Reader.injections, False, None),
+}
 
 
 def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -> None:
@@ -325,41 +362,34 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
             "timing: reinstall_jitter_s must be below the shortest install total")
 
 
-TOP_LEVEL_KEYS = {"hosts", "vms", "profiles", "controller", "telemetry", "timing"}
+def _read_cluster(doc, problems: list[str]) -> tuple[ClusterConfig, dict[str, set]]:
+    """The cluster of every complete record, and the ids that `hosts` and
+    `vms` declare, rejected records included; problems go to `problems`."""
+    reader = _Reader(problems)
+    config = ClusterConfig(**reader.record(doc, _CLUSTER, _TOP_LEVEL)[0])
+    _cross_validate(config, problems, reader.declared["hosts"])
+    return config, reader.declared
 
 
 def parse_cluster_config(doc: dict) -> ClusterConfig:
     """Validate an already-decoded cluster document."""
     problems: list[str] = []
-    reader = _Reader(problems)
-    if not isinstance(doc, dict):
-        raise ConfigError(["top level: expected an object"])
-    reader.check_keys(doc, TOP_LEVEL_KEYS, "top level")
-    hosts, declared = _parse_hosts(doc.get("hosts"), reader)
-    config = ClusterConfig(
-        hosts=hosts,
-        vms=_parse_vms(doc.get("vms"), reader),
-        profiles=_parse_profiles(doc.get("profiles"), reader),
-        controller=_parse_params(ControllerParams, doc.get("controller"),
-                                 "controller", reader),
-        telemetry=_parse_params(TelemetryParams, doc.get("telemetry"),
-                                "telemetry", reader),
-        timing=_parse_params(TimingParams, doc.get("timing"), "timing", reader,
-                             minimum=0),
-    )
-    _cross_validate(config, problems, declared)
+    config, _ = _read_cluster(doc, problems)
     if problems:
         raise ConfigError(problems)
     return config
 
 
-def load_cluster_config(text: str) -> ClusterConfig:
-    """Parse and validate a cluster configuration JSON document."""
+def _decode(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"parse error: {exc}"]) from exc
-    return parse_cluster_config(doc)
+
+
+def load_cluster_config(text: str) -> ClusterConfig:
+    """Parse and validate a cluster configuration JSON document."""
+    return parse_cluster_config(_decode(text))
 
 
 @dataclass
@@ -371,108 +401,21 @@ class Scenario:
     seed: int = 0
 
 
-_INJECTION_FIELDS = {
-    NON_DESTRUCTIVE_CRASH: {"at", "kind", "vm"},
-    DESTRUCTIVE_CRASH: {"at", "kind", "vm"},
-    PHYSICAL_HOST_FAILURE: {"at", "kind", "host"},
-    POWER_GLITCH: {"at", "kind", "hosts"},
-    LOAD_SPIKE: {"at", "kind", "host", "extra_load", "duration_s"},
-}
-
-
-def _parse_injection(body: dict, where: str, reader: _Reader) -> FailureInjection | None:
-    if not isinstance(body, dict):
-        reader.problems.append(f"{where}: expected an object")
-        return None
-    kind = body.get("kind")
-    if kind not in INJECTION_KINDS:
-        reader.problems.append(
-            f"{where}.kind: expected one of {', '.join(INJECTION_KINDS)}")
-        return None
-    reader.check_keys(body, _INJECTION_FIELDS[kind], where)
-    at = reader.as_int(reader.require(body, "at", where), f"{where}.at", 0)
-    if at is None:
-        return None
-    if kind in (NON_DESTRUCTIVE_CRASH, DESTRUCTIVE_CRASH):
-        vm = reader.as_str(reader.require(body, "vm", where), f"{where}.vm")
-        return FailureInjection(at=at, kind=kind, vm_id=vm) if vm else None
-    if kind == PHYSICAL_HOST_FAILURE:
-        host = reader.as_str(reader.require(body, "host", where), f"{where}.host")
-        return FailureInjection(at=at, kind=kind, host_id=host) if host else None
-    if kind == POWER_GLITCH:
-        hosts = reader.require(body, "hosts", where)
-        if not isinstance(hosts, list) or not hosts or \
-                not all(isinstance(h, str) for h in hosts):
-            reader.problems.append(f"{where}.hosts: expected a non-empty string list")
-            return None
-        return FailureInjection(at=at, kind=kind, hosts=tuple(hosts))
-    host = reader.as_str(reader.require(body, "host", where), f"{where}.host")
-    extra = reader.as_number(reader.require(body, "extra_load", where),
-                             f"{where}.extra_load", 0.0)
-    duration = reader.as_int(reader.require(body, "duration_s", where),
-                             f"{where}.duration_s", 1)
-    if None in (host, extra, duration):
-        return None
-    return FailureInjection(at=at, kind=kind, host_id=host, extra_load=extra,
-                            duration_s=duration)
-
-
 def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     """Parse and validate a scenario JSON document.
 
     `cluster` may be an inline cluster object or a path string resolved
-    relative to base_dir.
+    relative to base_dir. Whenever it is an object, injections are checked
+    against the ids it declares, so its problems hide none of theirs.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"parse error: {exc}"]) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(["top level: expected an object"])
-    problems: list[str] = []
-    reader = _Reader(problems)
-    reader.check_keys(doc, {"cluster", "injections", "horizon_s",
-                            "replications", "seed"}, "top level")
-
-    cluster_raw = reader.require(doc, "cluster", "top level")
-    config = None
-    if isinstance(cluster_raw, str):
-        path = Path(cluster_raw)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        try:
-            config = load_cluster_config(path.read_text())
-        except OSError as exc:
-            problems.append(f"cluster: cannot read '{cluster_raw}': {exc}")
-        except ConfigError as exc:
-            problems.extend(f"cluster: {p}" for p in exc.problems)
-    elif isinstance(cluster_raw, dict):
-        try:
-            config = parse_cluster_config(cluster_raw)
-        except ConfigError as exc:
-            problems.extend(f"cluster: {p}" for p in exc.problems)
-    elif cluster_raw is not None:
-        problems.append("cluster: expected an object or a path string")
-
-    horizon = reader.as_int(reader.require(doc, "horizon_s", "top level"),
-                            "horizon_s", 1)
-    replications = reader.as_int(reader.optional(doc, "replications", 1),
-                                 "replications", 1)
-    seed = reader.as_int(reader.optional(doc, "seed", 0), "seed", 0)
-
-    raw_injections = reader.optional(doc, "injections", [])
-    if not isinstance(raw_injections, list):
-        problems.append("injections: expected a list")
-        raw_injections = []
-    parsed = [_parse_injection(body, f"injections[{i}]", reader)
-              for i, body in enumerate(raw_injections)]
-    if config is not None:
-        problems.extend(injection_problems(
-            parsed, {v.vm_id for v in config.vms}, {h.host_id for h in config.hosts},
-            horizon))
-    injections = [inj for inj in parsed if inj is not None]
-
-    if problems:
-        raise ConfigError(problems)
-    return Scenario(config=config, injections=injections, horizon_s=horizon,
-                    replications=replications, seed=seed)
+    doc = _decode(text)
+    reader = _Reader([], base_dir)
+    values, _ = reader.record(doc, _SCENARIO, _TOP_LEVEL)
+    injections = values.pop("injections", [])
+    if "cluster" in values:
+        config, declared = values.pop("cluster")
+        reader.problems.extend(injection_problems(
+            injections, declared["vms"], declared["hosts"], values.get("horizon_s")))
+    if reader.problems:
+        raise ConfigError(reader.problems)
+    return Scenario(config, injections, **values)

@@ -175,3 +175,42 @@ def test_run_rejects_negative_scenario_seed(tmp_path, capsys):
                                 "seed": -5}))
     assert main(["run", str(path)]) == 1
     assert capsys.readouterr().out == "seed: must be >= 0\n"
+
+
+NOT_UTF8 = b'{"hosts": "\xe9"}'
+
+
+def test_undecodable_input_is_one_problem(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(NOT_UTF8)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("parse error: 'utf-8' codec can't decode byte 0xe9")
+        assert captured.out.count("\n") == 1 and captured.err == ""
+
+
+def test_report_of_undecodable_episodes_is_one_problem(tmp_path, capsys):
+    (tmp_path / "episodes.csv").write_bytes(NOT_UTF8)
+    assert main(["report", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"{tmp_path / 'episodes.csv'}: 'utf-8' codec can't decode")
+    assert out.count("\n") == 1
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    for argv, where in (
+            (["replicate", "destructive", "--n", "1", "--out", str(blocker)], blocker),
+            (["run", str(SCENARIOS / "power_glitch.json"), "--out", str(blocker / "x")],
+             blocker / "x")):
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"cannot write {where}: ")
+
+
+def test_report_rejects_bin_width_below_one(tmp_path, capsys):
+    for width in ("0", "-5"):
+        _fails_with_one_line(capsys, ["report", str(tmp_path), "--bin-width", width],
+                             "hasim report: --bin-width must be >= 1")

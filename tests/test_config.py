@@ -360,6 +360,100 @@ def test_scenario_rejects_negative_seed():
     assert exc.value.problems == ["seed: must be >= 0"]
 
 
+
+def scenario_problems(injections, cluster=None, **top):
+    """The problems of a scenario over `cluster` (VALID_DOC by default)."""
+    document = {"cluster": json.loads(doc()) if cluster is None else cluster,
+                "horizon_s": 600, "injections": injections, **top}
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(json.dumps(document))
+    return exc.value.problems
+
+
+def test_cluster_problem_hides_no_injection_problem(tmp_path):
+    cluster = json.loads(doc())
+    cluster["vms"][0]["load_contribution"] = "x"
+    injections = [{"at": 10, "kind": "physical_host_failure", "host": "ghost"},
+                  {"at": 9000, "kind": "destructive_crash", "vm": "gridce"}]
+    expected = ["cluster: vms[0].load_contribution: expected a number",
+                "injections[0]: unknown host 'ghost'",
+                "injections[1]: at=9000 exceeds horizon_s"]
+    assert scenario_problems(injections, cluster) == expected
+    (tmp_path / "cluster.json").write_text(json.dumps(cluster))
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(json.dumps({"cluster": "cluster.json", "horizon_s": 600,
+                                  "injections": injections}), base_dir=tmp_path)
+    assert exc.value.problems == expected
+
+
+def test_injections_target_declared_ids_of_rejected_machines():
+    # Rejected records keep their ids declared: only their own problems show.
+    cluster = json.loads(doc())
+    cluster["hosts"][1]["cpu_count"] = 0
+    cluster["vms"][0]["mac"] = None
+    injections = [{"at": 10, "kind": "physical_host_failure", "host": "alfa02"},
+                  {"at": 20, "kind": "destructive_crash", "vm": "gridce"}]
+    assert scenario_problems(injections, cluster) == [
+        "cluster: hosts[1].cpu_count: must be >= 1",
+        "cluster: vms[0]: missing required key 'mac'"]
+
+
+def test_injections_are_not_checked_against_a_cluster_that_is_no_object():
+    assert scenario_problems([{"at": 10, "kind": "destructive_crash", "vm": "x"}],
+                             cluster=[1]) == [
+        "cluster: expected an object or a path string"]
+
+
+def test_injection_missing_at_reports_its_other_problems():
+    assert scenario_problems([{"kind": "destructive_crash", "extra": 1}]) == [
+        "injections[0]: unknown key 'extra'",
+        "injections[0]: missing required key 'at'",
+        "injections[0]: missing required key 'vm'"]
+
+
+def test_glitch_missing_hosts_is_one_problem():
+    assert scenario_problems([{"at": 10, "kind": "power_glitch"}]) == [
+        "injections[0]: missing required key 'hosts'"]
+
+
+def test_rejected_optional_value_keeps_the_vm_for_cross_checks():
+    document = json.loads(doc())
+    document["vms"][0].update(load_contribution="x", bound_host="ghost")
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(json.dumps(document))
+    assert exc.value.problems == ["vms[0].load_contribution: expected a number",
+                                  "vm 'gridce': unknown bound_host 'ghost'"]
+
+
+def test_lifecycle_has_the_power_state_wording():
+    document = json.loads(doc())
+    document["vms"][0]["lifecycle"] = "booting"
+    document["hosts"][0]["power_state"] = "standby"
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(json.dumps(document))
+    assert exc.value.problems == ["hosts[0].power_state: must be 'on' or 'off'",
+                                  "vms[0].lifecycle: must be 'running' or 'halted'"]
+
+
+def test_cpu_count_beyond_float_range_is_a_problem():
+    # Its default threshold, float(cpu_count), once raised OverflowError.
+    text = doc().replace('"cpu_count": 4', '"cpu_count": 1' + "0" * 400, 1)
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(text)
+    assert exc.value.problems == ["hosts[0].cpu_count: expected a finite number"]
+
+
+def test_unreadable_cluster_path_is_one_problem(tmp_path):
+    (tmp_path / "latin1.json").write_bytes(b'{"hosts": "\xe9"}')
+    for path, reason in (("latin1.json", "'utf-8' codec can't decode byte 0xe9"),
+                         ("a\0b", "embedded null byte"),
+                         ("missing.json", "No such file or directory")):
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(json.dumps({"cluster": path, "horizon_s": 600}),
+                          base_dir=tmp_path)
+        [problem] = exc.value.problems
+        assert problem.startswith(f"cluster: cannot read {path!r}: ") and reason in problem
+
 PARAM_BLOCKS = [("controller", ControllerParams), ("telemetry", TelemetryParams),
                 ("timing", TimingParams), ("profiles", BootProfile)]
 
