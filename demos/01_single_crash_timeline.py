@@ -13,8 +13,8 @@ from hasim import (
     DESTRUCTIVE_CRASH,
     NON_DESTRUCTIVE_CRASH,
     FailureInjection,
+    Simulation,
     parse_cluster_config,
-    run_scenario,
 )
 
 CLUSTER = {
@@ -29,8 +29,8 @@ CLUSTER = {
 
 def show(kind, horizon):
     config = parse_cluster_config(CLUSTER)
-    report = run_scenario(config, [FailureInjection(130, kind, vm_id="svc01")],
-                          horizon, seed=1, collect_trace=True)
+    report = Simulation(config, [FailureInjection(130, kind, vm_id="svc01")],
+                        horizon, seed=1, collect_trace=True).run()
     ep = report.episodes[0]
     print(f"--- {kind} ---")
     print(f"failure injected at t={ep.failure_at}s")

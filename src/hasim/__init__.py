@@ -47,12 +47,11 @@ from .engine import (
     SimReport,
     Simulation,
     TimingParams,
-    run_scenario,
     sample_duration,
     summarize,
 )
-from .presets import power_glitch_scenario_doc, replicate_experiment
-from .provisioning import BootPlan, BootProfile, Provisioner
+from .presets import replicate_experiment
+from .provisioning import BootProfile, Provisioner
 from .telemetry import (
     Monitor,
     MonitorSnapshot,

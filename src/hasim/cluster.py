@@ -110,7 +110,8 @@ def check_state_invariants(state: ClusterState) -> None:
     Raises AssertionError naming the first violating VM or host; called by
     the engine after event applications when invariant checking is enabled.
     The hosted_vms lists must name known VMs, each once, and their vm -> host
-    map must equal the bound VMs' bound_host map.
+    map must equal the bound VMs' bound_host map. Every VM on a powered-off
+    host is halted.
     """
     hosts = state.hosts.values()
     hosted = {vm_id: host.host_id for host in hosts for vm_id in host.hosted_vms}
@@ -127,6 +128,12 @@ def check_state_invariants(state: ClusterState) -> None:
                 f"VM {vm.vm_id} is {vm.lifecycle.value} but unbound"
     if listed != len(hosted) or hosted != bound:
         _raise_binding_violation(state)
+    for host in hosts:
+        if host.power_state is PowerState.OFF:
+            for vm_id in host.hosted_vms:
+                lifecycle = state.vms[vm_id].lifecycle
+                assert lifecycle is VmLifecycle.HALTED, \
+                    f"VM {vm_id} is {lifecycle.value} on powered-off host {host.host_id}"
 
 
 def _raise_binding_violation(state: ClusterState) -> None:

@@ -330,6 +330,7 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
             problems.append(f"duplicate host_id '{h.host_id}'")
         host_ids.add(h.host_id)
 
+    off = {h.host_id for h in config.hosts if h.power_state is PowerState.OFF}
     vm_ids, macs = set(), set()
     for v in config.vms:
         if v.vm_id in vm_ids:
@@ -342,6 +343,8 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
         macs.add(v.mac)
         if v.bound_host not in declared:  # a rejected host is reported already
             problems.append(f"vm '{v.vm_id}': unknown bound_host '{v.bound_host}'")
+        elif v.bound_host in off and v.lifecycle is VmLifecycle.RUNNING:
+            problems.append(f"vm '{v.vm_id}': running on powered-off host '{v.bound_host}'")
         if v.boot_profile not in config.profiles:
             problems.append(f"vm '{v.vm_id}': unknown profile '{v.boot_profile}'")
 
@@ -350,14 +353,10 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
 
     # Jitter must stay below every nominal duration it can apply to,
     # including the default profile used for physical host boots.
-    local_totals = [sum(DEFAULT_PROFILE.local_boot_plan())]
-    install_totals = [sum(DEFAULT_PROFILE.install_plan())]
-    for profile in config.profiles.values():
-        local_totals.append(sum(profile.local_boot_plan()))
-        install_totals.append(sum(profile.install_plan()))
-    if config.timing.boot_jitter_s >= min(local_totals):
+    profiles = (DEFAULT_PROFILE, *config.profiles.values())
+    if config.timing.boot_jitter_s >= min(p.boot_total_s for p in profiles):
         problems.append("timing: boot_jitter_s must be below the shortest boot total")
-    if config.timing.reinstall_jitter_s >= min(install_totals):
+    if config.timing.reinstall_jitter_s >= min(p.install_total_s for p in profiles):
         problems.append(
             "timing: reinstall_jitter_s must be below the shortest install total")
 

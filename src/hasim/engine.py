@@ -4,8 +4,8 @@ The engine owns the event loop and all cluster mutation. Responsive machines
 heartbeat every 10 simulated seconds, as analytic beat trains the monitor
 evaluates at each snapshot; a periodic beat at second t is recorded after
 every other event at t. The controller scans on its own grid,
-and its actions are applied with durations sampled from the provisioning
-plans. Five failure kinds can be injected:
+and its actions are applied with durations sampled around the boot
+profiles' nominal totals. Five failure kinds can be injected:
 
   non_destructive_crash  VM stops heartbeating but stays reachable; a plain
                          reboot recovers it.
@@ -198,26 +198,32 @@ class Simulation:
     `_set_lifecycle`, `_set_power`, `_move` and `_add_extra_load` make every
     change of machine state, and the bookkeeping that follows it.
 
+    seed: an integer seed, or a generator used as it is.
+
     invariant_checks: "off", "scan" (default: full graph check at every
     controller scan and action application) or "event" (after every event,
     together with the coherence of the load cache and the monitor's beat
     trains, registrations and silent set; slow, meant for focused tests).
+
+    With trace and monitor log off, `run` ends early once no later scan can
+    act: after a scan that leaves no open episode, no escalation record, no
+    silent VM and nothing but the next scan on the heap.
     """
 
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
-                 horizon_s: int, *, rng: np.random.Generator | None = None,
-                 seed: int | None = None, collect_trace: bool = False,
-                 emit_monitor_log: bool = False, invariant_checks: str = "scan"):
+                 horizon_s: int, *, seed: int | np.random.Generator = 0,
+                 collect_trace: bool = False, emit_monitor_log: bool = False,
+                 invariant_checks: str = "scan"):
+        if invariant_checks not in ("off", "scan", "event"):
+            raise ValueError("invariant_checks must be off, scan or event, "
+                             f"not {invariant_checks!r}")
         self.state: ClusterState = config.build_state()
         self.params = config.controller
         self.timing = config.timing
         self.horizon_s = horizon_s
-        self.rng = rng if rng is not None else np.random.default_rng(seed or 0)
+        self.rng = np.random.default_rng(seed or 0)
         self.monitor = Monitor(config.telemetry)
-        self.provisioner = Provisioner(
-            config.profiles,
-            {vm.mac: vm.boot_profile for vm in self.state.vms.values()},
-        )
+        self.provisioner = Provisioner(config.profiles)
         self.records: dict[str, EscalationRecord] = {}  # non-HEALTHY only
         self._host_ids = sorted(self.state.hosts)
         # host -> host_load + pending_load, until a transition drops it
@@ -426,7 +432,7 @@ class Simulation:
                 self._trace(f"reboot_unreachable {vm.vm_id}")
         elif action.kind in (RESTART, REINSTALL):
             if action.kind == REINSTALL:
-                self.provisioner.bind_install(vm.mac, vm.boot_profile)
+                self.provisioner.bind_install(vm.mac)
                 self._trace(f"pxe_bind {vm.mac} install:{vm.boot_profile}")
             self._move(vm, action.target_host)
             self._power_cycle(vm)
@@ -438,16 +444,16 @@ class Simulation:
         host = self.state.hosts[vm.bound_host]
         assert host.power_state is PowerState.ON, \
             f"boot scheduled for {vm.vm_id} on powered-off host {host.host_id}"
-        plan = self.provisioner.boot_outcome(vm.mac)
-        if plan.mode == INSTALL:
+        mode, nominal_s = self.provisioner.boot_outcome(vm.mac, vm.boot_profile)
+        if mode == INSTALL:
             lifecycle, jitter_s = VmLifecycle.INSTALLING, self.timing.reinstall_jitter_s
         else:
             lifecycle, jitter_s = VmLifecycle.BOOTING, self.timing.boot_jitter_s
-        duration = sample_duration(plan.total_s, jitter_s, self.rng)
+        duration = sample_duration(nominal_s, jitter_s, self.rng)
         self._set_lifecycle(vm, lifecycle)
         self._schedule(self.now + duration, "boot_complete",
                        (vm.vm_id, self._boot_ticket.get(vm.vm_id, 0)))
-        self._trace(f"boot_start {vm.vm_id} {plan.mode} {duration}")
+        self._trace(f"boot_start {vm.vm_id} {mode} {duration}")
 
     # -- boot and install completion --------------------------------------
 
@@ -496,7 +502,7 @@ class Simulation:
             for host_id in sorted(inj.hosts):
                 if self._fail_host(host_id, inj.kind):
                     # Power returns: the host boots itself back.
-                    duration = sample_duration(sum(DEFAULT_PROFILE.local_boot_plan()),
+                    duration = sample_duration(DEFAULT_PROFILE.boot_total_s,
                                                self.timing.boot_jitter_s, self.rng)
                     self._schedule(self.now + duration, "boot_complete",
                                    (host_id, self._boot_ticket.get(host_id, 0)))
@@ -541,6 +547,14 @@ class Simulation:
 
     # -- main loop ---------------------------------------------------------
 
+    def _idle(self) -> bool:
+        """Whether no later scan can act or write. A scan visits only silent
+        VMs and VMs with an escalation record, and no other event is due."""
+        vms = self.state.vms
+        return (self.trace is None and self.monitor_log is None
+                and len(self._heap) == 1 and not self._open and not self.records
+                and not any(m in vms for m in self.monitor.silent))
+
     def run(self) -> SimReport:
         last = (-1, -1)
         while self._heap:
@@ -554,22 +568,12 @@ class Simulation:
             if self._invariants == "event":
                 check_state_invariants(self.state)
                 self._check_coherence()
+            if kind == "scan" and self._idle():
+                break
         if self._invariants != "off":
             check_state_invariants(self.state)
         return SimReport(episodes=self.episodes, horizon_s=self.horizon_s,
                          trace=self.trace, monitor_log=self.monitor_log)
-
-
-def run_scenario(config: "ClusterConfig", injections: list[FailureInjection],
-                 horizon_s: int, *, rng: np.random.Generator | None = None,
-                 seed: int | None = None, collect_trace: bool = False,
-                 emit_monitor_log: bool = False,
-                 invariant_checks: str = "scan") -> SimReport:
-    """Run one scenario to its horizon and return the episode report."""
-    sim = Simulation(config, injections, horizon_s, rng=rng, seed=seed,
-                     collect_trace=collect_trace, emit_monitor_log=emit_monitor_log,
-                     invariant_checks=invariant_checks)
-    return sim.run()
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Checked-in experiment presets: batch crash campaigns and the glitch replay.
+"""Checked-in experiment presets: the batch crash campaigns.
 
 The replication presets pin every input of the two headline experiments so
 their published numbers are reproducible from explicit parameters:
@@ -17,11 +17,6 @@ their published numbers are reproducible from explicit parameters:
 Each episode runs on a fresh copy of a one-host cluster with its own rng
 seeded seed + episode index; the crash instant is uniformly jittered across
 one scan period, which is what spreads detection over 70..129 s.
-
-The power-glitch scenario models a machine-room power cut taking down a
-loaded host: its VM must be restarted on the one backup host that has
-capacity. Builders return plain JSON documents; the checked-in files under
-scenarios/ are generated from them.
 """
 
 from __future__ import annotations
@@ -36,10 +31,8 @@ from .engine import (
     NON_DESTRUCTIVE_CRASH,
     FailureInjection,
     SimReport,
-    run_scenario,
+    Simulation,
 )
-
-PRESET_VERSION = "v1"
 
 # One scan period; crash instants are jittered uniformly across it.
 CRASH_WINDOW_S = 60
@@ -111,54 +104,7 @@ def replicate_experiment(name: str, n: int, seed: int) -> SimReport:
         rng = np.random.default_rng(seed + i)
         crash_at = INJECT_BASE_S + int(rng.integers(0, CRASH_WINDOW_S))
         injection = FailureInjection(at=crash_at, kind=preset.kind, vm_id=vm_id)
-        report = run_scenario(config, [injection], preset.horizon_s, rng=rng)
+        report = Simulation(config, [injection], preset.horizon_s, seed=rng).run()
         episodes.extend(report.episodes)
     return SimReport(episodes=episodes, horizon_s=preset.horizon_s)
 
-
-def power_glitch_scenario_doc(reboot_step_enabled: bool = True) -> dict:
-    """Scenario document for the packaged power-glitch replay.
-
-    Host alfa01 carries the service VM gridce and is pinned over its load
-    threshold by a long spike; alfa02 and alfa03 are loaded too close to
-    their thresholds to accept gridce, so the placement decision must be
-    alfa04. The glitch instant is chosen so the next controller scan falls
-    after alfa01 has booted back: the controller then sees only the VM down
-    and walks the normal escalation (reboot first when enabled).
-    """
-    hosts = [
-        {"host_id": f"alfa0{i}", "cpu_count": 4, "ram_mb": 16384}
-        for i in range(1, 5)
-    ]
-    vms = [
-        {"vm_id": "gridce", "mac": "52:54:00:10:00:01", "bound_host": "alfa01",
-         "boot_profile": "compute", "load_contribution": 1.0},
-        {"vm_id": "web01", "mac": "52:54:00:10:00:02", "bound_host": "alfa02",
-         "boot_profile": "compute", "load_contribution": 1.2},
-        {"vm_id": "web02", "mac": "52:54:00:10:00:03", "bound_host": "alfa02",
-         "boot_profile": "compute", "load_contribution": 1.2},
-        {"vm_id": "web03", "mac": "52:54:00:10:00:04", "bound_host": "alfa02",
-         "boot_profile": "compute", "load_contribution": 1.0},
-        {"vm_id": "db01", "mac": "52:54:00:10:00:05", "bound_host": "alfa03",
-         "boot_profile": "compute", "load_contribution": 2.0},
-        {"vm_id": "batch01", "mac": "52:54:00:10:00:06", "bound_host": "alfa03",
-         "boot_profile": "compute", "load_contribution": 1.5},
-    ]
-    return {
-        "cluster": {
-            "hosts": hosts,
-            "vms": vms,
-            "profiles": {"compute": {}},
-            "controller": {"reboot_step_enabled": reboot_step_enabled},
-            "telemetry": {},
-            "timing": {},
-        },
-        "injections": [
-            {"at": 0, "kind": "load_spike", "host": "alfa01",
-             "extra_load": 6.0, "duration_s": 3600},
-            {"at": 291, "kind": "power_glitch", "hosts": ["alfa01"]},
-        ],
-        "horizon_s": 900,
-        "replications": 1,
-        "seed": 7,
-    }

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import hasim.cli
 from hasim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -214,3 +215,21 @@ def test_report_rejects_bin_width_below_one(tmp_path, capsys):
     for width in ("0", "-5"):
         _fails_with_one_line(capsys, ["report", str(tmp_path), "--bin-width", width],
                              "hasim report: --bin-width must be >= 1")
+
+
+def test_run_with_nothing_to_do_ends_at_its_first_scan(tmp_path, monkeypatch):
+    sims = []
+
+    class RecordingSimulation(hasim.cli.Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(hasim.cli, "Simulation", RecordingSimulation)
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps({
+        "cluster": {"hosts": [{"host_id": "h0", "cpu_count": 1, "ram_mb": 1}]},
+        "horizon_s": 10**12}))
+    assert main(["run", str(path)]) == 0
+    assert len(sims) == 1
+    assert sims[0].now < sims[0].params.scan_period_s

@@ -190,6 +190,16 @@ def test_invariants_catch_bound_vm_missing_from_hosted_vms():
         check_state_invariants(state)
 
 
+def test_invariants_catch_running_vm_on_powered_off_host():
+    state = make_state(power=PowerState.OFF)
+    for vm_id in ("b", "c"):
+        state.vms[vm_id].lifecycle = VmLifecycle.HALTED
+    with pytest.raises(AssertionError, match="VM a is running on powered-off host h1"):
+        check_state_invariants(state)
+    state.vms["a"].lifecycle = VmLifecycle.HALTED
+    check_state_invariants(state)
+
+
 def test_invariants_pass_with_unbound_waiting_vm_and_empty_host():
     state = two_host_state()
     state.hosts["h1"].hosted_vms.remove("c")

@@ -20,7 +20,6 @@ from hasim.engine import (
     FailureInjection,
     Simulation,
     TimingParams,
-    run_scenario,
 )
 from hasim.provisioning import BootProfile
 from hasim.telemetry import TelemetryParams
@@ -298,6 +297,17 @@ def test_undeclared_bound_host_is_still_unknown():
                                   "vm 'gridce': unknown bound_host 'ghost'"]
 
 
+def test_running_vm_on_powered_off_host_is_rejected():
+    # gridce is bound to hosts[0]; unrejected, it would beat from a dead host.
+    document = json.loads(doc())
+    document["hosts"][0]["power_state"] = "off"
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(json.dumps(document))
+    assert exc.value.problems == ["vm 'gridce': running on powered-off host 'alfa01'"]
+    document["vms"][0]["lifecycle"] = "halted"
+    load_cluster_config(json.dumps(document))
+
+
 def test_detection_latency_must_exceed_heartbeat_period():
     with pytest.raises(ConfigError) as exc:
         load_cluster_config(doc(telemetry={"detection_latency_s": 10}))
@@ -550,7 +560,7 @@ def test_parameter_blocks_are_rejected_or_run(controller, telemetry, timing, pro
         config = load_cluster_config(json.dumps(document))
     except ConfigError:
         return
-    report = run_scenario(config, FUZZ_INJECTIONS, 600, invariant_checks="event")
+    report = Simulation(config, FUZZ_INJECTIONS, 600, invariant_checks="event").run()
     assert len(report.episodes) == 2
 
 

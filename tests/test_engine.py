@@ -2,12 +2,14 @@
 
 import dataclasses
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_acceptance import random_cluster_doc, random_injections
 
 from hasim.cluster import PowerState, VmLifecycle
-from hasim.config import parse_cluster_config
+from hasim.config import load_scenario, parse_cluster_config
 from hasim.controller import REBOOT, REINSTALL, RESTART
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
@@ -20,11 +22,12 @@ from hasim.engine import (
     ScenarioError,
     SimReport,
     Simulation,
-    run_scenario,
     sample_duration,
     summarize,
 )
 from hasim.telemetry import UP
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def one_host_config(**blocks):
@@ -87,9 +90,9 @@ def test_sample_duration_consumes_exactly_one_draw():
 def test_non_destructive_crash_timeline():
     # Crash at 130; staleness reaches 70 at 200; first scan >= 200 is 240.
     # Reboot at 240 completes 80 s later with zero jitter.
-    report = run_scenario(one_host_config(),
-                          [FailureInjection(130, NON_DESTRUCTIVE_CRASH, "svc01")],
-                          600, seed=1)
+    report = Simulation(one_host_config(),
+                        [FailureInjection(130, NON_DESTRUCTIVE_CRASH, "svc01")],
+                        600, seed=1).run()
     ep = report.episodes[0]
     assert ep.failure_at == 130
     assert ep.detected_at == 240
@@ -102,9 +105,9 @@ def test_non_destructive_crash_timeline():
 def test_destructive_crash_timeline():
     # Full escalation: reboot at 240, restart at 240+180, reinstall at +360,
     # installation takes 442 s with zero jitter.
-    report = run_scenario(one_host_config(),
-                          [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")],
-                          1200, seed=1)
+    report = Simulation(one_host_config(),
+                        [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")],
+                        1200, seed=1).run()
     ep = report.episodes[0]
     assert [(t, a.kind) for t, a in ep.actions] == [
         (240, REBOOT), (420, RESTART), (600, REINSTALL)]
@@ -115,10 +118,10 @@ def test_destructive_crash_timeline():
 
 def test_reinstall_repairs_the_system_for_later_crashes():
     # After the reinstall completes at 1042, a soft crash needs one reboot.
-    report = run_scenario(one_host_config(),
-                          [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01"),
-                           FailureInjection(1100, NON_DESTRUCTIVE_CRASH, "svc01")],
-                          1500, seed=1)
+    report = Simulation(one_host_config(),
+                        [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01"),
+                         FailureInjection(1100, NON_DESTRUCTIVE_CRASH, "svc01")],
+                        1500, seed=1).run()
     assert report.episodes[0].recovered_at == 1042
     ep = report.episodes[1]
     assert [(t, a.kind) for t, a in ep.actions] == [(1200, REBOOT)]
@@ -126,17 +129,17 @@ def test_reinstall_repairs_the_system_for_later_crashes():
 
 
 def test_non_destructive_episode_has_no_reinstall():
-    report = run_scenario(one_host_config(),
-                          [FailureInjection(130, NON_DESTRUCTIVE_CRASH, "svc01")],
-                          600, seed=3)
+    report = Simulation(one_host_config(),
+                        [FailureInjection(130, NON_DESTRUCTIVE_CRASH, "svc01")],
+                        600, seed=3).run()
     kinds = [a.kind for _, a in report.episodes[0].actions]
     assert REINSTALL not in kinds
 
 
 def test_destructive_episode_has_exactly_one_reinstall():
-    report = run_scenario(one_host_config(),
-                          [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")],
-                          1200, seed=3)
+    report = Simulation(one_host_config(),
+                        [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")],
+                        1200, seed=3).run()
     kinds = [a.kind for _, a in report.episodes[0].actions]
     assert kinds.count(REINSTALL) == 1
 
@@ -153,18 +156,18 @@ def test_detection_window_causality():
     # detected - failed must lie in [latency, latency + heartbeat + scan].
     config = one_host_config()
     for seed, crash_at in enumerate(range(120, 180)):
-        report = run_scenario(
+        report = Simulation(
             config, [FailureInjection(crash_at, NON_DESTRUCTIVE_CRASH, "svc01")],
-            600, seed=seed)
+            600, seed=seed).run()
         ep = report.episodes[0]
         assert 70 <= ep.detection_s <= 70 + 10 + 60
 
 
 def test_physical_host_failure_moves_vms():
     config = two_host_config()
-    report = run_scenario(config,
-                          [FailureInjection(130, PHYSICAL_HOST_FAILURE, host_id="node01")],
-                          900, seed=1, collect_trace=True)
+    report = Simulation(config,
+                        [FailureInjection(130, PHYSICAL_HOST_FAILURE, host_id="node01")],
+                        900, seed=1, collect_trace=True).run()
     assert len(report.episodes) == 2
     for ep in report.episodes:
         assert ep.kind == PHYSICAL_HOST_FAILURE
@@ -221,7 +224,7 @@ def test_load_spike_defers_restart_until_it_ends():
                          duration_s=520),
         FailureInjection(130, DESTRUCTIVE_CRASH, "svc01"),
     ]
-    report = run_scenario(config, injections, 1400, seed=1)
+    report = Simulation(config, injections, 1400, seed=1).run()
     ep = report.episodes[0]
     assert [(t, a.kind) for t, a in ep.actions] == [
         (240, REBOOT), (420, "defer"), (540, RESTART), (720, REINSTALL)]
@@ -244,8 +247,8 @@ def test_waiting_vm_is_parked_out_of_monitoring():
 
 def test_injection_unknown_target_rejected():
     with pytest.raises(ScenarioError):
-        run_scenario(one_host_config(),
-                     [FailureInjection(10, NON_DESTRUCTIVE_CRASH, "ghost")], 100)
+        Simulation(one_host_config(),
+                   [FailureInjection(10, NON_DESTRUCTIVE_CRASH, "ghost")], 100).run()
 
 
 def test_simulation_reports_every_injection_problem():
@@ -275,7 +278,7 @@ def test_injection_on_non_running_vm_skipped():
         FailureInjection(130, NON_DESTRUCTIVE_CRASH, "svc01"),
         FailureInjection(140, DESTRUCTIVE_CRASH, "svc01"),
     ]
-    report = run_scenario(config, injections, 600, seed=1, collect_trace=True)
+    report = Simulation(config, injections, 600, seed=1, collect_trace=True).run()
     assert len(report.episodes) == 1
     assert any("inject_skipped" in line for line in report.trace)
 
@@ -283,8 +286,8 @@ def test_injection_on_non_running_vm_skipped():
 def test_determinism_same_seed_identical_everything():
     config = two_host_config()
     injections = [FailureInjection(130, POWER_GLITCH, hosts=("node01",))]
-    runs = [run_scenario(config, injections, 900, seed=99, collect_trace=True,
-                         emit_monitor_log=True) for _ in range(2)]
+    runs = [Simulation(config, injections, 900, seed=99, collect_trace=True,
+                       emit_monitor_log=True).run() for _ in range(2)]
     assert runs[0].trace == runs[1].trace
     assert runs[0].monitor_log == runs[1].monitor_log
     assert runs[0].episodes == runs[1].episodes
@@ -293,33 +296,66 @@ def test_determinism_same_seed_identical_everything():
 def test_different_seeds_differ():
     config = one_host_config(timing={"boot_jitter_s": 10, "reinstall_jitter_s": 17})
     injections = [FailureInjection(130, NON_DESTRUCTIVE_CRASH, "svc01")]
-    a = run_scenario(config, injections, 600, seed=1)
-    b = run_scenario(config, injections, 600, seed=2)
+    a = Simulation(config, injections, 600, seed=1).run()
+    b = Simulation(config, injections, 600, seed=2).run()
     assert a.episodes[0].recovered_at != b.episodes[0].recovered_at
 
 
 def test_unseeded_simulation_uses_seed_zero():
     config = one_host_config(timing={"boot_jitter_s": 10, "reinstall_jitter_s": 17})
     injections = [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")]
-    unseeded = run_scenario(config, injections, 1500, collect_trace=True)
-    assert unseeded.trace == run_scenario(config, injections, 1500, seed=0,
-                                          collect_trace=True).trace
+    unseeded = Simulation(config, injections, 1500, collect_trace=True).run()
+    assert unseeded.trace == Simulation(config, injections, 1500, seed=0,
+                                        collect_trace=True).run().trace
 
 
 def test_trace_contains_pxe_bind_records():
-    report = run_scenario(one_host_config(),
-                          [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")],
-                          1200, seed=1, collect_trace=True)
+    report = Simulation(one_host_config(),
+                        [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")],
+                        1200, seed=1, collect_trace=True).run()
     assert "600 pxe_bind 52:54:00:00:00:01 install:default" in report.trace
     assert "1042 pxe_bind 52:54:00:00:00:01 local" in report.trace
 
 
 def test_monitor_log_emitted_per_scan():
-    report = run_scenario(one_host_config(), [], 300, seed=1,
-                          emit_monitor_log=True)
+    report = Simulation(one_host_config(), [], 300, seed=1,
+                        emit_monitor_log=True).run()
     # Scans at 0, 60, ..., 300.
     assert len(report.monitor_log) == 6
     assert all(line.startswith("<CLUSTER TAKEN_AT=") for line in report.monitor_log)
+
+
+def test_invariant_checks_must_be_a_known_mode():
+    with pytest.raises(ValueError, match="off, scan or event"):
+        Simulation(one_host_config(), [], 600, invariant_checks="evnt")
+
+
+def test_untraced_run_ends_early_with_the_same_outcome():
+    # Trace and monitor log off, a run ends at a scan after which no scan can
+    # act; a traced run walks every scan to the horizon.
+    cases = []
+    for name in ("power_glitch.json", "power_glitch_noreboot.json"):
+        scenario = load_scenario((SCENARIOS / name).read_text(), base_dir=SCENARIOS)
+        cases.append((scenario.config, scenario.injections, scenario.horizon_s,
+                      scenario.seed))
+    # The first 500 scenarios of acceptance criterion 5, same generator and seeds.
+    rng = np.random.default_rng(20260809)
+    for i in range(500):
+        doc = random_cluster_doc(rng)
+        cases.append((parse_cluster_config(doc), random_injections(rng, doc), 720,
+                      1_000_000 + i))
+    ended_early = 0
+    for config, injections, horizon_s, seed in cases:
+        traced = Simulation(config, injections, horizon_s, seed=seed, collect_trace=True)
+        expected = traced.run()
+        assert traced.now > horizon_s - config.controller.scan_period_s
+        quiet = Simulation(config, injections, horizon_s, seed=seed)
+        report = quiet.run()
+        assert report.episodes == expected.episodes
+        assert quiet.records == traced.records
+        assert quiet.state == traced.state
+        ended_early += quiet.now < traced.now
+    assert ended_early  # the comparison covers runs that ended early
 
 
 # -- summarize -------------------------------------------------------------
@@ -378,9 +414,9 @@ def test_summarize_excludes_unrecovered():
 def test_pxe_bindings_change_only_through_bind_and_revert():
     # Exhaustive trace inspection: every install binding appears with the
     # reinstall action that set it, every revert with a completed install.
-    report = run_scenario(one_host_config(),
-                          [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")],
-                          1200, seed=1, collect_trace=True)
+    report = Simulation(one_host_config(),
+                        [FailureInjection(130, DESTRUCTIVE_CRASH, "svc01")],
+                        1200, seed=1, collect_trace=True).run()
     binds = [line for line in report.trace if " pxe_bind " in line]
     reinstall_times = {line.split()[0] for line in report.trace
                        if " action reinstall " in line}
@@ -430,7 +466,7 @@ def test_random_scenarios_with_per_event_invariants():
             injections = [FailureInjection(inj.at, inj.kind, host_id=inj.host_id)]
         else:
             injections = [FailureInjection(inj.at, inj.kind, hosts=inj.hosts)]
-        run_scenario(config, injections, 720, seed=i, invariant_checks="event")
+        Simulation(config, injections, 720, seed=i, invariant_checks="event").run()
 
 
 # -- transitions ---------------------------------------------------------
