@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .cluster import (
@@ -206,7 +206,7 @@ class _Reader:
         for name, body in raw.items():
             values, complete = self.record(body, _PROFILE, f"profiles['{name}']")
             if complete:
-                found[name] = BootProfile(name=name, **values)
+                found[name] = BootProfile(**values)
         return found
 
     def block(self, raw, where: str):
@@ -273,10 +273,10 @@ _VM = {
 
 
 def _param_spec(cls, minimum: int) -> dict:
-    """Every field of a parameter block with a default is an optional key."""
+    """Every field of a parameter block is an optional key."""
     return {f.name: (_Reader.boolean, False, None) if isinstance(f.default, bool)
             else (_Reader.integer, False, minimum)
-            for f in fields(cls) if f.default is not MISSING}
+            for f in fields(cls)}
 
 
 _PROFILE = _param_spec(BootProfile, 1)

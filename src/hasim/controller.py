@@ -68,20 +68,22 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class EscalationRecord:
-    """Controller memory for one VM.
+    """Controller memory for one VM, held under its vm_id.
 
-    deadline is the scan time at or after which the current phase escalates
-    (absent for HEALTHY / AWAITING_CAPACITY / REQUIRES_HUMAN). pending names
-    the intervention an AWAITING_CAPACITY VM will receive once placement
-    succeeds. cycles counts completed reinstall rounds in this episode.
+    A VM without a record is HEALTHY. deadline is the scan time at or after
+    which the current phase escalates (absent for HEALTHY /
+    AWAITING_CAPACITY / REQUIRES_HUMAN). pending names the intervention an
+    AWAITING_CAPACITY VM will receive once placement succeeds. cycles counts
+    completed reinstall rounds in this episode.
     """
 
-    vm_id: str
     phase: Phase = Phase.HEALTHY
     deadline: int | None = None
     pending: str | None = None
     cycles: int = 0
-    episode_started_at: int | None = None
+
+
+_HEALTHY = EscalationRecord()
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,11 @@ def _entry_level(params: ControllerParams, vm: VmInfo, host_down: bool) -> str:
 def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
          view: Iterable[HostView], now: int, params: ControllerParams,
          vm_infos: Sequence[VmInfo]) -> tuple[dict[str, EscalationRecord], list[Action]]:
-    """One controller scan: new records plus the actions to apply.
+    """One controller scan: the open escalations of vm_infos plus the actions.
+
+    A VM missing from `records` is HEALTHY, and the returned records hold
+    only the VMs whose escalation stays open: a VM seen Up, or left HEALTHY,
+    gets no record. Host liveness is the view's monitor_up.
 
     Pure function of its inputs; actions come out ordered by vm_id because
     VMs are processed in that order, which is also the sequential-fill order
@@ -182,10 +188,6 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
     # Private copies: placements within the tick update them (sequential fill).
     working = {h.host_id: HostView(h.host_id, h.power_on, h.monitor_up, h.load,
                                    h.vm_count, h.load_threshold) for h in view}
-    down_hosts = {
-        mid for mid, e in snapshot.entries.items()
-        if mid in working and e.verdict == DOWN
-    }
     out: dict[str, EscalationRecord] = {}
     actions: list[Action] = []
 
@@ -209,29 +211,23 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
                        deadline=now + params.reinstall_patience_s, pending=None)
 
     for vm in sorted(vm_infos, key=lambda v: v.vm_id):
-        rec = records.get(vm.vm_id) or EscalationRecord(vm_id=vm.vm_id)
         entry = snapshot.entries.get(vm.vm_id)
-
         if entry is not None and entry.verdict == UP:
-            out[vm.vm_id] = EscalationRecord(vm_id=vm.vm_id)
-            continue
+            continue  # seen Up: the episode is over
+        rec = records.get(vm.vm_id, _HEALTHY)
 
         down = entry is not None and entry.verdict == DOWN
         if not down and rec.phase is not Phase.AWAITING_CAPACITY:
             # Not monitored (e.g. parked) and not waiting: nothing to decide.
-            out[vm.vm_id] = rec
-            continue
+            pass
 
-        host_down = vm.bound_host is not None and vm.bound_host in down_hosts
-
-        if rec.phase is Phase.HEALTHY:
-            rec = replace(rec, episode_started_at=now)
-            level = _entry_level(params, vm, host_down)
+        elif rec.phase is Phase.HEALTHY:
+            src = working.get(vm.bound_host)
+            level = _entry_level(params, vm, src is not None and not src.monitor_up)
             if level == REBOOT:
                 actions.append(Action(REBOOT, vm.vm_id))
                 # The reboot commits the VM's load back to its host; later
                 # placements in this tick must not claim that headroom.
-                src = working.get(vm.bound_host) if vm.bound_host else None
                 if src is not None:
                     src.load += vm.load_contribution
                 rec = replace(rec, phase=Phase.REBOOT_ISSUED,
@@ -264,6 +260,7 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
             rec = place(rec, vm, rec.pending or RESTART)
 
         # REQUIRES_HUMAN: excluded until seen Up again.
-        out[vm.vm_id] = rec
+        if rec.phase is not Phase.HEALTHY:
+            out[vm.vm_id] = rec
 
     return out, actions

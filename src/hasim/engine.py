@@ -50,7 +50,6 @@ from .controller import (
     Action,
     EscalationRecord,
     HostView,
-    Phase,
     VmInfo,
     tick,
 )
@@ -192,9 +191,10 @@ class Simulation:
     """One scenario run over a private cluster state.
 
     A scan costs in proportion to the machines that can lead to a decision:
-    `tick` visits the VMs the monitor holds silent (the only ones that can be
-    Down) and the VMs whose escalation record is not HEALTHY (the only ones
-    kept). Each host's committed load is cached until a transition changes it:
+    `tick` visits `_visit()`, the VMs the monitor holds silent (the only ones
+    that can be Down) and the VMs with an open escalation. `records` holds
+    those escalations as `tick` returns them; a VM without a record is
+    HEALTHY. Each host's committed load is cached until a transition changes it:
     `_set_lifecycle`, `_set_power`, `_move` and `_add_extra_load` make every
     change of machine state, and the bookkeeping that follows it.
 
@@ -205,9 +205,9 @@ class Simulation:
     together with the coherence of the load cache and the monitor's beat
     trains, registrations and silent set; slow, meant for focused tests).
 
-    With trace and monitor log off, `run` ends early once no later scan can
-    act: after a scan that leaves no open episode, no escalation record, no
-    silent VM and nothing but the next scan on the heap.
+    With trace and monitor log off, a scan after which `_visit()` is empty
+    and no other event is due schedules no next scan, since no later scan
+    could act; `run` then ends on an empty heap.
     """
 
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
@@ -224,7 +224,7 @@ class Simulation:
         self.rng = np.random.default_rng(seed or 0)
         self.monitor = Monitor(config.telemetry)
         self.provisioner = Provisioner(config.profiles)
-        self.records: dict[str, EscalationRecord] = {}  # non-HEALTHY only
+        self.records: dict[str, EscalationRecord] = {}
         self._host_ids = sorted(self.state.hosts)
         # host -> host_load + pending_load, until a transition drops it
         self._loads: dict[str, float] = {}
@@ -386,12 +386,17 @@ class Simulation:
             ))
         return views
 
-    def _on_scan(self) -> None:
-        # Unvisited VMs are Up or unmonitored with a HEALTHY record: tick
-        # would emit nothing for them and return HEALTHY.
+    def _visit(self) -> list[str]:
+        """The VMs a scan passes to `tick`, in vm_id order. Any other VM is Up,
+        or unmonitored and HEALTHY: `tick` would neither act on it nor keep
+        a record for it."""
         vms = self.state.vms
-        visit = sorted({m for m in self.monitor.silent if m in vms}
-                       | self.records.keys())
+        return sorted({m for m in self.monitor.silent if m in vms}
+                      | self.records.keys())
+
+    def _on_scan(self) -> None:
+        vms = self.state.vms
+        visit = self._visit()
         if self.monitor_log is not None:
             snapshot = self.monitor.snapshot(self.now)
             self.monitor_log.append(serialize_snapshot(snapshot))
@@ -405,16 +410,18 @@ class Simulation:
         view = self._build_view(snapshot)
         infos = [VmInfo(vm_id, vms[vm_id].bound_host, vms[vm_id].load_contribution,
                         vms[vm_id].reinstall_allowed) for vm_id in visit]
-        records, actions = tick(self.records, snapshot, view, self.now,
-                                self.params, infos)
-        self.records = {vm_id: rec for vm_id, rec in records.items()
-                        if rec.phase is not Phase.HEALTHY}
+        self.records, actions = tick(self.records, snapshot, view, self.now,
+                                     self.params, infos)
         self._trace("scan")
         for action in actions:
             self._apply(action)
         if self._invariants != "off":
             check_state_invariants(self.state)
-        self._schedule(self.now + self.params.scan_period_s, "scan", ())
+        # With nothing else due and nothing to visit (an open episode's VM is
+        # silent, or parked with a record), no later scan could act.
+        if (self._heap or self.trace is not None or self.monitor_log is not None
+                or self._visit()):
+            self._schedule(self.now + self.params.scan_period_s, "scan", ())
 
     def _apply(self, action: Action) -> None:
         self._trace(f"action {action}")
@@ -547,14 +554,6 @@ class Simulation:
 
     # -- main loop ---------------------------------------------------------
 
-    def _idle(self) -> bool:
-        """Whether no later scan can act or write. A scan visits only silent
-        VMs and VMs with an escalation record, and no other event is due."""
-        vms = self.state.vms
-        return (self.trace is None and self.monitor_log is None
-                and len(self._heap) == 1 and not self._open and not self.records
-                and not any(m in vms for m in self.monitor.silent))
-
     def run(self) -> SimReport:
         last = (-1, -1)
         while self._heap:
@@ -568,8 +567,6 @@ class Simulation:
             if self._invariants == "event":
                 check_state_invariants(self.state)
                 self._check_coherence()
-            if kind == "scan" and self._idle():
-                break
         if self._invariants != "off":
             check_state_invariants(self.state)
         return SimReport(episodes=self.episodes, horizon_s=self.horizon_s,

@@ -41,7 +41,8 @@ INJECT_BASE_S = 120
 
 @dataclass(frozen=True)
 class ReplicationPreset:
-    name: str
+    """One crash campaign, named by its key in PRESETS."""
+
     kind: str
     horizon_s: int
     cluster_doc: dict
@@ -65,13 +66,11 @@ def _single_host_cluster(controller: dict) -> dict:
 
 PRESETS = {
     "nondestructive": ReplicationPreset(
-        name="nondestructive",
         kind=NON_DESTRUCTIVE_CRASH,
         horizon_s=600,
         cluster_doc=_single_host_cluster({}),
     ),
     "destructive": ReplicationPreset(
-        name="destructive",
         kind=DESTRUCTIVE_CRASH,
         horizon_s=900,
         cluster_doc=_single_host_cluster({

@@ -17,9 +17,9 @@ INSTALL = "install"
 
 @dataclass(frozen=True)
 class BootProfile:
-    """Nominal durations (seconds) of the boot and install segments."""
+    """Nominal durations (seconds) of the boot and install segments; a
+    profile is named by its key in the cluster's `profiles`."""
 
-    name: str
     pxe_setup_s: int = 10
     boot_s: int = 70
     install_s: int = 352
@@ -35,7 +35,7 @@ class BootProfile:
         return self.pxe_setup_s + self.install_s + self.boot_total_s
 
 
-DEFAULT_PROFILE = BootProfile(name="default")
+DEFAULT_PROFILE = BootProfile()
 
 
 class Provisioner:

@@ -468,14 +468,12 @@ PARAM_BLOCKS = [("controller", ControllerParams), ("telemetry", TelemetryParams)
                 ("timing", TimingParams), ("profiles", BootProfile)]
 
 
-REMOVED_KEYS = [("timing", "rng_seed")]
+REMOVED_KEYS = [("timing", "rng_seed"), ("profiles", "name")]
 
 
 def bad_field_cases():
     for block, cls in PARAM_BLOCKS:
         for f in dataclasses.fields(cls):
-            if f.name == "name":
-                continue  # a profile's name is its key
             boolean = isinstance(f.default, bool)
             # true is a valid boolean, so boolean fields get 1 instead.
             for value in ("x", -1, 1 if boolean else True, 1.5):
@@ -529,7 +527,7 @@ def param_block(cls):
     values, so that many documents parse; otherwise arbitrary JSON."""
     values = {f.name: mostly(st.booleans() if isinstance(f.default, bool)
                              else st.integers(0, 200), JSON_VALUES)
-              for f in dataclasses.fields(cls) if f.name != "name"}
+              for f in dataclasses.fields(cls)}
     return mostly(st.fixed_dictionaries({}, optional=values), JSON_VALUES)
 
 

@@ -174,12 +174,10 @@ def test_healthy_down_vm_gets_reboot():
     rec = records["gridce"]
     assert rec.phase is Phase.REBOOT_ISSUED
     assert rec.deadline == 240 + 180
-    assert rec.episode_started_at == 240
 
 
 def test_expired_reboot_escalates_to_restart():
-    records = {"gridce": EscalationRecord("gridce", Phase.REBOOT_ISSUED,
-                                          deadline=420, episode_started_at=240)}
+    records = {"gridce": EscalationRecord(Phase.REBOOT_ISSUED, deadline=420)}
     view = [hv("alfa01", load=5.0), hv("alfa04", load=1.0)]
     records, actions = tick(records, snap(420, alfa01=UP, alfa04=UP, gridce=DOWN),
                             view, 420, PARAMS, [vi("gridce")])
@@ -189,8 +187,7 @@ def test_expired_reboot_escalates_to_restart():
 
 
 def test_unexpired_reboot_waits():
-    records = {"gridce": EscalationRecord("gridce", Phase.REBOOT_ISSUED,
-                                          deadline=420, episode_started_at=240)}
+    records = {"gridce": EscalationRecord(Phase.REBOOT_ISSUED, deadline=420)}
     records, actions = tick(records, snap(300, alfa01=UP, gridce=DOWN),
                             [hv("alfa01")], 300, PARAMS, [vi("gridce")])
     assert actions == []
@@ -201,22 +198,31 @@ def test_all_up_is_a_fixed_point():
     records, actions = tick({}, snap(60, alfa01=UP, a=UP, b=UP), [hv("alfa01")],
                             60, PARAMS, [vi("a"), vi("b")])
     assert actions == []
-    assert all(r.phase is Phase.HEALTHY for r in records.values())
-    assert all(r.episode_started_at is None for r in records.values())
+    assert records == {}
+
+
+def test_healthy_records_act_as_missing_and_are_not_returned():
+    # An Up VM, an unmonitored VM and a Down VM, with and without explicit
+    # HEALTHY records: same actions, and no HEALTHY record comes back.
+    snapshot = snap(240, alfa01=UP, up=UP, down=DOWN)
+    infos = [vi("up"), vi("down"), vi("parked", bound_host=None)]
+    explicit = {vm.vm_id: EscalationRecord() for vm in infos}
+    for records in ({}, explicit):
+        records, actions = tick(records, snapshot, [hv("alfa01")], 240, PARAMS, infos)
+        assert actions == [Action(REBOOT, "down")]
+        assert records == {"down": EscalationRecord(Phase.REBOOT_ISSUED, deadline=420)}
 
 
 def test_up_resets_any_phase_to_healthy():
-    records = {"v": EscalationRecord("v", Phase.RESTART_ISSUED, deadline=500,
-                                     episode_started_at=100)}
+    records = {"v": EscalationRecord(Phase.RESTART_ISSUED, deadline=500)}
     records, actions = tick(records, snap(300, alfa01=UP, v=UP), [hv("alfa01")],
                             300, PARAMS, [vi("v")])
     assert actions == []
-    assert records["v"] == EscalationRecord("v")
+    assert records == {}
 
 
 def test_expired_restart_escalates_to_reinstall():
-    records = {"v": EscalationRecord("v", Phase.RESTART_ISSUED, deadline=600,
-                                     episode_started_at=240)}
+    records = {"v": EscalationRecord(Phase.RESTART_ISSUED, deadline=600)}
     records, actions = tick(records, snap(600, alfa01=UP, v=DOWN), [hv("alfa01")],
                             600, PARAMS, [vi("v")])
     assert actions == [Action(REINSTALL, "v", "alfa01")]
@@ -225,8 +231,7 @@ def test_expired_restart_escalates_to_reinstall():
 
 
 def test_reinstall_suppressed_for_opted_out_vm():
-    records = {"v": EscalationRecord("v", Phase.RESTART_ISSUED, deadline=600,
-                                     episode_started_at=240)}
+    records = {"v": EscalationRecord(Phase.RESTART_ISSUED, deadline=600)}
     records, actions = tick(records, snap(600, alfa01=UP, v=DOWN), [hv("alfa01")],
                             600, PARAMS, [vi("v", reinstall=False)])
     assert actions == [Action(RESTART, "v", "alfa01")]
@@ -285,8 +290,7 @@ def test_defer_and_retry_when_capacity_returns():
 
 def test_reinstall_cycles_cap_at_requires_human():
     params = ControllerParams()
-    rec = EscalationRecord("v", Phase.REINSTALL_ISSUED, deadline=1000,
-                           cycles=0, episode_started_at=100)
+    rec = EscalationRecord(Phase.REINSTALL_ISSUED, deadline=1000, cycles=0)
     records = {"v": rec}
     now = 1020
     kinds = []
@@ -314,10 +318,8 @@ def test_batch_placements_fill_sequentially_within_tick():
     # Two VMs down on a live host, both need restarts after reboot expiry:
     # the second placement must see the first one's commitment.
     records = {
-        "va": EscalationRecord("va", Phase.REBOOT_ISSUED, deadline=400,
-                               episode_started_at=200),
-        "vb": EscalationRecord("vb", Phase.REBOOT_ISSUED, deadline=400,
-                               episode_started_at=200),
+        "va": EscalationRecord(Phase.REBOOT_ISSUED, deadline=400),
+        "vb": EscalationRecord(Phase.REBOOT_ISSUED, deadline=400),
     }
     view = [hv("h1", load=2.0, threshold=4.0), hv("h2", load=2.5, threshold=4.0)]
     records, actions = tick(records, snap(420, h1=UP, h2=UP, va=DOWN, vb=DOWN),
@@ -329,8 +331,7 @@ def test_batch_placements_fill_sequentially_within_tick():
 
 
 def test_tick_is_pure_and_deterministic():
-    records = {"v": EscalationRecord("v", Phase.REBOOT_ISSUED, deadline=420,
-                                     episode_started_at=240)}
+    records = {"v": EscalationRecord(Phase.REBOOT_ISSUED, deadline=420)}
     view = [hv("alfa01", load=1.0)]
     snapshot = snap(420, alfa01=UP, v=DOWN)
     infos = [vi("v")]

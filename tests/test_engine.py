@@ -331,8 +331,9 @@ def test_invariant_checks_must_be_a_known_mode():
 
 
 def test_untraced_run_ends_early_with_the_same_outcome():
-    # Trace and monitor log off, a run ends at a scan after which no scan can
-    # act; a traced run walks every scan to the horizon.
+    # Trace and monitor log off, a scan after which no scan can act schedules
+    # no next scan and the run ends on an empty heap; a traced run walks every
+    # scan to the horizon.
     cases = []
     for name in ("power_glitch.json", "power_glitch_noreboot.json"):
         scenario = load_scenario((SCENARIOS / name).read_text(), base_dir=SCENARIOS)
@@ -354,7 +355,9 @@ def test_untraced_run_ends_early_with_the_same_outcome():
         assert report.episodes == expected.episodes
         assert quiet.records == traced.records
         assert quiet.state == traced.state
-        ended_early += quiet.now < traced.now
+        if quiet.now < traced.now:
+            assert quiet._heap == []
+            ended_early += 1
     assert ended_early  # the comparison covers runs that ended early
 
 

@@ -10,7 +10,7 @@ MAC = "52:54:00:00:00:01"
 
 @pytest.fixture
 def prov():
-    return Provisioner({"compute": BootProfile("compute")})
+    return Provisioner({"compute": BootProfile()})
 
 
 def test_local_boot_nominal_total_is_80(prov):
@@ -42,7 +42,7 @@ def test_one_shot_install_reverts_to_local(prov):
 
 
 def test_plans_strictly_positive_and_sum():
-    for profile in (BootProfile("a"), BootProfile("b", 5, 40, 100)):
+    for profile in (BootProfile(), BootProfile(5, 40, 100)):
         assert profile.boot_total_s == profile.pxe_setup_s + profile.boot_s > 0
         assert profile.install_total_s == (
             2 * profile.pxe_setup_s + profile.install_s + profile.boot_s)
@@ -54,4 +54,4 @@ def test_profile_validation():
         parse_cluster_config({"profiles": {"bad": {"pxe_setup_s": 0}, "good": {}}})
     assert exc.value.problems == ["profiles['bad'].pxe_setup_s: must be >= 1"]
     config = parse_cluster_config({"profiles": {"good": {}}})
-    assert config.profiles == {"good": BootProfile("good")}
+    assert config.profiles == {"good": BootProfile()}

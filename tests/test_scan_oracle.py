@@ -2,10 +2,9 @@
 
 FullScanSimulation is the engine with the scan as it was before sparse
 scans: a snapshot of every registered machine, every host's load summed
-afresh, every VM passed to `tick`, and every record kept, HEALTHY ones
-included. Its trace, episodes and monitor log must equal the engine's byte
-for byte, with the monitor log on and off, and its non-HEALTHY records must
-equal the engine's records.
+afresh, every VM passed to `tick`, and a next scan at every scan. Its trace,
+episodes, monitor log and records must equal the engine's byte for byte,
+with the monitor log on and off.
 """
 
 from pathlib import Path
@@ -15,7 +14,7 @@ from test_acceptance import random_cluster_doc, random_injections
 
 from hasim.cluster import PowerState, host_load, pending_load
 from hasim.config import load_scenario, parse_cluster_config
-from hasim.controller import HostView, Phase, VmInfo, tick
+from hasim.controller import HostView, VmInfo, tick
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
     LOAD_SPIKE,
@@ -31,7 +30,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class FullScanSimulation(Simulation):
-    """Every scan covers every machine; no load is cached, no record dropped."""
+    """Every scan covers every machine; no load is cached."""
 
     def _build_view(self, snapshot):
         views = []
@@ -70,11 +69,6 @@ class FullScanSimulation(Simulation):
         self._schedule(self.now + self.params.scan_period_s, "scan", ())
 
 
-def escalations(records):
-    return {vm_id: rec for vm_id, rec in records.items()
-            if rec.phase is not Phase.HEALTHY}
-
-
 def assert_same_as_full_scans(config, injections, horizon_s, seed):
     """The sparse engine, with event-mode checks, against the full scans.
 
@@ -93,7 +87,7 @@ def assert_same_as_full_scans(config, injections, horizon_s, seed):
         assert report.trace == expected.trace
         assert report.episodes == expected.episodes
         assert report.monitor_log == (expected.monitor_log if emit else None)
-        assert sparse.records == escalations(full.records)
+        assert sparse.records == full.records
     return expected
 
 
