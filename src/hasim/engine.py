@@ -200,10 +200,20 @@ class Simulation:
 
     seed: an integer seed, or a generator used as it is.
 
-    invariant_checks: "off", "scan" (default: full graph check at every
-    controller scan and action application) or "event" (after every event,
-    together with the coherence of the load cache and the monitor's beat
-    trains, registrations and silent set; slow, meant for focused tests).
+    With the monitor log off, a scan that cannot decide anything skips the
+    snapshot, the view and `tick`, and only traces `scan`: when `_visit()`
+    is empty, or when no transition and no action happened since the last
+    `tick` and `now` is before that tick's wake instant, the earliest record
+    deadline or `Monitor.next_down_at`. An action counts even when it
+    changes no state: a reboot's load commit in `tick` can keep another VM
+    from fitting.
+
+    invariant_checks: "off", "scan" (default: full graph check at a
+    controller scan if a transition or action happened since the last check,
+    and at the end of the run) or "event" (after every event and at every
+    scan, together with the coherence of the load cache and the monitor's
+    beat trains, registrations and silent set; slow, meant for focused
+    tests).
 
     With trace and monitor log off, a scan after which `_visit()` is empty
     and no other event is due schedules no next scan, since no later scan
@@ -237,6 +247,11 @@ class Simulation:
         # A completion counts only if no transition bumped the ticket since.
         self._boot_ticket: dict[str, int] = {}
         self.now = 0
+        # Transitions and actions so far; the count at the last `tick` and at
+        # the last scan-time invariant check, and the wake instant of that tick.
+        self._changes = 0
+        self._ticked = self._checked = -1
+        self._wake = 0.0
         self._invariants = invariant_checks
         self.trace: list[str] | None = [] if collect_trace else None
         self.monitor_log: list[str] | None = [] if emit_monitor_log else None
@@ -296,6 +311,7 @@ class Simulation:
     # -- transitions -----------------------------------------------------
 
     def _set_lifecycle(self, vm: VirtualMachine, lifecycle: VmLifecycle) -> None:
+        self._changes += 1
         was_running = vm.lifecycle is VmLifecycle.RUNNING
         if was_running:
             self._silence(vm.vm_id)
@@ -310,6 +326,7 @@ class Simulation:
             self._host_load_changed(vm.bound_host)
 
     def _set_power(self, host: PhysicalHost, power: PowerState) -> None:
+        self._changes += 1
         if power is PowerState.OFF:
             self._silence(host.host_id)
         host.power_state = power
@@ -323,6 +340,7 @@ class Simulation:
         source = vm.bound_host
         if source == target:  # keeps the VM list's order, which orders the load sum
             return
+        self._changes += 1
         if source is None:
             # Heartbeat history survives parking, so the staleness clock
             # still dates from the original failure.
@@ -338,6 +356,7 @@ class Simulation:
         vm.bound_host = target
 
     def _add_extra_load(self, host_id: str, delta: float) -> None:
+        self._changes += 1
         extra = self.state.extra_load.get(host_id, 0.0) + delta
         if extra <= 1e-12:  # the last spike ended; drop the rounding residue
             self.state.extra_load.pop(host_id, None)
@@ -394,7 +413,33 @@ class Simulation:
         return sorted({m for m in self.monitor.silent if m in vms}
                       | self.records.keys())
 
+    def _nothing_to_visit(self) -> bool:
+        """Whether `_visit()` is empty, without building it."""
+        return not self.records and self.state.vms.keys().isdisjoint(self.monitor.silent)
+
+    def _can_skip(self) -> bool:
+        """Whether `tick` would return `records` and no action at this scan."""
+        if self.monitor_log is not None:
+            return False
+        return ((self._changes == self._ticked and self.now < self._wake)
+                or self._nothing_to_visit())
+
     def _on_scan(self) -> None:
+        if self._can_skip():
+            self._trace("scan")
+        else:
+            self._tick()
+        if self._invariants == "event" or (self._invariants == "scan"
+                                           and self._checked != self._changes):
+            check_state_invariants(self.state)
+            self._checked = self._changes
+        # With nothing else due and nothing to visit (an open episode's VM is
+        # silent, or parked with a record), no later scan could act.
+        if (self._heap or self.trace is not None or self.monitor_log is not None
+                or not self._nothing_to_visit()):
+            self._schedule(self.now + self.params.scan_period_s, "scan", ())
+
+    def _tick(self) -> None:
         vms = self.state.vms
         visit = self._visit()
         if self.monitor_log is not None:
@@ -412,18 +457,16 @@ class Simulation:
                         vms[vm_id].reinstall_allowed) for vm_id in visit]
         self.records, actions = tick(self.records, snapshot, view, self.now,
                                      self.params, infos)
+        self._ticked = self._changes
+        self._wake = min([self.monitor.next_down_at(self.now)]
+                         + [rec.deadline for rec in self.records.values()
+                            if rec.deadline is not None])
         self._trace("scan")
         for action in actions:
             self._apply(action)
-        if self._invariants != "off":
-            check_state_invariants(self.state)
-        # With nothing else due and nothing to visit (an open episode's VM is
-        # silent, or parked with a record), no later scan could act.
-        if (self._heap or self.trace is not None or self.monitor_log is not None
-                or self._visit()):
-            self._schedule(self.now + self.params.scan_period_s, "scan", ())
 
     def _apply(self, action: Action) -> None:
+        self._changes += 1
         self._trace(f"action {action}")
         ep = self._open.get(action.vm_id)
         if ep is not None:

@@ -9,6 +9,7 @@ Snapshots serialize to a deterministic XML log format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -139,6 +140,14 @@ class Monitor:
                 ("silent set", self.silent, monitored - responsive)):
             assert actual == expected, \
                 f"{name} differ from the state: {sorted(actual ^ expected)}"
+
+    def next_down_at(self, now: int) -> float:
+        """First instant after `now` at which a silent machine turns Down,
+        or inf. Only silent machines can be Down; the answer holds until the
+        next call that records a beat or changes the silent set."""
+        latency = self.params.detection_latency_s
+        return min((down for down in (self._last_beat[m] + latency for m in self.silent)
+                    if down > now), default=math.inf)
 
     def snapshot(self, now: int) -> MonitorSnapshot:
         """Liveness view of all registered machines at time `now`."""

@@ -1,0 +1,207 @@
+"""Skipped scans against the full scans they stand for.
+
+A scan that cannot decide anything skips the snapshot, the view and `tick`.
+At every scan the engine skips, SkipCheckedSimulation runs the full scan it
+replaces: a snapshot of every registered machine, a view of every host and
+`tick` over every VM. That scan must return exactly `records`, no action and
+no new detection. In "event" mode it also holds the cluster state equal to a
+deep copy across every skipped scan, and at every scan after which nothing
+counted as a change since the previous scan, which is when "scan" mode
+leaves out its invariant check.
+"""
+
+import copy
+from pathlib import Path
+
+import numpy as np
+import pytest
+from test_acceptance import random_cluster_doc, random_injections
+from test_engine import two_host_config
+from test_scan_oracle import overlapping_scenario
+
+import hasim.engine
+import hasim.presets
+from hasim.cluster import PowerState, VmLifecycle
+from hasim.config import load_scenario, parse_cluster_config
+from hasim.controller import REBOOT, Action, VmInfo, tick
+from hasim.engine import NON_DESTRUCTIVE_CRASH, FailureInjection, Simulation
+from hasim.presets import PRESETS, replicate_experiment
+from hasim.telemetry import DOWN
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+class SkipCheckedSimulation(Simulation):
+    """Checks each skipped scan against `tick`, and each unchanged state
+    against its copy at the previous scan; runs with "event" checks."""
+
+    def __init__(self, *args, **kwargs):
+        self.skipped = self.unchanged = 0
+        self._copy = None
+        super().__init__(*args, invariant_checks="event", **kwargs)
+
+    def _can_skip(self):
+        if not super()._can_skip():
+            return False
+        self.skipped += 1
+        snapshot = self.monitor.snapshot(self.now)
+        infos = [VmInfo(vm.vm_id, vm.bound_host, vm.load_contribution,
+                        vm.reinstall_allowed)
+                 for _, vm in sorted(self.state.vms.items())]
+        records, actions = tick(self.records, snapshot, self._build_view(snapshot),
+                                self.now, self.params, infos)
+        assert records == self.records and actions == [], \
+            f"the scan at {self.now} was skipped but decides {actions}"
+        for vm_id, ep in self._open.items():
+            entry = snapshot.entries.get(vm_id)
+            assert ep.detected_at is not None or entry is None or entry.verdict != DOWN, \
+                f"the scan at {self.now} was skipped but detects {vm_id}"
+        return True
+
+    def _on_scan(self):
+        if self._changes == self._checked:
+            self.unchanged += 1
+            assert self.state == self._copy, \
+                f"the state changed by {self.now} with no transition or action counted"
+        skipped, before = self.skipped, copy.deepcopy(self.state)
+        super()._on_scan()
+        if self.skipped > skipped:
+            assert self.state == before, f"the skipped scan at {self.now} changed the state"
+        self._copy = copy.deepcopy(self.state)
+
+
+def run_checked(config, injections, horizon_s, seed, **kwargs):
+    sim = SkipCheckedSimulation(config, injections, horizon_s, seed=seed, **kwargs)
+    report = sim.run()
+    expected = Simulation(config, injections, horizon_s, seed=seed, **kwargs).run()
+    assert report.episodes == expected.episodes
+    assert report.trace == expected.trace
+    return sim
+
+
+def test_glitch_scenarios_skip_only_scans_without_decisions():
+    for name in ("power_glitch.json", "power_glitch_noreboot.json"):
+        scenario = load_scenario((SCENARIOS / name).read_text(), base_dir=SCENARIOS)
+        sim = run_checked(scenario.config, scenario.injections, scenario.horizon_s,
+                          scenario.seed, collect_trace=True)
+        assert sim.skipped and sim.unchanged
+
+
+@pytest.mark.parametrize("collect_trace", [False, True])
+def test_property_suite_scenarios_skip_only_scans_without_decisions(collect_trace):
+    # The first 1000 scenarios of acceptance criterion 5, same generator and seeds.
+    rng = np.random.default_rng(20260809)
+    skipped = unchanged = 0
+    for i in range(1000):
+        doc = random_cluster_doc(rng)
+        sim = run_checked(parse_cluster_config(doc), random_injections(rng, doc), 720,
+                          1_000_000 + i, collect_trace=collect_trace)
+        skipped += sim.skipped
+        unchanged += sim.unchanged
+    assert skipped > 1000 and unchanged > 1000
+
+
+def test_overlapping_scenarios_skip_only_scans_without_decisions():
+    rng = np.random.default_rng(20261019)
+    skipped = 0
+    for i in range(200):
+        config, injections = overlapping_scenario(rng)
+        skipped += run_checked(config, injections, 900, i, collect_trace=True).skipped
+    assert skipped > 200
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_replicate_presets_skip_only_scans_without_decisions(preset, monkeypatch):
+    seeds = (1, 42, 7_000)
+    expected = [replicate_experiment(preset, 40, seed).episodes for seed in seeds]
+    sims = []
+
+    class Recorded(SkipCheckedSimulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(hasim.presets, "Simulation", Recorded)
+    assert [replicate_experiment(preset, 40, seed).episodes for seed in seeds] == expected
+    assert len(sims) == 120 and all(sim.skipped for sim in sims)
+
+
+def test_scans_that_only_wait_skip_the_tick(monkeypatch):
+    # A soft crash at 130 s turns its VM Down at 200 s. Scans at 0 to 120 s
+    # have nothing to visit. The scan at 180 s ticks after the crash and
+    # wakes at 200 s, so the scan at 240 s ticks and reboots. The scan at
+    # 300 s ticks after that action; the one at 360 s waits for the boot
+    # (done at 440 to 460 s) and for the reboot's deadline at 420 s.
+    ticks = []
+
+    def counting_tick(*args):
+        ticks.append(args[3])
+        return tick(*args)
+
+    monkeypatch.setattr(hasim.engine, "tick", counting_tick)
+    config = parse_cluster_config({
+        "hosts": [{"host_id": "node01", "cpu_count": 4, "ram_mb": 8192}],
+        "vms": [{"vm_id": "svc01", "mac": "52:54:00:00:00:01",
+                 "bound_host": "node01", "boot_profile": "default"}],
+        "profiles": {"default": {"boot_s": 200}},
+    })
+    crash = [FailureInjection(130, NON_DESTRUCTIVE_CRASH, "svc01")]
+    report = Simulation(config, crash, 900, seed=1, collect_trace=True).run()
+    assert report.episodes[0].detected_at == 240
+    assert ticks[:4] == [180, 240, 300, 420]
+    assert [line for line in report.trace if line.endswith(" scan")][:8] == \
+        [f"{60 * i} scan" for i in range(8)]
+
+
+def test_every_transition_and_action_counts_as_a_change():
+    sim = Simulation(two_host_config(), [], 900, seed=1)
+    vm, host = sim.state.vms["svc01"], sim.state.hosts["node02"]
+    steps = [
+        lambda: sim._set_lifecycle(vm, VmLifecycle.HALTED),
+        lambda: sim._move(vm, "node02"),
+        lambda: sim._add_extra_load("node02", 0.5),
+        lambda: sim._set_power(host, PowerState.OFF),
+        lambda: sim._apply(Action(REBOOT, "svc01")),  # halted: changes nothing
+    ]
+    for step in steps:
+        changes = sim._changes
+        step()
+        assert sim._changes > changes
+
+
+# -- the "scan"-mode invariant check ---------------------------------------
+
+
+class CorruptMove(Simulation):
+    """A move that also lists the VM twice on its new host."""
+
+    def _move(self, vm, target):
+        super()._move(vm, target)
+        if target is not None:
+            self.state.hosts[target].hosted_vms.append(vm.vm_id)
+            self.corrupted_at = self.now
+
+
+class CorruptHalt(Simulation):
+    """A halt that also drops the VM from its host's list."""
+
+    def _set_lifecycle(self, vm, lifecycle):
+        super()._set_lifecycle(vm, lifecycle)
+        if lifecycle is VmLifecycle.HALTED:
+            self.state.hosts[vm.bound_host].hosted_vms.remove(vm.vm_id)
+            self.corrupted_at = self.now
+
+
+@pytest.mark.parametrize("sim_class", [CorruptMove, CorruptHalt])
+def test_a_corrupting_transition_fails_the_next_scan_check(sim_class):
+    # The glitch scenario halts a VM at 291 s, between two scans, and
+    # restarts VMs on other hosts at scans. The check must run at the first
+    # scan after the corruption.
+    scenario = load_scenario((SCENARIOS / "power_glitch.json").read_text(),
+                             base_dir=SCENARIOS)
+    sim = sim_class(scenario.config, scenario.injections, scenario.horizon_s,
+                    seed=scenario.seed)
+    with pytest.raises(AssertionError, match="hosted_vms|absent"):
+        sim.run()
+    period = scenario.config.controller.scan_period_s
+    assert sim.now == period * -(-sim.corrupted_at // period)

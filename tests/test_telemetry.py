@@ -1,5 +1,7 @@
 """Monitor staleness rules and snapshot serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,52 @@ def test_detection_latency_exactness():
     samples = [40, 44, 60, 77, 78, 90]
     down_times = [t for t in samples if m.snapshot(t).entries["a"].verdict == DOWN]
     assert down_times == [t for t in samples if t >= 33 + 45]
+
+
+def test_next_down_at_is_the_first_later_down_instant():
+    # Closed boundary: at staleness == latency the machine is already Down,
+    # so from that instant on it has no later Down instant.
+    m = Monitor(TelemetryParams(detection_latency_s=45))
+    m.register("a", 0)
+    m.register("b", 20)
+    assert m.next_down_at(0) == 45
+    assert m.next_down_at(44) == 45
+    assert m.next_down_at(45) == 65
+    assert m.next_down_at(64) == 65
+    assert m.next_down_at(65) == math.inf
+
+    def verdicts(at):
+        return {name: e.verdict for name, e in m.snapshot(at).entries.items()}
+
+    for t in (20, 44, 45, 64):
+        down_at = m.next_down_at(t)
+        assert all(verdicts(s) == verdicts(t) for s in range(t, down_at))
+        assert verdicts(down_at) != verdicts(t)
+
+
+def test_next_down_at_ignores_beat_trains_and_unregistered_machines():
+    m = Monitor(TelemetryParams(detection_latency_s=45))
+    m.register("beating", 0)
+    m.start_beats("beating", 0, 1.0)
+    m.register("parked", 10)
+    m.unregister("parked")
+    assert m.next_down_at(0) == math.inf
+    m.register("silent", 30)
+    assert m.next_down_at(0) == 75
+    m.stop_beats("beating", 100)  # last beat at 90
+    assert m.next_down_at(100) == 135
+    m.start_beats("silent", 100, 1.0)
+    m.register("parked", 100)  # its staleness clock still dates from 10
+    assert m.next_down_at(100) == 135
+    assert m.next_down_at(40) == 55
+
+
+def test_next_down_at_is_inf_with_nothing_silent():
+    assert Monitor().next_down_at(0) == math.inf
+    m = Monitor()
+    m.register("a", 0)
+    m.start_beats("a", 0, 1.0)
+    assert m.next_down_at(10**9) == math.inf
 
 
 def test_unregistered_machines_keep_history():
