@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
 
 class PowerState(Enum):
@@ -107,11 +108,12 @@ def pending_load(state: ClusterState, host_id: str) -> float:
 def check_state_invariants(state: ClusterState) -> None:
     """Assert binding and lifecycle consistency of the whole cluster graph.
 
-    Raises AssertionError naming the first violating VM or host; called by
-    the engine after event applications when invariant checking is enabled.
-    The hosted_vms lists must name known VMs, each once, and their vm -> host
+    Raises AssertionError naming the first violating VM or host. The
+    hosted_vms lists must name known VMs, each once, and their vm -> host
     map must equal the bound VMs' bound_host map. Every VM on a powered-off
-    host is halted.
+    host is halted. The engine runs it at the end of a run, and after every
+    event with `invariant_checks="event"`; `"scan"`-mode checks at scans use
+    `check_touched_invariants`.
     """
     hosts = state.hosts.values()
     hosted = {vm_id: host.host_id for host in hosts for vm_id in host.hosted_vms}
@@ -134,6 +136,49 @@ def check_state_invariants(state: ClusterState) -> None:
                 lifecycle = state.vms[vm_id].lifecycle
                 assert lifecycle is VmLifecycle.HALTED, \
                     f"VM {vm_id} is {lifecycle.value} on powered-off host {host.host_id}"
+
+
+def check_touched_invariants(state: ClusterState, machine_ids: Iterable[str]) -> None:
+    """Assert the rules of `check_state_invariants` for the given machines.
+
+    A host's list must name known VMs, each once, all bound to the host, and
+    halted if the host is off. A bound VM must be listed on its known host,
+    and halted if that host is off; only a bound VM may wait for capacity.
+    If the whole graph held at the last check, and every machine whose state
+    changed since is given, the graph holds exactly when these hold: a VM
+    listed on two hosts or left on its old host's list is caught at the host
+    it left, which a move touches. Machines are checked in id order.
+    """
+    hosts, vms = state.hosts, state.vms
+    off, halted = PowerState.OFF, VmLifecycle.HALTED
+    for machine_id in sorted(machine_ids):
+        host = hosts.get(machine_id)
+        if host is not None:
+            seen = set()
+            for vm_id in host.hosted_vms:
+                assert vm_id not in seen, \
+                    f"host {machine_id}: duplicate entries in hosted_vms ({vm_id})"
+                seen.add(vm_id)
+                vm = vms.get(vm_id)
+                assert vm is not None, f"host {machine_id} references unknown VM {vm_id}"
+                assert vm.bound_host == machine_id, \
+                    f"VM {vm_id} binding ({vm.bound_host}) disagrees with host {machine_id}"
+                assert host.power_state is not off or vm.lifecycle is halted, \
+                    f"VM {vm_id} is {vm.lifecycle.value} on powered-off host {machine_id}"
+            continue
+        vm = vms[machine_id]
+        if vm.bound_host is None:
+            assert vm.lifecycle not in BOUND_LIFECYCLES, \
+                f"VM {machine_id} is {vm.lifecycle.value} but unbound"
+            continue
+        assert vm.lifecycle is not VmLifecycle.WAITING_FOR_CAPACITY, \
+            f"VM {machine_id} is waiting for capacity but still bound"
+        host = hosts.get(vm.bound_host)
+        assert host is not None, f"VM {machine_id} bound to unknown host {vm.bound_host}"
+        assert machine_id in host.hosted_vms, \
+            f"VM {machine_id} bound to {vm.bound_host} but absent from its hosted_vms"
+        assert host.power_state is not off or vm.lifecycle is halted, \
+            f"VM {machine_id} is {vm.lifecycle.value} on powered-off host {host.host_id}"
 
 
 def _raise_binding_violation(state: ClusterState) -> None:

@@ -145,21 +145,21 @@ def choose_host(view: Iterable[HostView], vm) -> str | None:
     return best.host_id if best is not None else None
 
 
-def _commit(working: dict[str, HostView], vm: VmInfo, target: str) -> None:
-    """Record a placement in the working view (sequential fill).
+def _commit(edit, vm: VmInfo, target: str) -> None:
+    """Record a placement in the tick's views (sequential fill).
 
-    The target absorbs the VM's load immediately; the hosted-VM count moves
-    only when the VM actually changes hosts (a same-host restart is already
-    counted in vm_count).
+    `edit` returns the tick's private copy of a host's view. The target
+    absorbs the VM's load immediately; the hosted-VM count moves only when
+    the VM actually changes hosts (a same-host restart is already counted in
+    vm_count).
     """
-    tv = working[target]
+    tv = edit(target)
     tv.load += vm.load_contribution
     if vm.bound_host != target:
         tv.vm_count += 1
-        if vm.bound_host is not None:
-            src = working.get(vm.bound_host)
-            if src is not None:
-                src.vm_count -= 1
+        src = edit(vm.bound_host)
+        if src is not None:
+            src.vm_count -= 1
 
 
 def _entry_level(params: ControllerParams, vm: VmInfo, host_down: bool) -> str:
@@ -172,38 +172,50 @@ def _entry_level(params: ControllerParams, vm: VmInfo, host_down: bool) -> str:
 
 
 def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
-         view: Iterable[HostView], now: int, params: ControllerParams,
+         view: Iterable[HostView] | dict[str, HostView], now: int,
+         params: ControllerParams,
          vm_infos: Sequence[VmInfo]) -> tuple[dict[str, EscalationRecord], list[Action]]:
     """One controller scan: the open escalations of vm_infos plus the actions.
 
     A VM missing from `records` is HEALTHY, and the returned records hold
     only the VMs whose escalation stays open: a VM seen Up, or left HEALTHY,
-    gets no record. Host liveness is the view's monitor_up.
+    gets no record. Host liveness is the view's monitor_up. `view` holds the
+    candidate hosts, as HostViews or as a dict from host id to HostView; a
+    dict is used as it is, so a tick that places nothing and commits no
+    reboot costs nothing per host.
 
     Pure function of its inputs; actions come out ordered by vm_id because
     VMs are processed in that order, which is also the sequential-fill order
     for placements.
     """
     assert snapshot.taken_at == now, "snapshot must be taken at the scan instant"
-    # Private copies: placements within the tick update them (sequential fill).
-    working = {h.host_id: HostView(h.host_id, h.power_on, h.monitor_up, h.load,
-                                   h.vm_count, h.load_threshold) for h in view}
+    hosts = view if isinstance(view, dict) else {h.host_id: h for h in view}
+    # Placements and reboot commits within the tick change private copies,
+    # made at a host's first change (sequential fill); `view` stays as it is.
+    copies: dict[str, HostView] = {}
     out: dict[str, EscalationRecord] = {}
     actions: list[Action] = []
 
+    def edit(host_id: str | None) -> HostView | None:
+        h = copies.get(host_id)
+        if h is None and host_id in hosts:
+            v = hosts[host_id]
+            h = copies[host_id] = HostView(v.host_id, v.power_on, v.monitor_up, v.load,
+                                           v.vm_count, v.load_threshold)
+        return h
+
     def place(rec: EscalationRecord, vm: VmInfo, kind: str) -> EscalationRecord:
-        target = choose_host(working.values(), vm)
+        target = choose_host({**hosts, **copies}.values(), vm)
         if target is None:
             if rec.phase is not Phase.AWAITING_CAPACITY:
                 actions.append(Action(DEFER, vm.vm_id))
-                if vm.bound_host is not None:
-                    src = working.get(vm.bound_host)
-                    if src is not None:
-                        src.vm_count -= 1
+                src = edit(vm.bound_host)
+                if src is not None:
+                    src.vm_count -= 1
             return replace(rec, phase=Phase.AWAITING_CAPACITY, deadline=None,
                            pending=kind)
         actions.append(Action(kind, vm.vm_id, target))
-        _commit(working, vm, target)
+        _commit(edit, vm, target)
         if kind == RESTART:
             return replace(rec, phase=Phase.RESTART_ISSUED,
                            deadline=now + params.t2_s, pending=None)
@@ -222,14 +234,14 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
             pass
 
         elif rec.phase is Phase.HEALTHY:
-            src = working.get(vm.bound_host)
+            src = hosts.get(vm.bound_host)  # the tick changes no monitor_up
             level = _entry_level(params, vm, src is not None and not src.monitor_up)
             if level == REBOOT:
                 actions.append(Action(REBOOT, vm.vm_id))
                 # The reboot commits the VM's load back to its host; later
                 # placements in this tick must not claim that headroom.
                 if src is not None:
-                    src.load += vm.load_contribution
+                    edit(vm.bound_host).load += vm.load_contribution
                 rec = replace(rec, phase=Phase.REBOOT_ISSUED,
                               deadline=now + params.t1_s)
             else:

@@ -26,6 +26,7 @@ byte-identical traces, reports and monitor logs.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Container
 
@@ -39,6 +40,7 @@ from .cluster import (
     VirtualMachine,
     VmLifecycle,
     check_state_invariants,
+    check_touched_invariants,
     host_load,
     pending_load,
 )
@@ -54,7 +56,7 @@ from .controller import (
     tick,
 )
 from .provisioning import DEFAULT_PROFILE, INSTALL, Provisioner
-from .telemetry import DOWN, Monitor, serialize_snapshot
+from .telemetry import DOWN, Monitor, MonitorSnapshot, serialize_snapshot
 
 if TYPE_CHECKING:
     from .config import ClusterConfig
@@ -190,34 +192,40 @@ def sample_duration(nominal_s: int, jitter_s: int, rng: np.random.Generator) -> 
 class Simulation:
     """One scenario run over a private cluster state.
 
-    A scan costs in proportion to the machines that can lead to a decision:
-    `tick` visits `_visit()`, the VMs the monitor holds silent (the only ones
-    that can be Down) and the VMs with an open escalation. `records` holds
-    those escalations as `tick` returns them; a VM without a record is
-    HEALTHY. Each host's committed load is cached until a transition changes it:
+    A scan costs in proportion to what changed, not to the cluster. `tick`
+    visits `_visit()`, the VMs the monitor holds silent (the only ones that
+    can be Down) and the VMs with an open escalation. `records` holds those
+    escalations as `tick` returns them; a VM without a record is HEALTHY.
     `_set_lifecycle`, `_set_power`, `_move` and `_add_extra_load` make every
-    change of machine state, and the bookkeeping that follows it.
+    change of machine state and the bookkeeping that follows it, and note
+    the machines they touch. `tick` reads the host table: each host's power,
+    committed load, VM count and threshold as of the last tick, where a
+    touched host is summed afresh at the next tick and a silent host takes
+    its verdict from the snapshot (a host with a beat train is Up). `tick`
+    copies a host's view only to place a VM on it or commit a reboot's load.
 
     seed: an integer seed, or a generator used as it is.
 
     With the monitor log off, a scan that cannot decide anything skips the
-    snapshot, the view and `tick`, and only traces `scan`: when `_visit()`
+    snapshot, the table and `tick`, and only traces `scan`: when `_visit()`
     is empty, or when no transition and no action happened since the last
     `tick` and `now` is before that tick's wake instant, the earliest record
     deadline or `Monitor.next_down_at`. An action counts even when it
     changes no state: a reboot's load commit in `tick` can keep another VM
     from fitting.
 
-    invariant_checks: "off", "scan" (default: full graph check at a
-    controller scan if a transition or action happened since the last check,
-    and at the end of the run) or "event" (after every event and at every
-    scan, together with the coherence of the load cache and the monitor's
-    beat trains, registrations and silent set; slow, meant for focused
-    tests).
+    invariant_checks: "off", "scan" (default: at each scan, the binding and
+    power rules for the machines touched since the previous scan, with
+    `check_touched_invariants`, and the full-graph check at the end of the
+    run) or "event" (the full-graph check after every event, together with
+    the coherence of the host table and the monitor's beat trains,
+    registrations and silent set; slow, meant for focused tests).
 
-    With trace and monitor log off, a scan after which `_visit()` is empty
-    and no other event is due schedules no next scan, since no later scan
-    could act; `run` then ends on an empty heap.
+    With trace and monitor log off, a run ends on an empty heap after a scan
+    when no other event is due and every later scan would be skipped:
+    nothing is left to visit, or nothing changed since the last `tick` and
+    no record deadline or Down instant lies ahead. The episodes, records and
+    final state are those of a run to the horizon.
     """
 
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
@@ -235,9 +243,12 @@ class Simulation:
         self.monitor = Monitor(config.telemetry)
         self.provisioner = Provisioner(config.profiles)
         self.records: dict[str, EscalationRecord] = {}
-        self._host_ids = sorted(self.state.hosts)
-        # host -> host_load + pending_load, until a transition drops it
-        self._loads: dict[str, float] = {}
+        # host -> its HostView as of the last tick; the hosts a transition
+        # touched since are stale until the next tick refreshes them.
+        self._table: dict[str, HostView] = {}
+        self._stale: set[str] = set(self.state.hosts)
+        # Machines a transition touched since the last scan.
+        self._touched: set[str] = set()
         self.episodes: list[Episode] = []
         self._open: dict[str, Episode] = {}
         # VMs whose system only a completed installation repairs
@@ -247,10 +258,10 @@ class Simulation:
         # A completion counts only if no transition bumped the ticket since.
         self._boot_ticket: dict[str, int] = {}
         self.now = 0
-        # Transitions and actions so far; the count at the last `tick` and at
-        # the last scan-time invariant check, and the wake instant of that tick.
+        # Transitions and actions so far, the count at the last `tick`, and
+        # the wake instant of that tick.
         self._changes = 0
-        self._ticked = self._checked = -1
+        self._ticked = -1
         self._wake = 0.0
         self._invariants = invariant_checks
         self.trace: list[str] | None = [] if collect_trace else None
@@ -265,7 +276,7 @@ class Simulation:
         phase = self.timing.controller_phase_s
         assert 0 <= phase < self.params.scan_period_s
         self._schedule(phase, "scan", ())
-        for host_id in self._host_ids:
+        for host_id in sorted(self.state.hosts):
             if self.state.hosts[host_id].power_state is PowerState.ON:
                 self._start_beats(host_id)
             self.monitor.register(host_id, 0)
@@ -310,13 +321,23 @@ class Simulation:
 
     # -- transitions -----------------------------------------------------
 
+    def _touch(self, *machine_ids: str | None) -> None:
+        """Note the machines a transition changed: a host's table entry is
+        refreshed at the next tick, and each machine is checked at the next
+        scan."""
+        for machine_id in machine_ids:
+            if machine_id is not None:
+                self._touched.add(machine_id)
+                if machine_id in self.state.hosts:
+                    self._stale.add(machine_id)
+
     def _set_lifecycle(self, vm: VirtualMachine, lifecycle: VmLifecycle) -> None:
         self._changes += 1
         was_running = vm.lifecycle is VmLifecycle.RUNNING
         if was_running:
             self._silence(vm.vm_id)
         vm.lifecycle = lifecycle
-        self._loads.pop(vm.bound_host, None)
+        self._touch(vm.vm_id, vm.bound_host)
         self._boot_ticket[vm.vm_id] = self._boot_ticket.get(vm.vm_id, 0) + 1
         if lifecycle is VmLifecycle.RUNNING:
             self._start_beats(vm.vm_id)
@@ -330,7 +351,7 @@ class Simulation:
         if power is PowerState.OFF:
             self._silence(host.host_id)
         host.power_state = power
-        self._loads.pop(host.host_id, None)
+        self._touch(host.host_id)
         self._boot_ticket[host.host_id] = self._boot_ticket.get(host.host_id, 0) + 1
         if power is PowerState.ON:
             self._start_beats(host.host_id)
@@ -341,18 +362,17 @@ class Simulation:
         if source == target:  # keeps the VM list's order, which orders the load sum
             return
         self._changes += 1
+        self._touch(vm.vm_id, source, target)
         if source is None:
             # Heartbeat history survives parking, so the staleness clock
             # still dates from the original failure.
             self.monitor.register(vm.vm_id, self.now)
         else:
             self.state.hosts[source].hosted_vms.remove(vm.vm_id)
-            self._loads.pop(source, None)
         if target is None:
             self.monitor.unregister(vm.vm_id)
         else:
             self.state.hosts[target].hosted_vms.append(vm.vm_id)
-            self._loads.pop(target, None)
         vm.bound_host = target
 
     def _add_extra_load(self, host_id: str, delta: float) -> None:
@@ -362,7 +382,7 @@ class Simulation:
             self.state.extra_load.pop(host_id, None)
         else:
             self.state.extra_load[host_id] = extra
-        self._loads.pop(host_id, None)
+        self._touch(host_id)
         self._host_load_changed(host_id)
 
     # -- episodes --------------------------------------------------------
@@ -383,27 +403,25 @@ class Simulation:
 
     # -- controller scan -------------------------------------------------
 
-    def _committed_load(self, host_id: str) -> float:
-        load = self._loads.get(host_id)
-        if load is None:
-            load = self._loads[host_id] = (host_load(self.state, host_id)
-                                           + pending_load(self.state, host_id))
-        return load
+    def _host_view(self, host_id: str) -> HostView:
+        """A host's view summed afresh from the state, with the host Up."""
+        host = self.state.hosts[host_id]
+        return HostView(host_id, host.power_state is PowerState.ON, True,
+                        host_load(self.state, host_id) + pending_load(self.state, host_id),
+                        len(host.hosted_vms), host.load_threshold)
 
-    def _build_view(self, snapshot) -> list[HostView]:
-        views = []
-        for host_id in self._host_ids:
-            host = self.state.hosts[host_id]
-            entry = snapshot.entries.get(host_id)
-            views.append(HostView(
-                host_id=host_id,
-                power_on=host.power_state is PowerState.ON,
-                monitor_up=entry is not None and entry.verdict != DOWN,
-                load=self._committed_load(host_id),
-                vm_count=len(host.hosted_vms),
-                load_threshold=host.load_threshold,
-            ))
-        return views
+    def _refresh_table(self, snapshot: MonitorSnapshot) -> None:
+        """Bring the host table up to the state and `snapshot`: a stale host
+        gets a fresh view, a silent host its verdict. A host with a beat
+        train is Up."""
+        table = self._table
+        for host_id in self._stale:
+            table[host_id] = self._host_view(host_id)
+        self._stale.clear()
+        for machine_id in self.monitor.silent:
+            view = table.get(machine_id)
+            if view is not None:
+                view.monitor_up = snapshot.entries[machine_id].verdict != DOWN
 
     def _visit(self) -> list[str]:
         """The VMs a scan passes to `tick`, in vm_id order. Any other VM is Up,
@@ -429,15 +447,21 @@ class Simulation:
             self._trace("scan")
         else:
             self._tick()
-        if self._invariants == "event" or (self._invariants == "scan"
-                                           and self._checked != self._changes):
-            check_state_invariants(self.state)
-            self._checked = self._changes
-        # With nothing else due and nothing to visit (an open episode's VM is
-        # silent, or parked with a record), no later scan could act.
+        self._check_scan()
+        # With nothing else due, every later scan would be skipped when
+        # nothing is left to visit, or when nothing changed since the last
+        # tick and no record deadline or Down instant lies ahead.
         if (self._heap or self.trace is not None or self.monitor_log is not None
-                or not self._nothing_to_visit()):
+                or not (self._nothing_to_visit()
+                        or (self._changes == self._ticked and self._wake == math.inf))):
             self._schedule(self.now + self.params.scan_period_s, "scan", ())
+
+    def _check_scan(self) -> None:
+        """In "scan" mode, check the machines touched since the last scan."""
+        if self._touched:
+            if self._invariants == "scan":
+                check_touched_invariants(self.state, self._touched)
+            self._touched.clear()
 
     def _tick(self) -> None:
         vms = self.state.vms
@@ -446,16 +470,17 @@ class Simulation:
             snapshot = self.monitor.snapshot(self.now)
             self.monitor_log.append(serialize_snapshot(snapshot))
         else:
-            snapshot = self.monitor.snapshot_of(self.now, self._host_ids + visit)
+            # Only silent machines can be Down: the silent hosts and the visit.
+            snapshot = self.monitor.snapshot_of(self.now, self.monitor.silent.union(visit))
         for vm_id, ep in self._open.items():
             if ep.detected_at is None:
                 entry = snapshot.entries.get(vm_id)
                 if entry is not None and entry.verdict == DOWN:
                     ep.detected_at = self.now
-        view = self._build_view(snapshot)
+        self._refresh_table(snapshot)
         infos = [VmInfo(vm_id, vms[vm_id].bound_host, vms[vm_id].load_contribution,
                         vms[vm_id].reinstall_allowed) for vm_id in visit]
-        self.records, actions = tick(self.records, snapshot, view, self.now,
+        self.records, actions = tick(self.records, snapshot, self._table, self.now,
                                      self.params, infos)
         self._ticked = self._changes
         self._wake = min([self.monitor.next_down_at(self.now)]
@@ -585,10 +610,18 @@ class Simulation:
         self._trace(f"spike_end {host_id}")
 
     def _check_coherence(self) -> None:
-        """Assert the caches and the monitor's trains and coverage match the state."""
-        for host_id, load in self._loads.items():
-            fresh = host_load(self.state, host_id) + pending_load(self.state, host_id)
-            assert load == fresh, f"host {host_id}: cached load {load!r} is stale ({fresh!r})"
+        """Assert the host table and the monitor's trains and coverage match the state.
+
+        A table entry not marked stale equals a fresh view, but for a silent
+        host's verdict, which is as of the last tick.
+        """
+        for host_id, view in self._table.items():
+            if host_id not in self._stale:
+                fresh = self._host_view(host_id)
+                fresh.monitor_up = view.monitor_up
+                assert view == fresh, f"host {host_id}: table entry {view} is stale ({fresh})"
+                assert view.monitor_up or host_id in self.monitor.silent, \
+                    f"host {host_id} beats but is Down in the table"
         hosts, vms = self.state.hosts, self.state.vms.values()
         self.monitor.check_coverage(
             {h for h, host in hosts.items() if host.power_state is PowerState.ON}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 from xml.etree import ElementTree
 from xml.sax.saxutils import quoteattr
 
@@ -35,8 +35,7 @@ class TelemetryParams:
     detection_latency_s: int = 70
 
 
-@dataclass(frozen=True)
-class SnapshotEntry:
+class SnapshotEntry(NamedTuple):
     last_heartbeat_at: int
     reported_load: float
     verdict: str  # UP or DOWN
@@ -151,17 +150,21 @@ class Monitor:
 
     def snapshot(self, now: int) -> MonitorSnapshot:
         """Liveness view of all registered machines at time `now`."""
-        return self.snapshot_of(now, self._active)
+        return self._snapshot(now, self._active)
 
     def snapshot_of(self, now: int, machine_ids: Iterable[str]) -> MonitorSnapshot:
         """Liveness view at time `now` of the registered machines among `machine_ids`."""
+        active = self._active
+        return self._snapshot(now, [m for m in machine_ids if m in active])
+
+    def _snapshot(self, now: int, machine_ids: Iterable[str]) -> MonitorSnapshot:
+        """Liveness view at time `now` of `machine_ids`, all registered."""
         latency = self.params.detection_latency_s
+        last_beat, loads, trains = self._last_beat, self._load, self._train
         entries = {}
         for machine_id in machine_ids:
-            if machine_id not in self._active:
-                continue
-            last, load = self._last_beat[machine_id], self._load[machine_id]
-            train = self._train.get(machine_id)
+            last, load = last_beat[machine_id], loads[machine_id]
+            train = trains.get(machine_id)
             if train is not None:
                 beat = _last_train_beat(train[0], now)
                 if beat > last:
@@ -178,25 +181,24 @@ def _last_train_beat(start: int, before: int) -> int:
     return start + HEARTBEAT_PERIOD_S * ((before - 1 - start) // HEARTBEAT_PERIOD_S)
 
 
-# Machine names never change, so each is quoted once (up to 65 536 names).
-_quote_name = lru_cache(maxsize=1 << 16)(quoteattr)
+@lru_cache(maxsize=1 << 16)
+def _host_head(name: str) -> str:
+    """The fixed start of a machine's element. Names never change, so each
+    is quoted once (up to 65 536 names)."""
+    return f'<HOST NAME={quoteattr(name)} LAST_HEARTBEAT="'
 
 
 def serialize_snapshot(snapshot: MonitorSnapshot) -> str:
     """Render a snapshot as a single-line XML document.
 
     Entries are sorted by machine name so equal snapshots serialize to
-    identical bytes.
+    identical bytes. LOAD is the repr of the reported load, so an int load
+    prints as `1` and a float one as `1.0` or `-0.0`.
     """
     parts = [f'<CLUSTER TAKEN_AT="{snapshot.taken_at}">']
-    for name in sorted(snapshot.entries):
-        e = snapshot.entries[name]
-        parts.append(
-            f"<HOST NAME={_quote_name(name)}"
-            f' LAST_HEARTBEAT="{e.last_heartbeat_at}"'
-            f' LOAD="{e.reported_load!r}"'
-            f' VERDICT="{e.verdict.upper()}"/>'
-        )
+    for name, (last, load, verdict) in sorted(snapshot.entries.items()):
+        parts.append(f'{_host_head(name)}{last}" LOAD="{load!r}"'
+                     f' VERDICT="{verdict.upper()}"/>')
     parts.append("</CLUSTER>")
     return "".join(parts)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import hasim.cli
 from hasim.cli import main
+from test_engine import WAITING_SCENARIO
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -46,6 +47,25 @@ def test_validate_malformed_parameter_prints_one_line(tmp_path, capsys):
 
 def test_validate_unreadable_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def test_run_ends_when_nothing_can_change(tmp_path, capsys, monkeypatch):
+    # The VM of a failed host waits for capacity from the scan at 180 s on.
+    # Untraced, the run ends there, not at the horizon 10**12 s away.
+    scans = []
+
+    class CountedSimulation(hasim.cli.Simulation):
+        def _on_scan(self):
+            scans.append(self.now)
+            assert len(scans) < 100, "the run goes on with nothing left to change"
+            super()._on_scan()
+
+    path = tmp_path / "waiting.json"
+    path.write_text(json.dumps({**WAITING_SCENARIO, "horizon_s": 10**12}))
+    monkeypatch.setattr(hasim.cli, "Simulation", CountedSimulation)
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().err == "1 episode(s) not recovered within the horizon\n"
+    assert scans[-1] == 240
 
 
 def test_run_scenario_writes_outputs(tmp_path, capsys):

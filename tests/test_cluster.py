@@ -10,6 +10,7 @@ from hasim.cluster import (
     VirtualMachine,
     VmLifecycle,
     check_state_invariants,
+    check_touched_invariants,
     default_threshold,
     host_load,
     pending_load,
@@ -206,3 +207,40 @@ def test_invariants_pass_with_unbound_waiting_vm_and_empty_host():
     state.vms["c"].bound_host = None
     state.vms["c"].lifecycle = VmLifecycle.WAITING_FOR_CAPACITY
     check_state_invariants(state)
+
+
+def _vm_hosted_twice(state):
+    state.hosts["h2"].hosted_vms.append("a")
+
+
+def _off_with_running_vm(state):
+    state.hosts["h1"].power_state = PowerState.OFF
+    for vm_id in ("b", "c"):
+        state.vms[vm_id].lifecycle = VmLifecycle.HALTED
+
+
+@pytest.mark.parametrize("corrupt, touched, message", [
+    (lambda s: s.hosts["h1"].hosted_vms.append("ghost"), {"h1"},
+     "host h1 references unknown VM ghost"),
+    (lambda s: s.hosts["h1"].hosted_vms.append("b"), {"h1", "b"},
+     r"host h1: duplicate entries in hosted_vms \(b\)"),
+    (_vm_hosted_twice, {"h2"}, r"VM a binding \(h1\) disagrees with host h2"),
+    (lambda s: setattr(s.vms["c"], "bound_host", "h9"), {"c"},
+     "VM c bound to unknown host h9"),
+    (lambda s: s.hosts["h1"].hosted_vms.remove("b"), {"b"},
+     "VM b bound to h1 but absent from its hosted_vms"),
+    (_off_with_running_vm, {"h1"}, "VM a is running on powered-off host h1"),
+    (_off_with_running_vm, {"a"}, "VM a is running on powered-off host h1"),
+    (lambda s: setattr(s.vms["a"], "lifecycle", VmLifecycle.WAITING_FOR_CAPACITY),
+     {"a"}, "VM a is waiting for capacity but still bound"),
+    (lambda s: setattr(s.vms["a"], "bound_host", None), {"a"},
+     "VM a is running but unbound"),
+])
+def test_touched_check_names_a_violation_at_a_touched_machine(corrupt, touched, message):
+    state = two_host_state()
+    check_touched_invariants(state, {*state.hosts, *state.vms})
+    corrupt(state)
+    with pytest.raises(AssertionError):
+        check_state_invariants(state)
+    with pytest.raises(AssertionError, match=message):
+        check_touched_invariants(state, touched)

@@ -1,6 +1,7 @@
 """Event-loop semantics: injections, recovery timelines, sampling, statistics."""
 
 import dataclasses
+import json
 import statistics
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from test_acceptance import random_cluster_doc, random_injections
 
 from hasim.cluster import PowerState, VmLifecycle
 from hasim.config import load_scenario, parse_cluster_config
-from hasim.controller import REBOOT, REINSTALL, RESTART
+from hasim.controller import REBOOT, REINSTALL, RESTART, Phase
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
     LOAD_SPIKE,
@@ -330,11 +331,35 @@ def test_invariant_checks_must_be_a_known_mode():
         Simulation(one_host_config(), [], 600, invariant_checks="evnt")
 
 
+# h1 fails for good at 100 s. Its VM v fits nowhere else and waits for
+# capacity from the scan at 180 s on, when nothing can change any more.
+WAITING_SCENARIO = {
+    "cluster": {
+        "hosts": [{"host_id": "h1", "cpu_count": 4, "ram_mb": 4096, "load_threshold": 4},
+                  {"host_id": "h2", "cpu_count": 4, "ram_mb": 4096, "load_threshold": 1}],
+        "vms": [{"vm_id": "v", "mac": "52:54:00:00:00:01", "bound_host": "h1",
+                 "boot_profile": "p", "load_contribution": 2}],
+        "profiles": {"p": {}},
+    },
+    "horizon_s": 7200,
+    "injections": [{"at": 100, "kind": "physical_host_failure", "host": "h1"}],
+}
+
+
 def test_untraced_run_ends_early_with_the_same_outcome():
     # Trace and monitor log off, a scan after which no scan can act schedules
     # no next scan and the run ends on an empty heap; a traced run walks every
-    # scan to the horizon.
-    cases = []
+    # scan to the horizon. The first two runs end while a VM keeps its
+    # record: v waits for capacity, or requires a human from 1080 s on,
+    # after its host failed during the third reinstall (installs take
+    # longer than the reinstall patience, so each is cut off by a restart).
+    waiting = load_scenario(json.dumps(WAITING_SCENARIO))
+    cases = [(waiting.config, waiting.injections, waiting.horizon_s, 1)]
+    human = one_host_config(profiles={"default": {"install_s": 600}},
+                            controller={"reinstall_patience_s": 60})
+    cases.append((human, [FailureInjection(100, DESTRUCTIVE_CRASH, "svc01"),
+                          FailureInjection(1050, PHYSICAL_HOST_FAILURE, host_id="node01")],
+                  7200, 1))
     for name in ("power_glitch.json", "power_glitch_noreboot.json"):
         scenario = load_scenario((SCENARIOS / name).read_text(), base_dir=SCENARIOS)
         cases.append((scenario.config, scenario.injections, scenario.horizon_s,
@@ -345,7 +370,7 @@ def test_untraced_run_ends_early_with_the_same_outcome():
         doc = random_cluster_doc(rng)
         cases.append((parse_cluster_config(doc), random_injections(rng, doc), 720,
                       1_000_000 + i))
-    ended_early = 0
+    ended_early, records = [], []
     for config, injections, horizon_s, seed in cases:
         traced = Simulation(config, injections, horizon_s, seed=seed, collect_trace=True)
         expected = traced.run()
@@ -357,8 +382,12 @@ def test_untraced_run_ends_early_with_the_same_outcome():
         assert quiet.state == traced.state
         if quiet.now < traced.now:
             assert quiet._heap == []
-            ended_early += 1
-    assert ended_early  # the comparison covers runs that ended early
+        ended_early.append(quiet.now < traced.now)
+        records.append(quiet.records)
+    assert ended_early[:2] == [True, True]
+    assert [rec.phase for r in records[:2] for rec in r.values()] == [
+        Phase.AWAITING_CAPACITY, Phase.REQUIRES_HUMAN]
+    assert sum(ended_early) > 2  # the comparison covers runs that ended early
 
 
 # -- summarize -------------------------------------------------------------
@@ -476,8 +505,9 @@ def test_random_scenarios_with_per_event_invariants():
 
 
 def test_each_transition_keeps_caches_and_monitor_coherent_by_itself():
-    # Every host's load is cached before each transition, which must then
-    # leave the caches, the beat trains and the coverage matching the state.
+    # Every host's table entry is refreshed before each transition, which
+    # must then leave the table, the beat trains and the coverage matching
+    # the state.
     sim = Simulation(two_host_config(), [], 900, seed=1)
     vm, host = sim.state.vms["svc01"], sim.state.hosts["node02"]
     steps = [
@@ -496,8 +526,8 @@ def test_each_transition_keeps_caches_and_monitor_coherent_by_itself():
         lambda: sim._set_power(host, PowerState.ON),
     ]
     for step in steps:
-        for host_id in sim.state.hosts:
-            sim._committed_load(host_id)
+        sim._stale.update(sim.state.hosts)
+        sim._refresh_table(sim.monitor.snapshot(sim.now))
         step()
         sim._check_coherence()
 

@@ -6,8 +6,9 @@ replaces: a snapshot of every registered machine, a view of every host and
 `tick` over every VM. That scan must return exactly `records`, no action and
 no new detection. In "event" mode it also holds the cluster state equal to a
 deep copy across every skipped scan, and at every scan after which nothing
-counted as a change since the previous scan, which is when "scan" mode
-leaves out its invariant check.
+counted as a change since the previous scan. Every host and VM that no
+transition touched since the previous scan, which "scan" mode leaves out of
+its invariant check, must equal its copy as well.
 """
 
 import copy
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from test_acceptance import random_cluster_doc, random_injections
 from test_engine import two_host_config
-from test_scan_oracle import overlapping_scenario
+from test_scan_oracle import full_view, overlapping_scenario
 
 import hasim.engine
 import hasim.presets
@@ -32,12 +33,14 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class SkipCheckedSimulation(Simulation):
-    """Checks each skipped scan against `tick`, and each unchanged state
-    against its copy at the previous scan; runs with "event" checks."""
+    """Checks each skipped scan against `tick`, and each unchanged state and
+    untouched machine against its copy at the previous scan; runs with
+    "event" checks."""
 
     def __init__(self, *args, **kwargs):
         self.skipped = self.unchanged = 0
         self._copy = None
+        self._scanned = -1  # the change count at the end of the previous scan
         super().__init__(*args, invariant_checks="event", **kwargs)
 
     def _can_skip(self):
@@ -48,7 +51,7 @@ class SkipCheckedSimulation(Simulation):
         infos = [VmInfo(vm.vm_id, vm.bound_host, vm.load_contribution,
                         vm.reinstall_allowed)
                  for _, vm in sorted(self.state.vms.items())]
-        records, actions = tick(self.records, snapshot, self._build_view(snapshot),
+        records, actions = tick(self.records, snapshot, full_view(self.state, snapshot),
                                 self.now, self.params, infos)
         assert records == self.records and actions == [], \
             f"the scan at {self.now} was skipped but decides {actions}"
@@ -59,15 +62,24 @@ class SkipCheckedSimulation(Simulation):
         return True
 
     def _on_scan(self):
-        if self._changes == self._checked:
+        if self._changes == self._scanned:
             self.unchanged += 1
             assert self.state == self._copy, \
                 f"the state changed by {self.now} with no transition or action counted"
+        if self._copy is not None:
+            state, old = self.state, self._copy
+            for machine_id, machine in [*state.hosts.items(), *state.vms.items()]:
+                same = (machine == old.hosts.get(machine_id, old.vms.get(machine_id))
+                        and (state.extra_load.get(machine_id)
+                             == old.extra_load.get(machine_id)))
+                assert same or machine_id in self._touched, \
+                    f"{machine_id} changed by {self.now} but no transition touched it"
         skipped, before = self.skipped, copy.deepcopy(self.state)
         super()._on_scan()
         if self.skipped > skipped:
             assert self.state == before, f"the skipped scan at {self.now} changed the state"
         self._copy = copy.deepcopy(self.state)
+        self._scanned = self._changes
 
 
 def run_checked(config, injections, horizon_s, seed, **kwargs):

@@ -1,10 +1,10 @@
 """Sparse controller scans against the full scans they replace.
 
 FullScanSimulation is the engine with the scan as it was before sparse
-scans: a snapshot of every registered machine, every host's load summed
-afresh, every VM passed to `tick`, and a next scan at every scan. Its trace,
-episodes, monitor log and records must equal the engine's byte for byte,
-with the monitor log on and off.
+scans: a snapshot of every registered machine, a view of every host with
+its load summed afresh, every VM passed to `tick`, and a next scan at every
+scan. Its trace, episodes, monitor log and records must equal the engine's
+byte for byte, with the monitor log on and off.
 """
 
 from pathlib import Path
@@ -29,23 +29,26 @@ from hasim.telemetry import DOWN, serialize_snapshot
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def full_view(state, snapshot):
+    """A view of every host, its load summed afresh, as scans built it
+    before the host table."""
+    views = []
+    for host_id in sorted(state.hosts):
+        host = state.hosts[host_id]
+        entry = snapshot.entries.get(host_id)
+        views.append(HostView(
+            host_id=host_id,
+            power_on=host.power_state is PowerState.ON,
+            monitor_up=entry is not None and entry.verdict != DOWN,
+            load=host_load(state, host_id) + pending_load(state, host_id),
+            vm_count=len(host.hosted_vms),
+            load_threshold=host.load_threshold,
+        ))
+    return views
+
+
 class FullScanSimulation(Simulation):
     """Every scan covers every machine; no load is cached."""
-
-    def _build_view(self, snapshot):
-        views = []
-        for host_id in sorted(self.state.hosts):
-            host = self.state.hosts[host_id]
-            entry = snapshot.entries.get(host_id)
-            views.append(HostView(
-                host_id=host_id,
-                power_on=host.power_state is PowerState.ON,
-                monitor_up=entry is not None and entry.verdict != DOWN,
-                load=host_load(self.state, host_id) + pending_load(self.state, host_id),
-                vm_count=len(host.hosted_vms),
-                load_threshold=host.load_threshold,
-            ))
-        return views
 
     def _on_scan(self):
         snapshot = self.monitor.snapshot(self.now)
@@ -56,7 +59,7 @@ class FullScanSimulation(Simulation):
                 entry = snapshot.entries.get(vm_id)
                 if entry is not None and entry.verdict == DOWN:
                     ep.detected_at = self.now
-        view = self._build_view(snapshot)
+        view = full_view(self.state, snapshot)
         infos = [
             VmInfo(vm.vm_id, vm.bound_host, vm.load_contribution, vm.reinstall_allowed)
             for _, vm in sorted(self.state.vms.items())
