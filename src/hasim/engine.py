@@ -483,9 +483,10 @@ class Simulation:
         self.records, actions = tick(self.records, snapshot, self._table, self.now,
                                      self.params, infos)
         self._ticked = self._changes
-        self._wake = min([self.monitor.next_down_at(self.now)]
-                         + [rec.deadline for rec in self.records.values()
-                            if rec.deadline is not None])
+        if self.monitor_log is None:  # logged scans never skip or stop early
+            self._wake = min([self.monitor.next_down_at(self.now)]
+                             + [rec.deadline for rec in self.records.values()
+                                if rec.deadline is not None])
         self._trace("scan")
         for action in actions:
             self._apply(action)

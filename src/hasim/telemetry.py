@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 from xml.etree import ElementTree
 from xml.sax.saxutils import quoteattr
@@ -69,11 +68,15 @@ class Monitor:
     `silent` holds the registered machines without a train. A machine with a
     train is never Down, since the latency exceeds the heartbeat period, so
     only silent machines can be Down in a snapshot.
+
+    `snapshot` walks the registered ids in name order, from a list kept until
+    a new id is registered or a registered one unregistered.
     """
 
     def __init__(self, params: TelemetryParams | None = None):
         self.params = params or TelemetryParams()
         self._active: set[str] = set()
+        self._order: list[str] | None = []
         self._last_beat: dict[str, int] = {}
         self._load: dict[str, float] = {}
         self._train: dict[str, tuple[int, float]] = {}  # machine -> (start, load)
@@ -85,14 +88,18 @@ class Monitor:
         A machine seen for the first time gets an initial heartbeat at `at`;
         a re-registered machine keeps its existing heartbeat history.
         """
-        self._active.add(machine_id)
+        if machine_id not in self._active:
+            self._active.add(machine_id)
+            self._order = None
         if machine_id not in self._train:
             self.silent.add(machine_id)
         if machine_id not in self._last_beat:
             self.record_heartbeat(machine_id, at, load)
 
     def unregister(self, machine_id: str) -> None:
-        self._active.discard(machine_id)
+        if machine_id in self._active:
+            self._active.remove(machine_id)
+            self._order = None
         self.silent.discard(machine_id)
 
     def record_heartbeat(self, machine_id: str, at: int, load: float) -> None:
@@ -149,8 +156,10 @@ class Monitor:
                     if down > now), default=math.inf)
 
     def snapshot(self, now: int) -> MonitorSnapshot:
-        """Liveness view of all registered machines at time `now`."""
-        return self._snapshot(now, self._active)
+        """Liveness view of all registered machines at time `now`, in name order."""
+        if self._order is None:
+            self._order = sorted(self._active)
+        return self._snapshot(now, self._order)
 
     def snapshot_of(self, now: int, machine_ids: Iterable[str]) -> MonitorSnapshot:
         """Liveness view at time `now` of the registered machines among `machine_ids`."""
@@ -158,20 +167,25 @@ class Monitor:
         return self._snapshot(now, [m for m in machine_ids if m in active])
 
     def _snapshot(self, now: int, machine_ids: Iterable[str]) -> MonitorSnapshot:
-        """Liveness view at time `now` of `machine_ids`, all registered."""
+        """Liveness view at time `now` of `machine_ids`, all registered. A
+        train's last beat is `_last_train_beat(start, now)`, written inline."""
         latency = self.params.detection_latency_s
         last_beat, loads, trains = self._last_beat, self._load, self._train
+        before = now - 1
+        new = tuple.__new__
         entries = {}
         for machine_id in machine_ids:
-            last, load = last_beat[machine_id], loads[machine_id]
+            last = last_beat[machine_id]
             train = trains.get(machine_id)
             if train is not None:
-                beat = _last_train_beat(train[0], now)
+                beat = before - (before - train[0]) % HEARTBEAT_PERIOD_S
                 if beat > last:
-                    last, load = beat, train[1]
+                    entries[machine_id] = new(SnapshotEntry, (
+                        beat, train[1], DOWN if now - beat >= latency else UP))
+                    continue
             assert now >= last, f"snapshot at t={now} predates heartbeat of {machine_id}"
-            verdict = DOWN if now - last >= latency else UP
-            entries[machine_id] = SnapshotEntry(last, load, verdict)
+            entries[machine_id] = new(SnapshotEntry, (
+                last, loads[machine_id], DOWN if now - last >= latency else UP))
         return MonitorSnapshot(taken_at=now, entries=entries)
 
 
@@ -181,11 +195,23 @@ def _last_train_beat(start: int, before: int) -> int:
     return start + HEARTBEAT_PERIOD_S * ((before - 1 - start) // HEARTBEAT_PERIOD_S)
 
 
-@lru_cache(maxsize=1 << 16)
-def _host_head(name: str) -> str:
-    """The fixed start of a machine's element. Names never change, so each
-    is quoted once (up to 65 536 names)."""
-    return f'<HOST NAME={quoteattr(name)} LAST_HEARTBEAT="'
+# name -> (element head, load, verdict, element tail). The head is
+# `<HOST NAME="…" LAST_HEARTBEAT="`, the tail `" LOAD="…" VERDICT="…"/>` of
+# that load object and verdict. A tail is reused only for the same object, so
+# `1`, `1.0` and `-0.0` keep their bytes; holding the load keeps its id from
+# being reused. Bounded at 65 536 names, the oldest dropped first.
+_PIECES: dict[str, tuple[str, object, str, str]] = {}
+_PIECES_MAX = 1 << 16
+
+
+def _pieces(name: str, load: float, verdict: str) -> tuple[str, object, str, str]:
+    old = _PIECES.get(name)
+    if old is None and len(_PIECES) >= _PIECES_MAX:
+        del _PIECES[next(iter(_PIECES))]
+    head = f'<HOST NAME={quoteattr(name)} LAST_HEARTBEAT="' if old is None else old[0]
+    pieces = _PIECES[name] = (head, load, verdict,
+                              f'" LOAD="{load!r}" VERDICT="{verdict.upper()}"/>')
+    return pieces
 
 
 def serialize_snapshot(snapshot: MonitorSnapshot) -> str:
@@ -196,9 +222,14 @@ def serialize_snapshot(snapshot: MonitorSnapshot) -> str:
     prints as `1` and a float one as `1.0` or `-0.0`.
     """
     parts = [f'<CLUSTER TAKEN_AT="{snapshot.taken_at}">']
+    append, cached = parts.append, _PIECES.get
     for name, (last, load, verdict) in sorted(snapshot.entries.items()):
-        parts.append(f'{_host_head(name)}{last}" LOAD="{load!r}"'
-                     f' VERDICT="{verdict.upper()}"/>')
+        pieces = cached(name)
+        if pieces is None or pieces[1] is not load or pieces[2] != verdict:
+            pieces = _pieces(name, load, verdict)
+        append(pieces[0])
+        append(str(last))
+        append(pieces[3])
     parts.append("</CLUSTER>")
     return "".join(parts)
 
