@@ -52,6 +52,7 @@ from .controller import (
     Action,
     EscalationRecord,
     HostView,
+    Phase,
     VmInfo,
     tick,
 )
@@ -206,13 +207,15 @@ class Simulation:
 
     seed: an integer seed, or a generator used as it is.
 
-    With the monitor log off, a scan that cannot decide anything skips the
-    snapshot, the table and `tick`, and only traces `scan`: when `_visit()`
-    is empty, or when no transition and no action happened since the last
-    `tick` and `now` is before that tick's wake instant, the earliest record
-    deadline or `Monitor.next_down_at`. An action counts even when it
-    changes no state: a reboot's load commit in `tick` can keep another VM
-    from fitting.
+    With the monitor log off, a scan before `_idle_until()` skips the
+    snapshot, the table and `tick`, and only traces `scan`. That instant is
+    inf when `_visit()` is empty, and now when a VM waits for capacity and a
+    transition or an action happened since the last `tick` (an action counts
+    even when it changes no state: a reboot's load commit in `tick` never
+    took place). Otherwise it is the wake instant: a `tick` sets it to the
+    earliest record deadline or `Monitor.next_down_at`, a new episode lowers
+    it to its VM's Down instant, and a VM with a record that runs again
+    lowers it to now.
 
     invariant_checks: "off", "scan" (default: at each scan, the binding and
     power rules for the machines touched since the previous scan, with
@@ -221,11 +224,10 @@ class Simulation:
     the coherence of the host table and the monitor's beat trains,
     registrations and silent set; slow, meant for focused tests).
 
-    With trace and monitor log off, a run ends on an empty heap after a scan
-    when no other event is due and every later scan would be skipped:
-    nothing is left to visit, or nothing changed since the last `tick` and
-    no record deadline or Down instant lies ahead. The episodes, records and
-    final state are those of a run to the horizon.
+    With trace and monitor log off, a scan schedules the next one at the
+    first grid instant at or after `_idle_until()` or the next event, and
+    none when both are inf: the run ends on an empty heap. The episodes,
+    records and final state are those of a run to the horizon.
     """
 
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
@@ -259,10 +261,10 @@ class Simulation:
         self._boot_ticket: dict[str, int] = {}
         self.now = 0
         # Transitions and actions so far, the count at the last `tick`, and
-        # the wake instant of that tick.
+        # whether that tick left a VM waiting for capacity.
         self._changes = 0
         self._ticked = -1
-        self._wake = 0.0
+        self._waiting = False
         self._invariants = invariant_checks
         self.trace: list[str] | None = [] if collect_trace else None
         self.monitor_log: list[str] | None = [] if emit_monitor_log else None
@@ -286,6 +288,9 @@ class Simulation:
                 if vm.lifecycle is VmLifecycle.RUNNING:
                     self._start_beats(vm_id)
                 self.monitor.register(vm_id, 0, vm.load_contribution)
+        # The wake instant: no `tick` before it can decide anything (see
+        # `_idle_until`). Until the first tick, that is the first Down instant.
+        self._wake = min(map(self.monitor.down_at, self.monitor.silent), default=math.inf)
 
     # -- scheduling ------------------------------------------------------
 
@@ -341,6 +346,8 @@ class Simulation:
         self._boot_ticket[vm.vm_id] = self._boot_ticket.get(vm.vm_id, 0) + 1
         if lifecycle is VmLifecycle.RUNNING:
             self._start_beats(vm.vm_id)
+            if vm.vm_id in self.records:
+                self._wake = self.now  # the next tick drops the record
             self._host_load_changed(vm.bound_host)
             self._close_episode(vm.vm_id)
         elif was_running:
@@ -393,6 +400,8 @@ class Simulation:
         ep = Episode(vm_id=vm_id, kind=kind, failure_at=self.now)
         self._open[vm_id] = ep
         self.episodes.append(ep)
+        # Detected at its Down instant, already past if the VM was silent.
+        self._wake = min(self._wake, self.monitor.down_at(vm_id))
 
     def _close_episode(self, vm_id: str) -> None:
         ep = self._open.pop(vm_id, None)
@@ -435,12 +444,18 @@ class Simulation:
         """Whether `_visit()` is empty, without building it."""
         return not self.records and self.state.vms.keys().isdisjoint(self.monitor.silent)
 
+    def _idle_until(self) -> float:
+        """No `tick` before this instant can decide anything, unless an event
+        comes first. A waiting VM may fit after any change or action."""
+        if self._nothing_to_visit():
+            return math.inf
+        if self._waiting and self._changes != self._ticked:
+            return self.now
+        return self._wake
+
     def _can_skip(self) -> bool:
         """Whether `tick` would return `records` and no action at this scan."""
-        if self.monitor_log is not None:
-            return False
-        return ((self._changes == self._ticked and self.now < self._wake)
-                or self._nothing_to_visit())
+        return self.monitor_log is None and self.now < self._idle_until()
 
     def _on_scan(self) -> None:
         if self._can_skip():
@@ -448,13 +463,15 @@ class Simulation:
         else:
             self._tick()
         self._check_scan()
-        # With nothing else due, every later scan would be skipped when
-        # nothing is left to visit, or when nothing changed since the last
-        # tick and no record deadline or Down instant lies ahead.
-        if (self._heap or self.trace is not None or self.monitor_log is not None
-                or not (self._nothing_to_visit()
-                        or (self._changes == self._ticked and self._wake == math.inf))):
-            self._schedule(self.now + self.params.scan_period_s, "scan", ())
+        period = self.params.scan_period_s
+        due = self.now + period
+        if self.trace is None and self.monitor_log is None:
+            # The first grid instant that could tick or that follows the next
+            # event; none if neither will come.
+            due = min(self._idle_until(), self._heap[0][0] if self._heap else math.inf)
+        if due < math.inf:
+            self._schedule(self.now + period * max(1, -((self.now - due) // period)),
+                           "scan", ())
 
     def _check_scan(self) -> None:
         """In "scan" mode, check the machines touched since the last scan."""
@@ -487,6 +504,8 @@ class Simulation:
             self._wake = min([self.monitor.next_down_at(self.now)]
                              + [rec.deadline for rec in self.records.values()
                                 if rec.deadline is not None])
+            self._waiting = any(rec.phase is Phase.AWAITING_CAPACITY
+                                for rec in self.records.values())
         self._trace("scan")
         for action in actions:
             self._apply(action)

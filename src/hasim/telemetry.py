@@ -147,13 +147,16 @@ class Monitor:
             assert actual == expected, \
                 f"{name} differ from the state: {sorted(actual ^ expected)}"
 
+    def down_at(self, machine_id: str) -> int:
+        """The instant a machine that stays silent turns Down."""
+        return self._last_beat[machine_id] + self.params.detection_latency_s
+
     def next_down_at(self, now: int) -> float:
         """First instant after `now` at which a silent machine turns Down,
         or inf. Only silent machines can be Down; the answer holds until the
         next call that records a beat or changes the silent set."""
-        latency = self.params.detection_latency_s
-        return min((down for down in (self._last_beat[m] + latency for m in self.silent)
-                    if down > now), default=math.inf)
+        return min((down for down in map(self.down_at, self.silent) if down > now),
+                   default=math.inf)
 
     def snapshot(self, now: int) -> MonitorSnapshot:
         """Liveness view of all registered machines at time `now`, in name order."""

@@ -347,9 +347,11 @@ WAITING_SCENARIO = {
 
 
 def test_untraced_run_ends_early_with_the_same_outcome():
-    # Trace and monitor log off, a scan after which no scan can act schedules
-    # no next scan and the run ends on an empty heap; a traced run walks every
-    # scan to the horizon. The first two runs end while a VM keeps its
+    # Trace and monitor log off, a scan schedules the next scan that can act
+    # or follow an event, or none: the run ends on an empty heap, or when
+    # that one scan, and any other event left, lies past the horizon. A
+    # traced run walks every scan to the horizon. The first two runs end
+    # on an empty heap while a VM keeps its
     # record: v waits for capacity, or requires a human from 1080 s on,
     # after its host failed during the third reinstall (installs take
     # longer than the reinstall patience, so each is cut off by a restart).
@@ -370,7 +372,7 @@ def test_untraced_run_ends_early_with_the_same_outcome():
         doc = random_cluster_doc(rng)
         cases.append((parse_cluster_config(doc), random_injections(rng, doc), 720,
                       1_000_000 + i))
-    ended_early, records = [], []
+    ended_early, emptied, records = [], [], []
     for config, injections, horizon_s, seed in cases:
         traced = Simulation(config, injections, horizon_s, seed=seed, collect_trace=True)
         expected = traced.run()
@@ -381,10 +383,12 @@ def test_untraced_run_ends_early_with_the_same_outcome():
         assert quiet.records == traced.records
         assert quiet.state == traced.state
         if quiet.now < traced.now:
-            assert quiet._heap == []
+            assert all(at > horizon_s for at, _, _, _ in quiet._heap)
+            assert [kind for _, _, kind, _ in quiet._heap].count("scan") <= 1
         ended_early.append(quiet.now < traced.now)
+        emptied.append(quiet._heap == [])
         records.append(quiet.records)
-    assert ended_early[:2] == [True, True]
+    assert ended_early[:2] == emptied[:2] == [True, True]
     assert [rec.phase for r in records[:2] for rec in r.values()] == [
         Phase.AWAITING_CAPACITY, Phase.REQUIRES_HUMAN]
     assert sum(ended_early) > 2  # the comparison covers runs that ended early

@@ -1,17 +1,24 @@
 """Skipped scans against the full scans they stand for.
 
-A scan that cannot decide anything skips the snapshot, the view and `tick`.
-At every scan the engine skips, SkipCheckedSimulation runs the full scan it
+A scan that cannot decide anything skips the snapshot, the view and `tick`,
+and an untraced run does not even schedule the scans before the next one
+that could tick or that follows an event. At every scan the engine skips,
+and at every grid instant up to the horizon that an untraced run jumps over
+or leaves out by ending early, SkipCheckedSimulation runs the full scan it
 replaces: a snapshot of every registered machine, a view of every host and
 `tick` over every VM. That scan must return exactly `records`, no action and
-no new detection. In "event" mode it also holds the cluster state equal to a
-deep copy across every skipped scan, and at every scan after which nothing
-counted as a change since the previous scan. Every host and VM that no
-transition touched since the previous scan, which "scan" mode leaves out of
-its invariant check, must equal its copy as well.
+no new detection. No event runs before a jumped-over instant, so its full
+scan runs with the state as it is when the next scan is scheduled. In
+"event" mode it also holds the cluster state equal to a deep copy across
+every skipped scan, and at every scan after which nothing counted as a
+change since the previous scan. Every host and VM that no transition
+touched since the previous scan, which "scan" mode leaves out of its
+invariant check, must equal its copy as well.
 """
 
 import copy
+import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +32,7 @@ import hasim.presets
 from hasim.cluster import PowerState, VmLifecycle
 from hasim.config import load_scenario, parse_cluster_config
 from hasim.controller import REBOOT, Action, VmInfo, tick
-from hasim.engine import NON_DESTRUCTIVE_CRASH, FailureInjection, Simulation
+from hasim.engine import NON_DESTRUCTIVE_CRASH, POWER_GLITCH, FailureInjection, Simulation
 from hasim.presets import PRESETS, replicate_experiment
 from hasim.telemetry import DOWN
 
@@ -33,33 +40,49 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class SkipCheckedSimulation(Simulation):
-    """Checks each skipped scan against `tick`, and each unchanged state and
-    untouched machine against its copy at the previous scan; runs with
-    "event" checks."""
+    """Checks each skipped or jumped-over scan against `tick`, and each
+    unchanged state and untouched machine against its copy at the previous
+    scan; runs with "event" checks."""
 
     def __init__(self, *args, **kwargs):
-        self.skipped = self.unchanged = 0
+        self.skipped = self.jumped = self.unchanged = 0
         self._copy = None
         self._scanned = -1  # the change count at the end of the previous scan
         super().__init__(*args, invariant_checks="event", **kwargs)
+
+    def _assert_decides_nothing(self, at, what):
+        snapshot = self.monitor.snapshot(at)
+        infos = [VmInfo(vm.vm_id, vm.bound_host, vm.load_contribution,
+                        vm.reinstall_allowed)
+                 for _, vm in sorted(self.state.vms.items())]
+        records, actions = tick(self.records, snapshot, full_view(self.state, snapshot),
+                                at, self.params, infos)
+        assert records == self.records and actions == [], \
+            f"the scan at {at} was {what} but decides {actions}"
+        for vm_id, ep in self._open.items():
+            entry = snapshot.entries.get(vm_id)
+            assert ep.detected_at is not None or entry is None or entry.verdict != DOWN, \
+                f"the scan at {at} was {what} but detects {vm_id}"
 
     def _can_skip(self):
         if not super()._can_skip():
             return False
         self.skipped += 1
-        snapshot = self.monitor.snapshot(self.now)
-        infos = [VmInfo(vm.vm_id, vm.bound_host, vm.load_contribution,
-                        vm.reinstall_allowed)
-                 for _, vm in sorted(self.state.vms.items())]
-        records, actions = tick(self.records, snapshot, full_view(self.state, snapshot),
-                                self.now, self.params, infos)
-        assert records == self.records and actions == [], \
-            f"the scan at {self.now} was skipped but decides {actions}"
-        for vm_id, ep in self._open.items():
-            entry = snapshot.entries.get(vm_id)
-            assert ep.detected_at is not None or entry is None or entry.verdict != DOWN, \
-                f"the scan at {self.now} was skipped but detects {vm_id}"
+        self._assert_decides_nothing(self.now, "skipped")
         return True
+
+    def _check_jumped(self, until):
+        """Check the grid instants after now and before `until` (and up to
+        the horizon) that no scan will visit."""
+        period = self.params.scan_period_s
+        for jumped in range(self.now + period, min(until, self.horizon_s + 1), period):
+            self.jumped += 1
+            self._assert_decides_nothing(jumped, "jumped over")
+
+    def _schedule(self, at, kind, args):
+        if kind == "scan":
+            self._check_jumped(at)
+        super()._schedule(at, kind, args)
 
     def _on_scan(self):
         if self._changes == self._scanned:
@@ -78,6 +101,8 @@ class SkipCheckedSimulation(Simulation):
         super()._on_scan()
         if self.skipped > skipped:
             assert self.state == before, f"the skipped scan at {self.now} changed the state"
+        if not self._heap:  # no scan follows: the run ends
+            self._check_jumped(math.inf)
         self._copy = copy.deepcopy(self.state)
         self._scanned = self._changes
 
@@ -103,14 +128,16 @@ def test_glitch_scenarios_skip_only_scans_without_decisions():
 def test_property_suite_scenarios_skip_only_scans_without_decisions(collect_trace):
     # The first 1000 scenarios of acceptance criterion 5, same generator and seeds.
     rng = np.random.default_rng(20260809)
-    skipped = unchanged = 0
+    skipped = jumped = unchanged = 0
     for i in range(1000):
         doc = random_cluster_doc(rng)
         sim = run_checked(parse_cluster_config(doc), random_injections(rng, doc), 720,
                           1_000_000 + i, collect_trace=collect_trace)
         skipped += sim.skipped
+        jumped += sim.jumped
         unchanged += sim.unchanged
     assert skipped > 1000 and unchanged > 1000
+    assert (jumped > 1000) if not collect_trace else jumped == 0
 
 
 def test_overlapping_scenarios_skip_only_scans_without_decisions():
@@ -135,15 +162,58 @@ def test_replicate_presets_skip_only_scans_without_decisions(preset, monkeypatch
 
     monkeypatch.setattr(hasim.presets, "Simulation", Recorded)
     assert [replicate_experiment(preset, 40, seed).episodes for seed in seeds] == expected
-    assert len(sims) == 120 and all(sim.skipped for sim in sims)
+    assert len(sims) == 120 and all(sim.skipped and sim.jumped for sim in sims)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_replicate_episodes_tick_twice_in_four_scans(preset, monkeypatch):
+    # Untraced, an episode scans at the phase, after the crash, at its
+    # detection (a tick that acts) and after the recovery (a tick that drops
+    # the record), and then ends. Traced, it still traces one `scan` line
+    # per period up to the horizon, and ticks as often.
+    sims = []
+
+    class Counted(Simulation):
+        def __init__(self, *args, traced, **kwargs):
+            super().__init__(*args, collect_trace=traced, **kwargs)
+            self.ticks = self.scans = 0
+            sims.append(self)
+
+        def _tick(self):
+            self.ticks += 1
+            super()._tick()
+
+        def _on_scan(self):
+            self.scans += 1
+            super()._on_scan()
+
+    horizon_s = PRESETS[preset].horizon_s
+    for traced in (False, True):
+        monkeypatch.setattr(hasim.presets, "Simulation",
+                            functools.partial(Counted, traced=traced))
+        for seed in (1, 42, 7_000):
+            sims.clear()
+            report = replicate_experiment(preset, 200, seed)
+            assert len(sims) == len(report.recovered()) == 200
+            assert {sim.ticks for sim in sims} == {2}
+            if not traced:
+                assert {sim.scans for sim in sims} == {4}
+                continue
+            for sim in sims:
+                period = sim.params.scan_period_s
+                grid = range(sim.timing.controller_phase_s, horizon_s + 1, period)
+                assert [line for line in sim.trace if line.endswith(" scan")] == \
+                    [f"{at} scan" for at in grid]
 
 
 def test_scans_that_only_wait_skip_the_tick(monkeypatch):
     # A soft crash at 130 s turns its VM Down at 200 s. Scans at 0 to 120 s
-    # have nothing to visit. The scan at 180 s ticks after the crash and
-    # wakes at 200 s, so the scan at 240 s ticks and reboots. The scan at
-    # 300 s ticks after that action; the one at 360 s waits for the boot
-    # (done at 440 to 460 s) and for the reboot's deadline at 420 s.
+    # have nothing to visit. The crash sets the wake instant to 200 s, so the
+    # scan at 180 s skips and the one at 240 s ticks, detects and reboots.
+    # The scans at 300 and 360 s skip: nothing waits for capacity, and the
+    # reboot's deadline is 420 s. The scan at 420 s ticks at that deadline
+    # and restarts the VM, whose boot (due at 430 to 450 s) it cancels; the
+    # one at 600 s ticks at the restart's deadline and reinstalls.
     ticks = []
 
     def counting_tick(*args):
@@ -160,9 +230,35 @@ def test_scans_that_only_wait_skip_the_tick(monkeypatch):
     crash = [FailureInjection(130, NON_DESTRUCTIVE_CRASH, "svc01")]
     report = Simulation(config, crash, 900, seed=1, collect_trace=True).run()
     assert report.episodes[0].detected_at == 240
-    assert ticks[:4] == [180, 240, 300, 420]
+    assert ticks == [240, 420, 600]
     assert [line for line in report.trace if line.endswith(" scan")][:8] == \
         [f"{60 * i} scan" for i in range(8)]
+
+
+def test_an_episode_on_an_already_silent_vm_is_detected_at_the_next_scan():
+    # svc02 is declared halted, so it is silent from 0 s and Down from 70 s.
+    # The scan at 120 s reboots it in vain, and the one at 300 s restarts it
+    # on node02. A glitch of node02 at 320 s halts it while it boots and
+    # opens its first episode. Its Down instant (70 s) is past, so the scan
+    # at 360 s detects it, not the restart's deadline at 480 s.
+    config = parse_cluster_config({
+        "hosts": [{"host_id": "node01", "cpu_count": 4, "ram_mb": 8192},
+                  {"host_id": "node02", "cpu_count": 4, "ram_mb": 8192}],
+        "vms": [{"vm_id": "svc01", "mac": "52:54:00:00:00:01",
+                 "bound_host": "node01", "boot_profile": "default"},
+                {"vm_id": "svc02", "mac": "52:54:00:00:00:02",
+                 "bound_host": "node01", "boot_profile": "default",
+                 "lifecycle": "halted"}],
+        "profiles": {"default": {}},
+        "timing": {"boot_jitter_s": 0, "reinstall_jitter_s": 0},
+    })
+    glitch = [FailureInjection(320, POWER_GLITCH, hosts=("node02",))]
+    for outputs in ({}, {"collect_trace": True}, {"emit_monitor_log": True}):
+        sim = Simulation(config, glitch, 900, seed=1, **outputs)
+        [episode] = sim.run().episodes
+        assert (episode.kind, episode.failure_at, episode.detected_at) == \
+            (POWER_GLITCH, 320, 360)
+        assert episode.actions[0][0] == 480
 
 
 def test_every_transition_and_action_counts_as_a_change():
