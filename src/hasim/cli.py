@@ -9,7 +9,8 @@ Subcommands:
 
 stdout carries only machine-parseable CSV (or diagnostics for validate);
 human prose goes to stderr. Exit codes: 0 success, 1 validation error
-(including an out-of-range option), 2 I/O error.
+(including an out-of-range option, or a `run --out` whose trace would hold
+more than MAX_TRACE_SCANS `scan` lines), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .reporting import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+
+# The most `scan` lines `run --out` keeps in one trace.
+MAX_TRACE_SCANS = 1_000_000
 
 
 def _read_text(path: Path) -> str:
@@ -135,6 +139,14 @@ def cmd_run(args) -> int:
     if seed < 0:
         print("hasim run: seed must be >= 0", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.out is not None:
+        scans = scenario.replications * (
+            (scenario.horizon_s - scenario.config.timing.controller_phase_s)
+            // scenario.config.controller.scan_period_s + 1)
+        if scans > MAX_TRACE_SCANS:
+            print(f"hasim run: the trace would hold {scans} scan lines, more than "
+                  f"{MAX_TRACE_SCANS}; shorten horizon_s", file=sys.stderr)
+            return EXIT_VALIDATION
     report = _run_replicated(scenario, seed, collect_trace=args.out is not None,
                              emit_monitor_log=args.emit_monitor_log)
     if _emit(report, args.out):

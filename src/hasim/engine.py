@@ -207,15 +207,17 @@ class Simulation:
 
     seed: an integer seed, or a generator used as it is.
 
-    With the monitor log off, a scan before `_idle_until()` skips the
-    snapshot, the table and `tick`, and only traces `scan`. That instant is
-    inf when `_visit()` is empty, and now when a VM waits for capacity and a
-    transition or an action happened since the last `tick` (an action counts
-    even when it changes no state: a reboot's load commit in `tick` never
-    took place). Otherwise it is the wake instant: a `tick` sets it to the
-    earliest record deadline or `Monitor.next_down_at`, a new episode lowers
-    it to its VM's Down instant, and a VM with a record that runs again
-    lowers it to now.
+    One rule decides whether a scan ticks and when the next one comes: a
+    scan ticks when now >= `_idle_until()`, which is now with the monitor
+    log on (the log needs every scan) and the wake instant otherwise. A
+    scan that does not tick skips the snapshot, the table and `tick`, and
+    only traces `scan`. A `tick` sets the wake instant to the earliest
+    record deadline or VM Down instant (`Monitor.next_down_at`), inf when
+    `_visit()` is empty. A new episode lowers it to its VM's Down instant,
+    and a VM with a record that runs again lowers it to now. While the last
+    tick left a VM waiting for capacity, every transition and every action
+    lowers it to now (an action counts even when it changes no state: a
+    reboot's load commit in `tick` never took place).
 
     invariant_checks: "off", "scan" (default: at each scan, the binding and
     power rules for the machines touched since the previous scan, with
@@ -224,10 +226,12 @@ class Simulation:
     the coherence of the host table and the monitor's beat trains,
     registrations and silent set; slow, meant for focused tests).
 
-    With trace and monitor log off, a scan schedules the next one at the
-    first grid instant at or after `_idle_until()` or the next event, and
-    none when both are inf: the run ends on an empty heap. The episodes,
-    records and final state are those of a run to the horizon.
+    Every scan schedules the next one at the first grid instant after now
+    at or after `_idle_until()` or the next event, and none when both are
+    inf: the run ends on an empty heap. No event runs before the instants
+    it jumps over, so a traced run writes their `scan` lines then, up to
+    the horizon. The episodes, records, final state and trace are those of
+    a run that scans every period to the horizon.
     """
 
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
@@ -260,10 +264,7 @@ class Simulation:
         # A completion counts only if no transition bumped the ticket since.
         self._boot_ticket: dict[str, int] = {}
         self.now = 0
-        # Transitions and actions so far, the count at the last `tick`, and
-        # whether that tick left a VM waiting for capacity.
-        self._changes = 0
-        self._ticked = -1
+        # Whether the last tick left a VM waiting for capacity.
         self._waiting = False
         self._invariants = invariant_checks
         self.trace: list[str] | None = [] if collect_trace else None
@@ -289,8 +290,8 @@ class Simulation:
                     self._start_beats(vm_id)
                 self.monitor.register(vm_id, 0, vm.load_contribution)
         # The wake instant: no `tick` before it can decide anything (see
-        # `_idle_until`). Until the first tick, that is the first Down instant.
-        self._wake = min(map(self.monitor.down_at, self.monitor.silent), default=math.inf)
+        # `_idle_until`). Until the first tick, that is the first VM Down instant.
+        self._wake = self.monitor.next_down_at(self.now, self.state.vms)
 
     # -- scheduling ------------------------------------------------------
 
@@ -329,7 +330,9 @@ class Simulation:
     def _touch(self, *machine_ids: str | None) -> None:
         """Note the machines a transition changed: a host's table entry is
         refreshed at the next tick, and each machine is checked at the next
-        scan."""
+        scan. A VM the last tick left waiting may fit after any change."""
+        if self._waiting:
+            self._wake = self.now
         for machine_id in machine_ids:
             if machine_id is not None:
                 self._touched.add(machine_id)
@@ -337,7 +340,6 @@ class Simulation:
                     self._stale.add(machine_id)
 
     def _set_lifecycle(self, vm: VirtualMachine, lifecycle: VmLifecycle) -> None:
-        self._changes += 1
         was_running = vm.lifecycle is VmLifecycle.RUNNING
         if was_running:
             self._silence(vm.vm_id)
@@ -354,7 +356,6 @@ class Simulation:
             self._host_load_changed(vm.bound_host)
 
     def _set_power(self, host: PhysicalHost, power: PowerState) -> None:
-        self._changes += 1
         if power is PowerState.OFF:
             self._silence(host.host_id)
         host.power_state = power
@@ -368,7 +369,6 @@ class Simulation:
         source = vm.bound_host
         if source == target:  # keeps the VM list's order, which orders the load sum
             return
-        self._changes += 1
         self._touch(vm.vm_id, source, target)
         if source is None:
             # Heartbeat history survives parking, so the staleness clock
@@ -383,7 +383,6 @@ class Simulation:
         vm.bound_host = target
 
     def _add_extra_load(self, host_id: str, delta: float) -> None:
-        self._changes += 1
         extra = self.state.extra_load.get(host_id, 0.0) + delta
         if extra <= 1e-12:  # the last spike ended; drop the rounding residue
             self.state.extra_load.pop(host_id, None)
@@ -440,38 +439,29 @@ class Simulation:
         return sorted({m for m in self.monitor.silent if m in vms}
                       | self.records.keys())
 
-    def _nothing_to_visit(self) -> bool:
-        """Whether `_visit()` is empty, without building it."""
-        return not self.records and self.state.vms.keys().isdisjoint(self.monitor.silent)
-
     def _idle_until(self) -> float:
         """No `tick` before this instant can decide anything, unless an event
-        comes first. A waiting VM may fit after any change or action."""
-        if self._nothing_to_visit():
-            return math.inf
-        if self._waiting and self._changes != self._ticked:
-            return self.now
-        return self._wake
-
-    def _can_skip(self) -> bool:
-        """Whether `tick` would return `records` and no action at this scan."""
-        return self.monitor_log is None and self.now < self._idle_until()
+        comes first. The monitor log needs every scan."""
+        return self.now if self.monitor_log is not None else self._wake
 
     def _on_scan(self) -> None:
-        if self._can_skip():
+        if self.now < self._idle_until():
             self._trace("scan")
         else:
             self._tick()
         self._check_scan()
+        # The first grid instant that could tick or that follows the next
+        # event; none if neither will come.
         period = self.params.scan_period_s
-        due = self.now + period
-        if self.trace is None and self.monitor_log is None:
-            # The first grid instant that could tick or that follows the next
-            # event; none if neither will come.
-            due = min(self._idle_until(), self._heap[0][0] if self._heap else math.inf)
+        due = min(self._idle_until(), self._heap[0][0] if self._heap else math.inf)
+        at = math.inf
         if due < math.inf:
-            self._schedule(self.now + period * max(1, -((self.now - due) // period)),
-                           "scan", ())
+            at = self.now + period * max(1, -((self.now - due) // period))
+        if self.trace is not None:  # no event runs before the instants jumped over
+            self.trace.extend(f"{jumped} scan" for jumped in
+                              range(self.now + period, min(at, self.horizon_s + 1), period))
+        if at < math.inf:
+            self._schedule(at, "scan", ())
 
     def _check_scan(self) -> None:
         """In "scan" mode, check the machines touched since the last scan."""
@@ -499,19 +489,20 @@ class Simulation:
                         vms[vm_id].reinstall_allowed) for vm_id in visit]
         self.records, actions = tick(self.records, snapshot, self._table, self.now,
                                      self.params, infos)
-        self._ticked = self._changes
-        if self.monitor_log is None:  # logged scans never skip or stop early
-            self._wake = min([self.monitor.next_down_at(self.now)]
-                             + [rec.deadline for rec in self.records.values()
-                                if rec.deadline is not None])
-            self._waiting = any(rec.phase is Phase.AWAITING_CAPACITY
-                                for rec in self.records.values())
+        self._wake = min([self.monitor.next_down_at(self.now, vms)]
+                         + [rec.deadline for rec in self.records.values()
+                            if rec.deadline is not None])
+        self._waiting = any(rec.phase is Phase.AWAITING_CAPACITY
+                            for rec in self.records.values())
         self._trace("scan")
         for action in actions:
             self._apply(action)
 
     def _apply(self, action: Action) -> None:
-        self._changes += 1
+        if self._waiting:
+            # Even an action that changes no state: its load commit in `tick`
+            # never took place.
+            self._wake = self.now
         self._trace(f"action {action}")
         ep = self._open.get(action.vm_id)
         if ep is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple
 from xml.etree import ElementTree
 from xml.sax.saxutils import quoteattr
 
@@ -151,12 +151,13 @@ class Monitor:
         """The instant a machine that stays silent turns Down."""
         return self._last_beat[machine_id] + self.params.detection_latency_s
 
-    def next_down_at(self, now: int) -> float:
-        """First instant after `now` at which a silent machine turns Down,
-        or inf. Only silent machines can be Down; the answer holds until the
-        next call that records a beat or changes the silent set."""
-        return min((down for down in map(self.down_at, self.silent) if down > now),
-                   default=math.inf)
+    def next_down_at(self, now: int, machine_ids: Container[str]) -> float:
+        """First instant after `now` at which a silent machine among
+        `machine_ids` turns Down, or inf. Only silent machines can be Down;
+        the answer holds until the next call that records a beat or changes
+        the silent set. Costs O(silent machines)."""
+        downs = (self.down_at(m) for m in self.silent if m in machine_ids)
+        return min((down for down in downs if down > now), default=math.inf)
 
     def snapshot(self, now: int) -> MonitorSnapshot:
         """Liveness view of all registered machines at time `now`, in name order."""

@@ -68,6 +68,45 @@ def test_run_ends_when_nothing_can_change(tmp_path, capsys, monkeypatch):
     assert scans[-1] == 240
 
 
+def test_traced_run_ends_when_nothing_can_change(tmp_path, capsys, monkeypatch):
+    # Traced, the same run ends at the same scan: that scan writes the
+    # `scan` lines of every grid instant it jumps over, up to the horizon.
+    scans = []
+
+    class CountedSimulation(hasim.cli.Simulation):
+        def _on_scan(self):
+            scans.append(self.now)
+            assert len(scans) < 100, "the run goes on with nothing left to change"
+            super()._on_scan()
+
+    path = tmp_path / "waiting.json"
+    path.write_text(json.dumps({**WAITING_SCENARIO, "horizon_s": 10**6}))
+    monkeypatch.setattr(hasim.cli, "Simulation", CountedSimulation)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.endswith(
+        "1 episode(s) not recovered within the horizon\n")
+    assert scans[-1] == 240
+    trace = (tmp_path / "out" / "trace.txt").read_text().splitlines()
+    scan_lines = [line for line in trace if line.endswith(" scan")]
+    assert len(scan_lines) == 16_667
+    assert scan_lines == [f"{at} scan" for at in range(0, 10**6 + 1, 60)]
+
+
+def test_run_bounds_the_scan_lines_of_its_trace(tmp_path, capsys, monkeypatch):
+    # Two replications of 16 667 scans each, at the bound and one above it.
+    path = tmp_path / "waiting.json"
+    path.write_text(json.dumps({**WAITING_SCENARIO, "horizon_s": 10**6,
+                                "replications": 2}))
+    monkeypatch.setattr(hasim.cli, "MAX_TRACE_SCANS", 2 * 16_667)
+    assert main(["run", str(path), "--out", str(tmp_path / "at")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(hasim.cli, "MAX_TRACE_SCANS", 2 * 16_667 - 1)
+    _fails_with_one_line(capsys, ["run", str(path), "--out", str(tmp_path / "above")],
+                         "hasim run: the trace would hold 33334 scan lines, more "
+                         "than 33333; shorten horizon_s")
+    assert not (tmp_path / "above").exists()
+
+
 def test_run_scenario_writes_outputs(tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = main(["run", str(SCENARIOS / "power_glitch.json"),
@@ -237,6 +276,12 @@ def test_report_rejects_bin_width_below_one(tmp_path, capsys):
                              "hasim report: --bin-width must be >= 1")
 
 
+# One host, no VM, nothing to do for 10**12 s.
+IDLE_SCENARIO = {
+    "cluster": {"hosts": [{"host_id": "h0", "cpu_count": 1, "ram_mb": 1}]},
+    "horizon_s": 10**12}
+
+
 def test_run_with_nothing_to_do_ends_at_its_first_scan(tmp_path, monkeypatch):
     sims = []
 
@@ -247,9 +292,21 @@ def test_run_with_nothing_to_do_ends_at_its_first_scan(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hasim.cli, "Simulation", RecordingSimulation)
     path = tmp_path / "idle.json"
-    path.write_text(json.dumps({
-        "cluster": {"hosts": [{"host_id": "h0", "cpu_count": 1, "ram_mb": 1}]},
-        "horizon_s": 10**12}))
+    path.write_text(json.dumps(IDLE_SCENARIO))
     assert main(["run", str(path)]) == 0
     assert len(sims) == 1
     assert sims[0].now < sims[0].params.scan_period_s
+
+
+def test_run_refuses_a_trace_it_cannot_hold(tmp_path, capsys, monkeypatch):
+    # Traced to the horizon, the idle run would hold 16 666 666 667 scan lines.
+    sims = []
+    monkeypatch.setattr(hasim.cli, "Simulation",
+                        lambda *args, **kwargs: sims.append(args))
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(IDLE_SCENARIO))
+    _fails_with_one_line(capsys, ["run", str(path), "--out", str(tmp_path / "out")],
+                         "hasim run: the trace would hold 16666666667 scan lines, "
+                         "more than 1000000; shorten horizon_s")
+    assert sims == []
+    assert not (tmp_path / "out").exists()

@@ -347,12 +347,12 @@ WAITING_SCENARIO = {
 
 
 def test_untraced_run_ends_early_with_the_same_outcome():
-    # Trace and monitor log off, a scan schedules the next scan that can act
-    # or follow an event, or none: the run ends on an empty heap, or when
-    # that one scan, and any other event left, lies past the horizon. A
-    # traced run walks every scan to the horizon. The first two runs end
-    # on an empty heap while a VM keeps its
-    # record: v waits for capacity, or requires a human from 1080 s on,
+    # Monitor log off, a scan schedules the next scan that can act or follow
+    # an event, or none: the run ends on an empty heap, or when that one
+    # scan, and any other event left, lies past the horizon. A traced run
+    # ends at the same instant, with the `scan` lines of the instants it
+    # jumped over. A logged run walks every scan to the horizon. The first
+    # two runs end on an empty heap while a VM keeps its record: v waits for capacity, or requires a human from 1080 s on,
     # after its host failed during the third reinstall (installs take
     # longer than the reinstall patience, so each is cut off by a restart).
     waiting = load_scenario(json.dumps(WAITING_SCENARIO))
@@ -374,18 +374,22 @@ def test_untraced_run_ends_early_with_the_same_outcome():
                       1_000_000 + i))
     ended_early, emptied, records = [], [], []
     for config, injections, horizon_s, seed in cases:
-        traced = Simulation(config, injections, horizon_s, seed=seed, collect_trace=True)
-        expected = traced.run()
-        assert traced.now > horizon_s - config.controller.scan_period_s
+        logged = Simulation(config, injections, horizon_s, seed=seed, collect_trace=True,
+                            emit_monitor_log=True)
+        expected = logged.run()
+        assert logged.now > horizon_s - config.controller.scan_period_s
         quiet = Simulation(config, injections, horizon_s, seed=seed)
-        report = quiet.run()
-        assert report.episodes == expected.episodes
-        assert quiet.records == traced.records
-        assert quiet.state == traced.state
-        if quiet.now < traced.now:
-            assert all(at > horizon_s for at, _, _, _ in quiet._heap)
-            assert [kind for _, _, kind, _ in quiet._heap].count("scan") <= 1
-        ended_early.append(quiet.now < traced.now)
+        traced = Simulation(config, injections, horizon_s, seed=seed, collect_trace=True)
+        assert quiet.run().episodes == traced.run().episodes == expected.episodes
+        assert traced.trace == expected.trace
+        assert quiet.now == traced.now
+        for sim in (quiet, traced):
+            assert sim.records == logged.records
+            assert sim.state == logged.state
+            if sim.now < logged.now:
+                assert all(at > horizon_s for at, _, _, _ in sim._heap)
+                assert [kind for _, _, kind, _ in sim._heap].count("scan") <= 1
+        ended_early.append(quiet.now < logged.now)
         emptied.append(quiet._heap == [])
         records.append(quiet.records)
     assert ended_early[:2] == emptied[:2] == [True, True]

@@ -1,17 +1,19 @@
 """Skipped scans against the full scans they stand for.
 
 A scan that cannot decide anything skips the snapshot, the view and `tick`,
-and an untraced run does not even schedule the scans before the next one
-that could tick or that follows an event. At every scan the engine skips,
-and at every grid instant up to the horizon that an untraced run jumps over
-or leaves out by ending early, SkipCheckedSimulation runs the full scan it
-replaces: a snapshot of every registered machine, a view of every host and
-`tick` over every VM. That scan must return exactly `records`, no action and
-no new detection. No event runs before a jumped-over instant, so its full
-scan runs with the state as it is when the next scan is scheduled. In
-"event" mode it also holds the cluster state equal to a deep copy across
-every skipped scan, and at every scan after which nothing counted as a
-change since the previous scan. Every host and VM that no transition
+and a run does not even schedule the scans before the next one that could
+tick or that follows an event; a traced run writes their `scan` lines when
+it jumps over them. At every scan the engine skips, and at every grid
+instant up to the horizon that a run jumps over or leaves out by ending
+early, SkipCheckedSimulation runs the full scan it replaces: a snapshot of
+every registered machine, a view of every host and `tick` over every VM.
+That scan must return exactly `records`, no action and no new detection. No
+event runs before a jumped-over instant, so its full scan runs with the
+state as it is when the next scan is scheduled. A skipped scan must not
+tick, and every other scan must. In "event" mode it also holds the cluster
+state equal to a deep copy across every skipped scan, and at every scan
+after which no transition or action happened since the previous scan.
+Every host and VM that no transition
 touched since the previous scan, which "scan" mode leaves out of its
 invariant check, must equal its copy as well.
 """
@@ -32,7 +34,14 @@ import hasim.presets
 from hasim.cluster import PowerState, VmLifecycle
 from hasim.config import load_scenario, parse_cluster_config
 from hasim.controller import REBOOT, Action, VmInfo, tick
-from hasim.engine import NON_DESTRUCTIVE_CRASH, POWER_GLITCH, FailureInjection, Simulation
+from hasim.engine import (
+    DESTRUCTIVE_CRASH,
+    NON_DESTRUCTIVE_CRASH,
+    PHYSICAL_HOST_FAILURE,
+    POWER_GLITCH,
+    FailureInjection,
+    Simulation,
+)
 from hasim.presets import PRESETS, replicate_experiment
 from hasim.telemetry import DOWN
 
@@ -40,15 +49,29 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class SkipCheckedSimulation(Simulation):
-    """Checks each skipped or jumped-over scan against `tick`, and each
-    unchanged state and untouched machine against its copy at the previous
-    scan; runs with "event" checks."""
+    """Checks each skipped or jumped-over scan against `tick`, that a
+    skipped scan never ticks and every other scan does, and each unchanged
+    state and untouched machine against its copy at the previous scan; runs
+    with "event" checks."""
 
     def __init__(self, *args, **kwargs):
-        self.skipped = self.jumped = self.unchanged = 0
+        self.skipped = self.jumped = self.unchanged = self.ticks = 0
+        self.changes = 0  # transitions and actions so far
         self._copy = None
         self._scanned = -1  # the change count at the end of the previous scan
         super().__init__(*args, invariant_checks="event", **kwargs)
+
+    def _touch(self, *machine_ids):
+        self.changes += 1
+        super()._touch(*machine_ids)
+
+    def _apply(self, action):
+        self.changes += 1
+        super()._apply(action)
+
+    def _tick(self):
+        self.ticks += 1
+        super()._tick()
 
     def _assert_decides_nothing(self, at, what):
         snapshot = self.monitor.snapshot(at)
@@ -64,13 +87,6 @@ class SkipCheckedSimulation(Simulation):
             assert ep.detected_at is not None or entry is None or entry.verdict != DOWN, \
                 f"the scan at {at} was {what} but detects {vm_id}"
 
-    def _can_skip(self):
-        if not super()._can_skip():
-            return False
-        self.skipped += 1
-        self._assert_decides_nothing(self.now, "skipped")
-        return True
-
     def _check_jumped(self, until):
         """Check the grid instants after now and before `until` (and up to
         the horizon) that no scan will visit."""
@@ -85,7 +101,7 @@ class SkipCheckedSimulation(Simulation):
         super()._schedule(at, kind, args)
 
     def _on_scan(self):
-        if self._changes == self._scanned:
+        if self.changes == self._scanned:
             self.unchanged += 1
             assert self.state == self._copy, \
                 f"the state changed by {self.now} with no transition or action counted"
@@ -97,14 +113,21 @@ class SkipCheckedSimulation(Simulation):
                              == old.extra_load.get(machine_id)))
                 assert same or machine_id in self._touched, \
                     f"{machine_id} changed by {self.now} but no transition touched it"
-        skipped, before = self.skipped, copy.deepcopy(self.state)
+        skip = self.now < self._idle_until()
+        if skip:
+            self.skipped += 1
+            self._assert_decides_nothing(self.now, "skipped")
+        ticks, before = self.ticks, copy.deepcopy(self.state)
         super()._on_scan()
-        if self.skipped > skipped:
+        if skip:
+            assert self.ticks == ticks, f"the skipped scan at {self.now} ticked"
             assert self.state == before, f"the skipped scan at {self.now} changed the state"
+        else:
+            assert self.ticks == ticks + 1, f"the scan at {self.now} did not tick"
         if not self._heap:  # no scan follows: the run ends
             self._check_jumped(math.inf)
         self._copy = copy.deepcopy(self.state)
-        self._scanned = self._changes
+        self._scanned = self.changes
 
 
 def run_checked(config, injections, horizon_s, seed, **kwargs):
@@ -121,7 +144,7 @@ def test_glitch_scenarios_skip_only_scans_without_decisions():
         scenario = load_scenario((SCENARIOS / name).read_text(), base_dir=SCENARIOS)
         sim = run_checked(scenario.config, scenario.injections, scenario.horizon_s,
                           scenario.seed, collect_trace=True)
-        assert sim.skipped and sim.unchanged
+        assert sim.skipped and sim.jumped
 
 
 @pytest.mark.parametrize("collect_trace", [False, True])
@@ -137,7 +160,7 @@ def test_property_suite_scenarios_skip_only_scans_without_decisions(collect_trac
         jumped += sim.jumped
         unchanged += sim.unchanged
     assert skipped > 1000 and unchanged > 1000
-    assert (jumped > 1000) if not collect_trace else jumped == 0
+    assert jumped > 1000
 
 
 def test_overlapping_scenarios_skip_only_scans_without_decisions():
@@ -167,10 +190,10 @@ def test_replicate_presets_skip_only_scans_without_decisions(preset, monkeypatch
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_replicate_episodes_tick_twice_in_four_scans(preset, monkeypatch):
-    # Untraced, an episode scans at the phase, after the crash, at its
-    # detection (a tick that acts) and after the recovery (a tick that drops
-    # the record), and then ends. Traced, it still traces one `scan` line
-    # per period up to the horizon, and ticks as often.
+    # An episode scans at the phase, after the crash, at its detection (a
+    # tick that acts) and after the recovery (a tick that drops the record),
+    # and then ends. Traced, it still traces one `scan` line per period up
+    # to the horizon, in as many scans and ticks.
     sims = []
 
     class Counted(Simulation):
@@ -196,8 +219,8 @@ def test_replicate_episodes_tick_twice_in_four_scans(preset, monkeypatch):
             report = replicate_experiment(preset, 200, seed)
             assert len(sims) == len(report.recovered()) == 200
             assert {sim.ticks for sim in sims} == {2}
+            assert {sim.scans for sim in sims} == {4}
             if not traced:
-                assert {sim.scans for sim in sims} == {4}
                 continue
             for sim in sims:
                 period = sim.params.scan_period_s
@@ -235,6 +258,49 @@ def test_scans_that_only_wait_skip_the_tick(monkeypatch):
         [f"{60 * i} scan" for i in range(8)]
 
 
+def test_a_host_turning_down_wakes_no_scan():
+    # v crashes destructively at 100 s and is Down at 170 s: the scan at
+    # 180 s reboots it in vain. u crashes softly at 160 s and is Down at
+    # 230 s: the scan at 240 s reboots it, and it runs again at 320 s. h2,
+    # with no VM, fails at 200 s and turns Down at 270 s, which decides
+    # nothing. The scan at 360 s restarts v (its reboot's deadline) and
+    # drops u's record; the one at 540 s reinstalls v, which is still
+    # installing at the horizon. A logged run ticks at every scan.
+    config = parse_cluster_config({
+        "hosts": [{"host_id": "h1", "cpu_count": 4, "ram_mb": 8192},
+                  {"host_id": "h2", "cpu_count": 4, "ram_mb": 8192}],
+        "vms": [{"vm_id": "u", "mac": "52:54:00:00:00:01",
+                 "bound_host": "h1", "boot_profile": "default"},
+                {"vm_id": "v", "mac": "52:54:00:00:00:02",
+                 "bound_host": "h1", "boot_profile": "default"}],
+        "profiles": {"default": {}},
+        "timing": {"boot_jitter_s": 0, "reinstall_jitter_s": 0},
+    })
+    injections = [FailureInjection(100, DESTRUCTIVE_CRASH, "v"),
+                  FailureInjection(160, NON_DESTRUCTIVE_CRASH, "u"),
+                  FailureInjection(200, PHYSICAL_HOST_FAILURE, host_id="h2")]
+
+    class Ticks(Simulation):
+        def __init__(self, *args, **kwargs):
+            self.ticks = []
+            super().__init__(*args, **kwargs)
+
+        def _tick(self):
+            self.ticks.append(self.now)
+            super()._tick()
+
+    runs = {}
+    for name, outputs in (("quiet", {}), ("traced", {"collect_trace": True}),
+                          ("logged", {"emit_monitor_log": True})):
+        sim = Ticks(config, injections, 900, seed=1, **outputs)
+        runs[name] = sim.run().episodes, sim.ticks
+    assert runs["quiet"][1] == runs["traced"][1] == [180, 240, 360, 540]
+    assert runs["logged"][1] == list(range(0, 901, 60))
+    assert runs["quiet"][0] == runs["traced"][0] == runs["logged"][0]
+    assert [(ep.vm_id, ep.recovered_at) for ep in runs["quiet"][0]] == \
+        [("v", None), ("u", 320)]
+
+
 def test_an_episode_on_an_already_silent_vm_is_detected_at_the_next_scan():
     # svc02 is declared halted, so it is silent from 0 s and Down from 70 s.
     # The scan at 120 s reboots it in vain, and the one at 300 s restarts it
@@ -261,8 +327,11 @@ def test_an_episode_on_an_already_silent_vm_is_detected_at_the_next_scan():
         assert episode.actions[0][0] == 480
 
 
-def test_every_transition_and_action_counts_as_a_change():
+def test_every_transition_and_action_wakes_a_waiting_vm():
+    # While the last tick left a VM waiting for capacity, a placement may
+    # succeed after any change, so the next scan must tick.
     sim = Simulation(two_host_config(), [], 900, seed=1)
+    sim.now = 300
     vm, host = sim.state.vms["svc01"], sim.state.hosts["node02"]
     steps = [
         lambda: sim._set_lifecycle(vm, VmLifecycle.HALTED),
@@ -272,9 +341,12 @@ def test_every_transition_and_action_counts_as_a_change():
         lambda: sim._apply(Action(REBOOT, "svc01")),  # halted: changes nothing
     ]
     for step in steps:
-        changes = sim._changes
+        sim._waiting, sim._wake = True, math.inf
         step()
-        assert sim._changes > changes
+        assert sim._wake == sim.now
+    sim._waiting, sim._wake = False, math.inf
+    sim._add_extra_load("node02", -0.5)
+    assert sim._wake == math.inf
 
 
 # -- the "scan"-mode invariant check ---------------------------------------

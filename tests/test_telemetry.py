@@ -103,17 +103,18 @@ def test_next_down_at_is_the_first_later_down_instant():
     m = Monitor(TelemetryParams(detection_latency_s=45))
     m.register("a", 0)
     m.register("b", 20)
-    assert m.next_down_at(0) == 45
-    assert m.next_down_at(44) == 45
-    assert m.next_down_at(45) == 65
-    assert m.next_down_at(64) == 65
-    assert m.next_down_at(65) == math.inf
+    ids = {"a", "b"}
+    assert m.next_down_at(0, ids) == 45
+    assert m.next_down_at(44, ids) == 45
+    assert m.next_down_at(45, ids) == 65
+    assert m.next_down_at(64, ids) == 65
+    assert m.next_down_at(65, ids) == math.inf
 
     def verdicts(at):
         return {name: e.verdict for name, e in m.snapshot(at).entries.items()}
 
     for t in (20, 44, 45, 64):
-        down_at = m.next_down_at(t)
+        down_at = m.next_down_at(t, ids)
         assert all(verdicts(s) == verdicts(t) for s in range(t, down_at))
         assert verdicts(down_at) != verdicts(t)
 
@@ -124,23 +125,34 @@ def test_next_down_at_ignores_beat_trains_and_unregistered_machines():
     m.start_beats("beating", 0, 1.0)
     m.register("parked", 10)
     m.unregister("parked")
-    assert m.next_down_at(0) == math.inf
+    ids = {"beating", "parked", "silent"}
+    assert m.next_down_at(0, ids) == math.inf
     m.register("silent", 30)
-    assert m.next_down_at(0) == 75
+    assert m.next_down_at(0, ids) == 75
     m.stop_beats("beating", 100)  # last beat at 90
-    assert m.next_down_at(100) == 135
+    assert m.next_down_at(100, ids) == 135
     m.start_beats("silent", 100, 1.0)
     m.register("parked", 100)  # its staleness clock still dates from 10
-    assert m.next_down_at(100) == 135
-    assert m.next_down_at(40) == 55
+    assert m.next_down_at(100, ids) == 135
+    assert m.next_down_at(40, ids) == 55
 
 
 def test_next_down_at_is_inf_with_nothing_silent():
-    assert Monitor().next_down_at(0) == math.inf
+    assert Monitor().next_down_at(0, {"a"}) == math.inf
     m = Monitor()
     m.register("a", 0)
     m.start_beats("a", 0, 1.0)
-    assert m.next_down_at(10**9) == math.inf
+    assert m.next_down_at(10**9, {"a"}) == math.inf
+
+
+def test_next_down_at_ignores_silent_machines_outside_the_given_ids():
+    m = Monitor(TelemetryParams(detection_latency_s=45))
+    m.register("host", 0)
+    m.register("vm", 20)
+    assert m.next_down_at(0, {"vm"}) == 65
+    assert m.next_down_at(0, {"host", "vm"}) == 45
+    assert m.next_down_at(0, {"other"}) == math.inf
+    assert m.next_down_at(0, ()) == math.inf
 
 
 def test_unregistered_machines_keep_history():
