@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Container
+from typing import TYPE_CHECKING, Container, Iterable
 
 import numpy as np
 
@@ -201,9 +201,18 @@ class Simulation:
     change of machine state and the bookkeeping that follows it, and note
     the machines they touch. `tick` reads the host table: each host's power,
     committed load, VM count and threshold as of the last tick, where a
-    touched host is summed afresh at the next tick and a silent host takes
+    touched host's view is rebuilt at the next tick and a silent host takes
     its verdict from the snapshot (a host with a beat train is Up). `tick`
     copies a host's view only to place a VM on it or commit a reboot's load.
+
+    Host loads come from two maps of load terms per host, `_running` and
+    `_pending`, that the transitions keep in `hosted_vms` order: a VM's term
+    is its load where it is RUNNING (`_running`) or BOOTING or INSTALLING
+    (`_pending`), and an int 0 elsewhere. A load is the built-in `sum` over
+    a map's terms, never a total moved by deltas. The nonzero terms are
+    those of `host_load` and `pending_load` in the same order, and a 0 term
+    changes neither a partial sum (none is -0.0) nor the int or float path
+    `sum` is on, so both give the same float bit for bit.
 
     seed: an integer seed, or a generator used as it is.
 
@@ -253,6 +262,11 @@ class Simulation:
         # touched since are stale until the next tick refreshes them.
         self._table: dict[str, HostView] = {}
         self._stale: set[str] = set(self.state.hosts)
+        # host -> {vm_id: load term}, in hosted_vms order (see the class doc)
+        self._running: dict[str, dict[str, float]] = {h: {} for h in self.state.hosts}
+        self._pending: dict[str, dict[str, float]] = {h: {} for h in self.state.hosts}
+        for host_id, host in self.state.hosts.items():
+            self._write_loads(host_id, host.hosted_vms)
         # Machines a transition touched since the last scan.
         self._touched: set[str] = set()
         self.episodes: list[Episode] = []
@@ -305,9 +319,15 @@ class Simulation:
 
     # -- heartbeats ------------------------------------------------------
 
+    def _load(self, host_id: str) -> float:
+        """`host_load` from the host's running terms."""
+        if self.state.hosts[host_id].power_state is PowerState.OFF:
+            return 0.0
+        return sum(self._running[host_id].values()) + self.state.extra_load.get(host_id, 0.0)
+
     def _reported_load(self, machine_id: str) -> float:
         if machine_id in self.state.hosts:
-            return host_load(self.state, machine_id)
+            return self._load(machine_id)
         return self.state.vms[machine_id].load_contribution
 
     # A host beats while powered on, a VM while running; trains start and
@@ -323,7 +343,7 @@ class Simulation:
                                       self._reported_load(machine_id))
 
     def _host_load_changed(self, host_id: str) -> None:
-        self.monitor.load_changed(host_id, self.now, host_load(self.state, host_id))
+        self.monitor.load_changed(host_id, self.now, self._load(host_id))
 
     # -- transitions -----------------------------------------------------
 
@@ -339,11 +359,24 @@ class Simulation:
                 if machine_id in self.state.hosts:
                     self._stale.add(machine_id)
 
+    def _write_loads(self, host_id: str, vm_ids: Iterable[str]) -> None:
+        """Set the load terms of VMs bound to the host; a VM new to it gets
+        them last."""
+        vms, running, pending = self.state.vms, self._running[host_id], self._pending[host_id]
+        run, boot, install = VmLifecycle.RUNNING, VmLifecycle.BOOTING, VmLifecycle.INSTALLING
+        for vm_id in vm_ids:
+            vm = vms[vm_id]
+            load, lifecycle = vm.load_contribution, vm.lifecycle
+            running[vm_id] = load if lifecycle is run else 0
+            pending[vm_id] = load if lifecycle is boot or lifecycle is install else 0
+
     def _set_lifecycle(self, vm: VirtualMachine, lifecycle: VmLifecycle) -> None:
         was_running = vm.lifecycle is VmLifecycle.RUNNING
         if was_running:
             self._silence(vm.vm_id)
         vm.lifecycle = lifecycle
+        if vm.bound_host is not None:
+            self._write_loads(vm.bound_host, (vm.vm_id,))
         self._touch(vm.vm_id, vm.bound_host)
         self._boot_ticket[vm.vm_id] = self._boot_ticket.get(vm.vm_id, 0) + 1
         if lifecycle is VmLifecycle.RUNNING:
@@ -376,11 +409,13 @@ class Simulation:
             self.monitor.register(vm.vm_id, self.now)
         else:
             self.state.hosts[source].hosted_vms.remove(vm.vm_id)
+            del self._running[source][vm.vm_id], self._pending[source][vm.vm_id]
+        vm.bound_host = target
         if target is None:
             self.monitor.unregister(vm.vm_id)
         else:
             self.state.hosts[target].hosted_vms.append(vm.vm_id)
-        vm.bound_host = target
+            self._write_loads(target, (vm.vm_id,))
 
     def _add_extra_load(self, host_id: str, delta: float) -> None:
         extra = self.state.extra_load.get(host_id, 0.0) + delta
@@ -412,10 +447,10 @@ class Simulation:
     # -- controller scan -------------------------------------------------
 
     def _host_view(self, host_id: str) -> HostView:
-        """A host's view summed afresh from the state, with the host Up."""
+        """A host's view from the state and its load terms, with the host Up."""
         host = self.state.hosts[host_id]
         return HostView(host_id, host.power_state is PowerState.ON, True,
-                        host_load(self.state, host_id) + pending_load(self.state, host_id),
+                        self._load(host_id) + sum(self._pending[host_id].values()),
                         len(host.hosted_vms), host.load_threshold)
 
     def _refresh_table(self, snapshot: MonitorSnapshot) -> None:
@@ -621,11 +656,21 @@ class Simulation:
         self._trace(f"spike_end {host_id}")
 
     def _check_coherence(self) -> None:
-        """Assert the host table and the monitor's trains and coverage match the state.
+        """Assert the load terms, the host table and the monitor's trains and
+        coverage match the state.
 
-        A table entry not marked stale equals a fresh view, but for a silent
-        host's verdict, which is as of the last tick.
+        Each host's load terms follow its `hosted_vms` and sum to `host_load`
+        and `pending_load`. A table entry not marked stale equals a fresh
+        view, but for a silent host's verdict, which is as of the last tick.
         """
+        state = self.state
+        for host_id, host in state.hosts.items():
+            pending = self._pending[host_id]
+            assert list(self._running[host_id]) == list(pending) == host.hosted_vms, \
+                f"host {host_id}: load terms out of line with hosted_vms"
+            assert self._load(host_id) == host_load(state, host_id), f"host {host_id}: load"
+            assert sum(pending.values()) == pending_load(state, host_id), \
+                f"host {host_id}: pending load"
         for host_id, view in self._table.items():
             if host_id not in self._stale:
                 fresh = self._host_view(host_id)
@@ -633,7 +678,7 @@ class Simulation:
                 assert view == fresh, f"host {host_id}: table entry {view} is stale ({fresh})"
                 assert view.monitor_up or host_id in self.monitor.silent, \
                     f"host {host_id} beats but is Down in the table"
-        hosts, vms = self.state.hosts, self.state.vms.values()
+        hosts, vms = state.hosts, state.vms.values()
         self.monitor.check_coverage(
             {h for h, host in hosts.items() if host.power_state is PowerState.ON}
             | {vm.vm_id for vm in vms if vm.lifecycle is VmLifecycle.RUNNING},

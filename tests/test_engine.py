@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 from test_acceptance import random_cluster_doc, random_injections
 
-from hasim.cluster import PowerState, VmLifecycle
-from hasim.config import load_scenario, parse_cluster_config
+from hasim.cluster import (
+    PhysicalHost,
+    PowerState,
+    VirtualMachine,
+    VmLifecycle,
+    host_load,
+    pending_load,
+)
+from hasim.config import ClusterConfig, load_scenario, parse_cluster_config
 from hasim.controller import REBOOT, REINSTALL, RESTART, Phase
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
@@ -26,6 +33,7 @@ from hasim.engine import (
     sample_duration,
     summarize,
 )
+from hasim.provisioning import DEFAULT_PROFILE
 from hasim.telemetry import UP
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -538,6 +546,57 @@ def test_each_transition_keeps_caches_and_monitor_coherent_by_itself():
         sim._refresh_table(sim.monitor.snapshot(sim.now))
         step()
         sim._check_coherence()
+
+
+def test_load_terms_sum_to_fresh_host_and_pending_loads():
+    # The engine's host loads are `sum`s over per-host load terms with an int
+    # 0 for each VM that does not count. Under random transitions they must
+    # equal a fresh `host_load` and `pending_load` bit for bit, type
+    # included, on loads in tenths (inexact in binary), integers and -0.0,
+    # which the config parser would turn into floats.
+    rng = np.random.default_rng(20261019)
+    bound = [VmLifecycle.RUNNING, VmLifecycle.UNRESPONSIVE, VmLifecycle.HALTED,
+             VmLifecycle.BOOTING, VmLifecycle.INSTALLING]
+
+    def pick(options):
+        return options[int(rng.integers(0, len(options)))]
+
+    for _ in range(200):
+        hosts = [PhysicalHost(f"h{i}", 4, 8192, 100.0) for i in range(3)]
+        vms = [VirtualMachine(f"v{j:02d}", f"52:54:00:00:00:{j:02x}",
+                              pick(hosts).host_id, "default", pick(bound),
+                              load_contribution=pick([int(rng.integers(1, 20)) / 10,
+                                                      int(rng.integers(0, 5)), -0.0]))
+               for j in range(int(rng.integers(1, 13)))]
+        sim = Simulation(ClusterConfig(hosts, vms, profiles={"default": DEFAULT_PROFILE}),
+                         [], 10**6, invariant_checks="off")
+        state = sim.state
+        for step in range(40):
+            sim.now += 1
+            vm, host = pick(list(state.vms.values())), pick(list(state.hosts.values()))
+            kind = int(rng.integers(0, 5))
+            if kind < 2 and vm.lifecycle is VmLifecycle.RUNNING:
+                sim._set_lifecycle(vm, VmLifecycle.HALTED)  # the engine moves no running VM
+            if vm.bound_host is None:
+                sim._move(vm, host.host_id)
+                sim._set_lifecycle(vm, pick(bound))
+            elif kind == 0:
+                sim._move(vm, None)
+                sim._set_lifecycle(vm, VmLifecycle.WAITING_FOR_CAPACITY)
+            elif kind == 1:
+                sim._move(vm, host.host_id)
+            elif kind == 2:
+                sim._set_power(host, PowerState.OFF if host.power_state is PowerState.ON
+                               else PowerState.ON)
+            elif kind == 3:  # a spike starts, or every spike on the host ends
+                extra = state.extra_load.get(host.host_id, 0.0)
+                sim._add_extra_load(host.host_id, pick([int(rng.integers(1, 20)) / 10, -extra]))
+            else:
+                sim._set_lifecycle(vm, pick(bound))
+            for host_id in state.hosts:
+                assert repr(sim._load(host_id)) == repr(host_load(state, host_id))
+                assert (repr(sum(sim._pending[host_id].values()))
+                        == repr(pending_load(state, host_id)))
 
 
 def test_power_transition_cancels_a_pending_host_boot():

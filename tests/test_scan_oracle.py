@@ -3,8 +3,10 @@
 FullScanSimulation is the engine with the scan as it was before sparse
 scans: a snapshot of every registered machine, a view of every host with
 its load summed afresh, every VM passed to `tick`, and a next scan at every
-scan. Its trace, episodes, monitor log and records must equal the engine's
-byte for byte, with the monitor log on and off.
+scan. It also reports every host load it beats or logs from a fresh
+`host_load`, not from the engine's load terms. Its trace, episodes, monitor
+log and records must equal the engine's byte for byte, with the monitor log
+on and off.
 """
 
 from pathlib import Path
@@ -48,7 +50,12 @@ def full_view(state, snapshot):
 
 
 class FullScanSimulation(Simulation):
-    """Every scan covers every machine; no load is cached."""
+    """Every scan covers every machine; every load is summed afresh."""
+
+    def _load(self, host_id):
+        # The heartbeat and load-change reports read this: the monitor log's
+        # host LOADs then come from fresh sums.
+        return host_load(self.state, host_id)
 
     def _on_scan(self):
         snapshot = self.monitor.snapshot(self.now)
