@@ -42,12 +42,37 @@ class SnapshotEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class MonitorSnapshot:
+    """Entries by machine name at `taken_at`.
+
+    line: the snapshot's XML line when the monitor rendered it together with
+        the entries (`Monitor.snapshot`), else None. It takes no part in
+        equality, and the entries of a snapshot that carries one must not be
+        changed.
+    """
+
     taken_at: int
     entries: dict[str, SnapshotEntry] = field(default_factory=dict)
+    line: str | None = field(default=None, compare=False, repr=False)
 
 
 class HeartbeatOrderError(ValueError):
     """A heartbeat arrived with a timestamp older than the previous one."""
+
+
+class _BeatClass:
+    """The trains whose entry is the same at every instant: started in the
+    same second modulo HEARTBEAT_PERIOD_S, and reporting loads of one repr.
+    `entry` and `tail` are the members' entry and element tail at the last
+    full snapshot, `members` the number of trains in the class."""
+
+    __slots__ = ("key", "load", "members", "entry", "tail")
+
+    def __init__(self, key: tuple[int, str] | None, load: float | None):
+        self.key, self.load, self.members = key, load, 0
+        self.entry = self.tail = None
+
+
+_SILENT = _BeatClass(None, None)  # the class place of a machine without a train
 
 
 class Monitor:
@@ -69,18 +94,36 @@ class Monitor:
     train is never Down, since the latency exceeds the heartbeat period, so
     only silent machines can be Down in a snapshot.
 
-    `snapshot` walks the registered ids in name order, from a list kept until
-    a new id is registered or a registered one unregistered.
+    The full `snapshot` renders its XML line with the entries, at a cost per
+    machine of a few C-level passes. A train's entry at `now` depends only on
+    its beat class, the train start modulo HEARTBEAT_PERIOD_S and the repr of
+    its load (so `1`, `1.0` and `-0.0` stay apart), so Python work is done
+    once per class: one shared entry and one element tail. It is done per
+    machine only for the individual machines: the silent ones, and those
+    whose last recorded beat is not older than their class's beat (a train
+    start or load change in the last period). The classes are kept from one
+    full snapshot to the next: a train change or a recorded beat marks its
+    machine for a recheck, and the first full snapshot and one earlier than
+    the previous one recheck every train, so a monitor that takes no full
+    snapshot marks nothing. A class holds at least one train, so there are
+    never more classes than trains. The registered ids, their element heads
+    and their classes are kept in name order until a new id is registered
+    or a registered one unregistered.
     """
 
     def __init__(self, params: TelemetryParams | None = None):
         self.params = params or TelemetryParams()
         self._active: set[str] = set()
-        self._order: list[str] | None = []
+        self._order: list[str] | None = None
         self._last_beat: dict[str, int] = {}
         self._load: dict[str, float] = {}
         self._train: dict[str, tuple[int, float]] = {}  # machine -> (start, load)
         self.silent: set[str] = set()
+        self._classes: dict[tuple[int, str], _BeatClass] = {}
+        self._class_of: dict[str, _BeatClass] = {}
+        self._recheck: set[str] | None = None  # None before the first full snapshot
+        self._classified_at = math.inf
+        self._heads: dict[str, str] = {}
 
     def register(self, machine_id: str, at: int, load: float = 0.0) -> None:
         """Add a machine to snapshot coverage.
@@ -110,6 +153,8 @@ class Monitor:
             )
         self._last_beat[machine_id] = at
         self._load[machine_id] = load
+        if self._recheck is not None:
+            self._recheck.add(machine_id)
 
     def start_beats(self, machine_id: str, at: int, load: float) -> None:
         self.record_heartbeat(machine_id, at, load)
@@ -120,6 +165,8 @@ class Monitor:
         """End the train, recording its last beat before `at` explicitly."""
         self._record_train_beat(machine_id, at)
         self._train.pop(machine_id, None)
+        if self._recheck is not None:
+            self._recheck.add(machine_id)
         if machine_id in self._active:
             self.silent.add(machine_id)
 
@@ -129,6 +176,8 @@ class Monitor:
         if train is not None:
             self._record_train_beat(machine_id, at)
             self._train[machine_id] = (train[0], load)
+            if self._recheck is not None:
+                self._recheck.add(machine_id)
 
     def _record_train_beat(self, machine_id: str, before: int) -> None:
         train = self._train.get(machine_id)
@@ -160,82 +209,127 @@ class Monitor:
         return min((down for down in downs if down > now), default=math.inf)
 
     def snapshot(self, now: int) -> MonitorSnapshot:
-        """Liveness view of all registered machines at time `now`, in name order."""
+        """Liveness view of all registered machines at time `now`, in name
+        order, carrying its XML line."""
         if self._order is None:
-            self._order = sorted(self._active)
-        return self._snapshot(now, self._order)
+            self._sort()
+        if self._recheck is None:
+            self._recheck = set()
+        if now < self._classified_at:
+            self._recheck.update(self._train)
+        self._classified_at = now
+        for machine_id in self._recheck:
+            self._reclassify(machine_id)
+        for beat_class in self._classes.values():
+            beat = _last_train_beat(beat_class.key[0], now)
+            entry = beat_class.entry = self._entry(beat, beat_class.load, now)
+            beat_class.tail = _tail(entry, beat_class.key[1])
+        last_beat, class_of = self._last_beat, self._class_of
+        self._recheck = {m for m in self._recheck
+                         if m in class_of and class_of[m].entry[0] <= last_beat[m]}
+        classes, parts, index = self._order_classes, self._parts, self._index
+        entries = dict(zip(self._order, [c.entry for c in classes]))
+        parts[1::2] = [c.tail for c in classes]
+        for machine_id in self.silent.union(index.keys() & self._recheck):
+            entry = entries[machine_id] = self._recorded_entry(machine_id, now)
+            parts[2 * index[machine_id] + 1] = _tail(entry, repr(entry[1]))
+        return MonitorSnapshot(now, entries, _cluster(now, "".join(parts)))
 
     def snapshot_of(self, now: int, machine_ids: Iterable[str]) -> MonitorSnapshot:
         """Liveness view at time `now` of the registered machines among `machine_ids`."""
-        active = self._active
-        return self._snapshot(now, [m for m in machine_ids if m in active])
-
-    def _snapshot(self, now: int, machine_ids: Iterable[str]) -> MonitorSnapshot:
-        """Liveness view at time `now` of `machine_ids`, all registered. A
-        train's last beat is `_last_train_beat(start, now)`, written inline."""
-        latency = self.params.detection_latency_s
-        last_beat, loads, trains = self._last_beat, self._load, self._train
-        before = now - 1
-        new = tuple.__new__
+        active, last_beat, trains = self._active, self._last_beat, self._train
         entries = {}
         for machine_id in machine_ids:
-            last = last_beat[machine_id]
-            train = trains.get(machine_id)
-            if train is not None:
-                beat = before - (before - train[0]) % HEARTBEAT_PERIOD_S
-                if beat > last:
-                    entries[machine_id] = new(SnapshotEntry, (
-                        beat, train[1], DOWN if now - beat >= latency else UP))
-                    continue
-            assert now >= last, f"snapshot at t={now} predates heartbeat of {machine_id}"
-            entries[machine_id] = new(SnapshotEntry, (
-                last, loads[machine_id], DOWN if now - last >= latency else UP))
+            if machine_id in active:
+                train = trains.get(machine_id)
+                if train is not None:
+                    beat = _last_train_beat(train[0], now)
+                    if beat > last_beat[machine_id]:
+                        entries[machine_id] = self._entry(beat, train[1], now)
+                        continue
+                entries[machine_id] = self._recorded_entry(machine_id, now)
         return MonitorSnapshot(taken_at=now, entries=entries)
+
+    def _entry(self, beat: int, load: float, now: int) -> SnapshotEntry:
+        verdict = DOWN if now - beat >= self.params.detection_latency_s else UP
+        return tuple.__new__(SnapshotEntry, (beat, load, verdict))
+
+    def _recorded_entry(self, machine_id: str, now: int) -> SnapshotEntry:
+        """The entry of a machine's last recorded beat."""
+        last = self._last_beat[machine_id]
+        assert now >= last, f"snapshot at t={now} predates heartbeat of {machine_id}"
+        return self._entry(last, self._load[machine_id], now)
+
+    def _sort(self) -> None:
+        """Lay out the registered ids in name order: the element heads at the
+        even places of `_parts`, and each id's place in `_index`."""
+        order = self._order = sorted(self._active)
+        self._index = dict(zip(order, range(len(order))))
+        heads = self._heads
+        self._parts = [None] * (2 * len(order))
+        self._parts[::2] = [heads.get(m) or heads.setdefault(m, _head(m)) for m in order]
+        self._order_classes = [self._class_of.get(m, _SILENT) for m in order]
+
+    def _reclassify(self, machine_id: str) -> None:
+        """Move a machine to the beat class of its train, or out of every
+        class when it has none."""
+        train = self._train.get(machine_id)
+        key = None if train is None else (train[0] % HEARTBEAT_PERIOD_S, repr(train[1]))
+        old = self._class_of.get(machine_id, _SILENT)
+        if old.key == key:
+            return
+        if old is not _SILENT:
+            old.members -= 1
+            if not old.members:
+                del self._classes[old.key]
+        if train is None:
+            new = _SILENT
+            del self._class_of[machine_id]
+        else:
+            new = self._classes.get(key)
+            if new is None:
+                new = self._classes[key] = _BeatClass(key, train[1])
+            new.members += 1
+            self._class_of[machine_id] = new
+        if machine_id in self._index:
+            self._order_classes[self._index[machine_id]] = new
 
 
 def _last_train_beat(start: int, before: int) -> int:
     """Last beat before second `before` of a train started at `start`, which
-    counts as a beat; earlier than `start` when `before` is not after it."""
+    counts as a beat; earlier than `start` when `before` is not after it. It
+    depends on `start` only modulo HEARTBEAT_PERIOD_S."""
     return start + HEARTBEAT_PERIOD_S * ((before - 1 - start) // HEARTBEAT_PERIOD_S)
 
 
-# name -> (element head, load, verdict, element tail). The head is
-# `<HOST NAME="…" LAST_HEARTBEAT="`, the tail `" LOAD="…" VERDICT="…"/>` of
-# that load object and verdict. A tail is reused only for the same object, so
-# `1`, `1.0` and `-0.0` keep their bytes; holding the load keeps its id from
-# being reused. Bounded at 65 536 names, the oldest dropped first.
-_PIECES: dict[str, tuple[str, object, str, str]] = {}
-_PIECES_MAX = 1 << 16
+def _head(name: str) -> str:
+    return f'<HOST NAME={quoteattr(name)} LAST_HEARTBEAT="'
 
 
-def _pieces(name: str, load: float, verdict: str) -> tuple[str, object, str, str]:
-    old = _PIECES.get(name)
-    if old is None and len(_PIECES) >= _PIECES_MAX:
-        del _PIECES[next(iter(_PIECES))]
-    head = f'<HOST NAME={quoteattr(name)} LAST_HEARTBEAT="' if old is None else old[0]
-    pieces = _PIECES[name] = (head, load, verdict,
-                              f'" LOAD="{load!r}" VERDICT="{verdict.upper()}"/>')
-    return pieces
+def _tail(entry: SnapshotEntry, load_text: str) -> str:
+    """The element after `LAST_HEARTBEAT="`; `load_text` is the repr of the
+    entry's load."""
+    return f'{entry[0]}" LOAD="{load_text}" VERDICT="{entry[2].upper()}"/>'
+
+
+def _cluster(taken_at: int, hosts: str) -> str:
+    return f'<CLUSTER TAKEN_AT="{taken_at}">{hosts}</CLUSTER>'
 
 
 def serialize_snapshot(snapshot: MonitorSnapshot) -> str:
     """Render a snapshot as a single-line XML document.
 
-    Entries are sorted by machine name so equal snapshots serialize to
-    identical bytes. LOAD is the repr of the reported load, so an int load
-    prints as `1` and a float one as `1.0` or `-0.0`.
+    A snapshot that carries its line (`Monitor.snapshot`) returns it; any
+    other is rendered entry by entry. Entries are sorted by machine name so
+    equal snapshots serialize to identical bytes. LOAD is the repr of the
+    reported load, so an int load prints as `1` and a float one as `1.0` or
+    `-0.0`.
     """
-    parts = [f'<CLUSTER TAKEN_AT="{snapshot.taken_at}">']
-    append, cached = parts.append, _PIECES.get
-    for name, (last, load, verdict) in sorted(snapshot.entries.items()):
-        pieces = cached(name)
-        if pieces is None or pieces[1] is not load or pieces[2] != verdict:
-            pieces = _pieces(name, load, verdict)
-        append(pieces[0])
-        append(str(last))
-        append(pieces[3])
-    parts.append("</CLUSTER>")
-    return "".join(parts)
+    if snapshot.line is not None:
+        return snapshot.line
+    return _cluster(snapshot.taken_at, "".join(
+        _head(name) + _tail(entry, repr(entry[1]))
+        for name, entry in sorted(snapshot.entries.items())))
 
 
 def parse_snapshot(text: str) -> MonitorSnapshot:

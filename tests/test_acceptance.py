@@ -331,6 +331,7 @@ def check_episode(ep, reinstall_allowed, params):
 N_PROPERTY_SCENARIOS = 10_000
 
 
+@pytest.mark.slow
 def test_criterion_5_randomized_fsm_properties():
     rng = np.random.default_rng(20260809)
     episodes_checked = 0

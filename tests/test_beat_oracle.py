@@ -15,6 +15,7 @@ import heapq
 from pathlib import Path
 
 import numpy as np
+import pytest
 from test_acceptance import random_cluster_doc, random_injections
 
 from hasim.cluster import PowerState, VmLifecycle
@@ -94,6 +95,7 @@ def test_glitch_scenarios_match_event_beats():
         assert report.monitor_log and report.episodes
 
 
+@pytest.mark.slow
 def test_property_suite_scenarios_match_event_beats():
     # The first 2000 scenarios of acceptance criterion 5, same generator and seeds.
     rng = np.random.default_rng(20260809)
@@ -132,6 +134,7 @@ def wide_scenario(rng):
     return parse_cluster_config(doc), injections
 
 
+@pytest.mark.slow
 def test_wide_scenarios_match_event_beats():
     rng = np.random.default_rng(20261018)
     for i in range(1000):

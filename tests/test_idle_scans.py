@@ -147,6 +147,7 @@ def test_glitch_scenarios_skip_only_scans_without_decisions():
         assert sim.skipped and sim.jumped
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("collect_trace", [False, True])
 def test_property_suite_scenarios_skip_only_scans_without_decisions(collect_trace):
     # The first 1000 scenarios of acceptance criterion 5, same generator and seeds.
@@ -163,6 +164,7 @@ def test_property_suite_scenarios_skip_only_scans_without_decisions(collect_trac
     assert jumped > 1000
 
 
+@pytest.mark.slow
 def test_overlapping_scenarios_skip_only_scans_without_decisions():
     rng = np.random.default_rng(20261019)
     skipped = 0

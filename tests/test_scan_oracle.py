@@ -12,6 +12,7 @@ on and off.
 from pathlib import Path
 
 import numpy as np
+import pytest
 from test_acceptance import random_cluster_doc, random_injections
 
 from hasim.cluster import PowerState, host_load, pending_load
@@ -109,6 +110,7 @@ def test_glitch_scenarios_match_full_scans():
         assert report.monitor_log and report.episodes
 
 
+@pytest.mark.slow
 def test_property_suite_scenarios_match_full_scans():
     # The first 2000 scenarios of acceptance criterion 5, same generator and seeds.
     rng = np.random.default_rng(20260809)
@@ -168,6 +170,7 @@ def overlapping_scenario(rng):
     return parse_cluster_config(doc), injections
 
 
+@pytest.mark.slow
 def test_overlapping_scenarios_match_full_scans():
     rng = np.random.default_rng(20261019)
     actions = 0

@@ -2,11 +2,12 @@
 
 The oracle is the snapshot and serializer as they were before SnapshotEntry
 became a NamedTuple: frozen dataclass entries, a test of every machine id
-against the registered set, a train's last beat from `_last_train_beat`, and
-every attribute of an element formatted per entry. At every scan that calls
-`tick`, the monitor's full snapshot must hold the oracle's entries in name
-order, and with the monitor log on the logged line must be the oracle's
-rendering byte for byte.
+against the registered set, a train's last beat from its own copy of the
+train-beat formula, and every attribute of an element formatted per entry.
+It reads the monitor's recorded beats and trains, never its beat classes.
+At every scan that calls `tick`, the monitor's full snapshot must hold the
+oracle's entries in name order, and with the monitor log on the logged line
+must be the oracle's rendering byte for byte.
 """
 
 import importlib.util
@@ -18,18 +19,18 @@ from xml.sax.saxutils import quoteattr
 import numpy as np
 import pytest
 from test_acceptance import random_cluster_doc, random_injections
+from test_scan_oracle import overlapping_scenario
 
 from hasim.config import load_scenario, parse_cluster_config
 import hasim.engine
-import hasim.telemetry
-from hasim.engine import Simulation
+from hasim.engine import LOAD_SPIKE, FailureInjection, Simulation
 from hasim.telemetry import (
     DOWN,
+    HEARTBEAT_PERIOD_S,
     UP,
     Monitor,
     MonitorSnapshot,
     SnapshotEntry,
-    _last_train_beat,
     serialize_snapshot,
 )
 
@@ -44,6 +45,11 @@ class OracleEntry:
     verdict: str
 
 
+def oracle_last_beat(start, now):
+    """Last beat before second `now` of a train started at `start`."""
+    return start + HEARTBEAT_PERIOD_S * ((now - 1 - start) // HEARTBEAT_PERIOD_S)
+
+
 def oracle_snapshot_of(monitor, now, machine_ids):
     latency = monitor.params.detection_latency_s
     entries = {}
@@ -53,7 +59,7 @@ def oracle_snapshot_of(monitor, now, machine_ids):
         last, load = monitor._last_beat[machine_id], monitor._load[machine_id]
         train = monitor._train.get(machine_id)
         if train is not None:
-            beat = _last_train_beat(train[0], now)
+            beat = oracle_last_beat(train[0], now)
             if beat > last:
                 last, load = beat, train[1]
         assert now >= last, f"snapshot at t={now} predates heartbeat of {machine_id}"
@@ -117,6 +123,7 @@ def test_glitch_scenarios_log_as_the_oracle():
                                   scenario.horizon_s, scenario.seed)
 
 
+@pytest.mark.slow
 def test_property_suite_scenarios_log_as_the_oracle():
     # The first 2000 scenarios of acceptance criterion 5, same generator and seeds.
     rng = np.random.default_rng(20260809)
@@ -126,6 +133,12 @@ def test_property_suite_scenarios_log_as_the_oracle():
         logged += run_against_oracle(parse_cluster_config(doc), random_injections(rng, doc),
                                      720, 1_000_000 + i)
     assert logged == 2000 * 13
+    # Tenths loads under overlapping spikes, glitches and failures: host-load
+    # sums are inexact in binary, so the trains report many distinct loads.
+    rng = np.random.default_rng(20261020)
+    for i in range(500):
+        config, injections = overlapping_scenario(rng)
+        assert run_against_oracle(config, injections, 900, i)
 
 
 def storm_scenario(seed):
@@ -166,18 +179,57 @@ def fresh_load(rng):
     return float(repr(float(load))) if rng.random() < 0.3 else load
 
 
+def assert_classes_in_use(monitor):
+    """After a full snapshot every train has a class, and the class table
+    holds exactly the classes that trains are in, with their member counts."""
+    assert monitor._class_of.keys() == monitor._train.keys()
+    members = list(monitor._class_of.values())
+    assert set(monitor._classes.values()) == set(members)
+    assert all(c.members == members.count(c) for c in members)
+
+
+def equal_loads():
+    """Loads of one value with different reprs, and new float objects."""
+    return [1, 1.0, 0.0, -0.0, float("1"), float("0"), float("-0")]
+
+
 def test_random_registration_sequences_snapshot_and_log_as_the_oracle():
     # A VM parked out of monitoring is unregistered and later registered
-    # again with its heartbeat history; every other call in any order.
+    # again with its heartbeat history; every other call in any order. Some
+    # steps only let time pass, some start trains at one instant with loads
+    # of one value and different reprs, some change a load at the instant of
+    # a snapshot, and some take a snapshot earlier than the previous one or
+    # change a load or stop a train at an instant before the previous one.
     rng = np.random.default_rng(20261018)
     names = ["vm3", "h1", "vm10", "a&b", "h0", "vm2", "<x>"]
+    earlier = 0
     for _ in range(300):
         monitor, now, parked = Monitor(), 0, set()
         for _ in range(60):
+            previous = now
             now += int(rng.integers(0, 25))
             name = names[int(rng.integers(len(names)))]
-            op = int(rng.integers(7))
-            if op == 0:
+            op = int(rng.integers(12))
+            if op == 7:
+                idle = [m for m in names if m in monitor._active and m not in monitor._train]
+                loads = equal_loads()
+                for machine_id, i in zip(idle, rng.permutation(len(loads))):
+                    monitor.start_beats(machine_id, now, loads[i])
+            elif op == 8 and name in monitor._train:
+                assert_same_as_oracle(monitor, now)
+                monitor.load_changed(name, now, fresh_load(rng))
+            elif op == 9:
+                latest = max((monitor._last_beat[m] for m in monitor._active), default=0)
+                if latest < previous:
+                    assert_same_as_oracle(monitor, int(rng.integers(latest, previous)))
+                    earlier += 1
+            elif op == 10 and name in monitor._train:
+                at = previous - int(rng.integers(0, 20))
+                if rng.random() < 0.5:
+                    monitor.load_changed(name, at, fresh_load(rng))
+                else:
+                    monitor.stop_beats(name, at)
+            elif op == 0:
                 monitor.register(name, now, fresh_load(rng))
             elif op == 1 and name in monitor._active:
                 monitor.unregister(name)
@@ -194,6 +246,8 @@ def test_random_registration_sequences_snapshot_and_log_as_the_oracle():
                 monitor.record_heartbeat(name, now, fresh_load(rng))
             parked &= set(names) - monitor._active
             assert_same_as_oracle(monitor, now)
+            assert_classes_in_use(monitor)
+    assert earlier > 1000
 
 
 def test_cached_pieces_never_serve_stale_loads_or_verdicts():
@@ -225,15 +279,36 @@ def test_two_monitors_with_the_same_names_log_their_own_loads():
     assert 'LOAD="1.0"' not in serialize_snapshot(first.snapshot(5))
 
 
-def test_piece_cache_stays_bounded(monkeypatch):
-    monkeypatch.setattr(hasim.telemetry, "_PIECES", {})
-    monkeypatch.setattr(hasim.telemetry, "_PIECES_MAX", 4)
-    monitor = Monitor()
-    for i in range(10):
-        monitor.register(f"vm{i}", 0, i)
-    for now in (0, 80):
-        assert_same_as_oracle(monitor, now)
-        assert len(hasim.telemetry._PIECES) == 4
+def test_beat_class_table_stays_within_its_bound():
+    # A long logged run in which host loads keep changing: spikes of ever new
+    # sizes come and go. Every load a host reports starts a beat class, yet
+    # after each full snapshot the table holds only the classes in use, never
+    # more classes than trains.
+    doc = {"hosts": [{"host_id": f"h{i}", "cpu_count": 8, "ram_mb": 4096}
+                     for i in range(3)],
+           "vms": [{"vm_id": f"v{j}", "mac": f"52:54:00:00:00:{j:02x}",
+                    "bound_host": f"h{j % 3}", "boot_profile": "p",
+                    "load_contribution": (j + 1) / 10} for j in range(6)],
+           "profiles": {"p": {}}}
+    injections = [FailureInjection(60 * i, LOAD_SPIKE, host_id=f"h{i % 3}",
+                                   extra_load=i / 100, duration_s=90)
+                  for i in range(1, 480)]
+    seen, largest = set(), 0
+
+    class CheckedSimulation(OracleLogSimulation):
+        def _tick(self):
+            super()._tick()
+            assert_classes_in_use(self.monitor)
+            seen.update(self.monitor._classes)
+            nonlocal largest
+            largest = max(largest, len(self.monitor._classes))
+
+    sim = CheckedSimulation(parse_cluster_config(doc), injections, 8 * 3600,
+                            emit_monitor_log=True)
+    sim.run()
+    assert sim.logged == 8 * 60 + 1
+    assert largest <= len(sim.monitor._train) == 9
+    assert len(seen) > 10 * largest
 
 
 class ContractSimulation(Simulation):
