@@ -57,8 +57,8 @@ def main():
     down = SnapshotEntry(last_heartbeat_at=0, reported_load=0.0, verdict=DOWN)
     snapshot = MonitorSnapshot(taken_at=240, entries={
         machine: down for machine in ["dead"] + [vm.vm_id for vm in vms]})
-    hosts = [view("dead", 0.0, vm_count=3, power_on=False, up=False),
-             view("backup", 0.0)]
+    hosts = {"dead": view("dead", 0.0, vm_count=3, power_on=False, up=False),
+             "backup": view("backup", 0.0)}
     _, actions = tick({}, snapshot, hosts, 240, ControllerParams(), vms)
     for action in actions:
         print(f"  {action}")

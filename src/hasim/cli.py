@@ -10,7 +10,8 @@ Subcommands:
 stdout carries only machine-parseable CSV (or diagnostics for validate);
 human prose goes to stderr. Exit codes: 0 success, 1 validation error
 (including an out-of-range option, or a `run --out` whose trace would hold
-more than MAX_TRACE_SCANS `scan` lines), 2 I/O error.
+more than MAX_TRACE_SCANS `scan` lines), 2 I/O error (nothing goes to stdout,
+and an unwritable --out is refused before the first simulation).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable
 
 from .config import ConfigError, Scenario, load_cluster_config, load_scenario
 from .engine import SimReport, Simulation, summarize
-from .presets import PRESETS, replicate_experiment
+from .presets import PRESETS, check_replicate_args, replicate_experiment
 from .reporting import (
     format_episodes_csv,
     format_histogram_csv,
@@ -84,7 +85,8 @@ def _run_replicated(scenario: Scenario, seed: int, *, collect_trace: bool,
 
 
 def _write(out_dir: Path, files: Iterable[tuple[str, str]]) -> int:
-    """Write each (name, text) to out_dir; an OSError is one line and EXIT_IO."""
+    """Create out_dir and write each (name, text) to it; an OSError is one
+    line and EXIT_IO."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files:
@@ -96,11 +98,11 @@ def _write(out_dir: Path, files: Iterable[tuple[str, str]]) -> int:
 
 
 def _emit(report: SimReport, out: str | None) -> int:
-    """report.csv to stdout and, given --out, every output file to that directory."""
+    """Given --out, every output file to that directory; then report.csv to stdout."""
     stats = summarize(report)
     report_csv = format_report_csv(stats)
-    sys.stdout.write(report_csv)
     if out is None:
+        sys.stdout.write(report_csv)
         return EXIT_OK
 
     def files():
@@ -117,6 +119,7 @@ def _emit(report: SimReport, out: str | None) -> int:
     out_dir = Path(out)
     if _write(out_dir, files()):
         return EXIT_IO
+    sys.stdout.write(report_csv)
     print(f"wrote {out_dir}", file=sys.stderr)
     return EXIT_OK
 
@@ -147,6 +150,8 @@ def cmd_run(args) -> int:
             print(f"hasim run: the trace would hold {scans} scan lines, more than "
                   f"{MAX_TRACE_SCANS}; shorten horizon_s", file=sys.stderr)
             return EXIT_VALIDATION
+    if args.out is not None and _write(Path(args.out), ()):
+        return EXIT_IO  # refused before the first simulation
     report = _run_replicated(scenario, seed, collect_trace=args.out is not None,
                              emit_monitor_log=args.emit_monitor_log)
     if _emit(report, args.out):
@@ -160,11 +165,13 @@ def cmd_run(args) -> int:
 
 def cmd_replicate(args) -> int:
     try:
-        report = replicate_experiment(args.experiment, args.n, args.seed)
+        check_replicate_args(args.experiment, args.n, args.seed)
     except ValueError as exc:  # --n or --seed out of range
         print(f"hasim replicate: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return _emit(report, args.out)
+    if args.out is not None and _write(Path(args.out), ()):
+        return EXIT_IO  # refused before the first simulation
+    return _emit(replicate_experiment(args.experiment, args.n, args.seed), args.out)
 
 
 def cmd_report(args) -> int:
@@ -183,10 +190,10 @@ def cmd_report(args) -> int:
         return EXIT_VALIDATION
     report = SimReport(episodes=episodes, horizon_s=0)
     stats = summarize(report, args.bin_width)
-    sys.stdout.write(format_report_csv(stats))
     if _write(report_dir, ((f"histogram_{s.kind}.csv", format_histogram_csv(s))
                            for s in stats)):
         return EXIT_IO
+    sys.stdout.write(format_report_csv(stats))
     print(summary_text(report, stats), file=sys.stderr, end="")
     return EXIT_OK
 

@@ -108,34 +108,35 @@ def pending_load(state: ClusterState, host_id: str) -> float:
 def check_state_invariants(state: ClusterState) -> None:
     """Assert binding and lifecycle consistency of the whole cluster graph.
 
-    Raises AssertionError naming the first violating VM or host. The
-    hosted_vms lists must name known VMs, each once, and their vm -> host
-    map must equal the bound VMs' bound_host map. Every VM on a powered-off
-    host is halted. The engine runs it at the end of a run, and after every
-    event with `invariant_checks="event"`; `"scan"`-mode checks at scans use
-    `check_touched_invariants`.
+    A whole-graph pass detects a fault: the hosted_vms lists name known VMs,
+    each once, and their vm -> host map equals the bound VMs' bound_host map;
+    lifecycles agree with binding; off hosts hold only halted VMs. Then
+    `check_touched_invariants` over every machine names it. The engine runs
+    this at the end of a run, and after every event with
+    `invariant_checks="event"`.
     """
     hosts = state.hosts.values()
     hosted = {vm_id: host.host_id for host in hosts for vm_id in host.hosted_vms}
-    listed = sum(len(host.hosted_vms) for host in hosts)
+    holds = sum(len(host.hosted_vms) for host in hosts) == len(hosted)
     bound = {}
     waiting = VmLifecycle.WAITING_FOR_CAPACITY
     for vm in state.vms.values():
         if vm.bound_host is not None:
-            assert vm.lifecycle is not waiting, \
-                f"VM {vm.vm_id} is waiting for capacity but still bound"
+            if vm.lifecycle is waiting:
+                holds = False
             bound[vm.vm_id] = vm.bound_host
-        else:
-            assert vm.lifecycle not in BOUND_LIFECYCLES, \
-                f"VM {vm.vm_id} is {vm.lifecycle.value} but unbound"
-    if listed != len(hosted) or hosted != bound:
-        _raise_binding_violation(state)
-    for host in hosts:
-        if host.power_state is PowerState.OFF:
-            for vm_id in host.hosted_vms:
-                lifecycle = state.vms[vm_id].lifecycle
-                assert lifecycle is VmLifecycle.HALTED, \
-                    f"VM {vm_id} is {lifecycle.value} on powered-off host {host.host_id}"
+        elif vm.lifecycle in BOUND_LIFECYCLES:
+            holds = False
+    if holds and hosted == bound:
+        for host in hosts:
+            if host.power_state is PowerState.OFF:
+                for vm_id in host.hosted_vms:
+                    if state.vms[vm_id].lifecycle is not VmLifecycle.HALTED:
+                        holds = False
+        if holds:
+            return
+    check_touched_invariants(state, state.hosts.keys() | state.vms.keys())
+    raise AssertionError
 
 
 def check_touched_invariants(state: ClusterState, machine_ids: Iterable[str]) -> None:
@@ -147,7 +148,8 @@ def check_touched_invariants(state: ClusterState, machine_ids: Iterable[str]) ->
     If the whole graph held at the last check, and every machine whose state
     changed since is given, the graph holds exactly when these hold: a VM
     listed on two hosts or left on its old host's list is caught at the host
-    it left, which a move touches. Machines are checked in id order.
+    it left, which a move touches. Machines are checked in id order, and the
+    AssertionError names the first violation.
     """
     hosts, vms = state.hosts, state.vms
     off, halted = PowerState.OFF, VmLifecycle.HALTED
@@ -161,8 +163,10 @@ def check_touched_invariants(state: ClusterState, machine_ids: Iterable[str]) ->
                 seen.add(vm_id)
                 vm = vms.get(vm_id)
                 assert vm is not None, f"host {machine_id} references unknown VM {vm_id}"
-                assert vm.bound_host == machine_id, \
-                    f"VM {vm_id} binding ({vm.bound_host}) disagrees with host {machine_id}"
+                assert vm.bound_host == machine_id, (
+                    f"VM {vm_id} hosted by more than one host"
+                    if vm.bound_host in hosts and vm_id in hosts[vm.bound_host].hosted_vms
+                    else f"VM {vm_id} binding ({vm.bound_host}) disagrees with host {machine_id}")
                 assert host.power_state is not off or vm.lifecycle is halted, \
                     f"VM {vm_id} is {vm.lifecycle.value} on powered-off host {machine_id}"
             continue
@@ -179,25 +183,3 @@ def check_touched_invariants(state: ClusterState, machine_ids: Iterable[str]) ->
             f"VM {machine_id} bound to {vm.bound_host} but absent from its hosted_vms"
         assert host.power_state is not off or vm.lifecycle is halted, \
             f"VM {machine_id} is {vm.lifecycle.value} on powered-off host {host.host_id}"
-
-
-def _raise_binding_violation(state: ClusterState) -> None:
-    """Name the first host entry or VM binding that breaks the vm -> host map."""
-    seen: dict[str, str] = {}
-    for host in state.hosts.values():
-        for vm_id in host.hosted_vms:
-            assert vm_id not in seen or seen[vm_id] != host.host_id, \
-                f"host {host.host_id}: duplicate entries in hosted_vms ({vm_id})"
-            assert vm_id not in seen, f"VM {vm_id} hosted by more than one host"
-            vm = state.vms.get(vm_id)
-            assert vm is not None, f"host {host.host_id} references unknown VM {vm_id}"
-            assert vm.bound_host == host.host_id, \
-                f"VM {vm_id} binding ({vm.bound_host}) disagrees with host {host.host_id}"
-            seen[vm_id] = host.host_id
-    for vm in state.vms.values():
-        if vm.bound_host is not None:
-            assert vm.bound_host in state.hosts, \
-                f"VM {vm.vm_id} bound to unknown host {vm.bound_host}"
-            assert vm.vm_id in seen, \
-                f"VM {vm.vm_id} bound to {vm.bound_host} but absent from its hosted_vms"
-    raise AssertionError("hosted_vms and bound_host disagree")

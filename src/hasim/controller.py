@@ -172,24 +172,21 @@ def _entry_level(params: ControllerParams, vm: VmInfo, host_down: bool) -> str:
 
 
 def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
-         view: Iterable[HostView] | dict[str, HostView], now: int,
-         params: ControllerParams,
+         view: dict[str, HostView], now: int, params: ControllerParams,
          vm_infos: Sequence[VmInfo]) -> tuple[dict[str, EscalationRecord], list[Action]]:
     """One controller scan: the open escalations of vm_infos plus the actions.
 
     A VM missing from `records` is HEALTHY, and the returned records hold
     only the VMs whose escalation stays open: a VM seen Up, or left HEALTHY,
-    gets no record. Host liveness is the view's monitor_up. `view` holds the
-    candidate hosts, as HostViews or as a dict from host id to HostView; a
-    dict is used as it is, so a tick that places nothing and commits no
-    reboot costs nothing per host.
+    gets no record. Host liveness is the view's monitor_up. `view` maps host
+    ids to HostViews. The tick never changes it, so a tick that places
+    nothing and commits no reboot costs nothing per host.
 
     Pure function of its inputs; actions come out ordered by vm_id because
     VMs are processed in that order, which is also the sequential-fill order
     for placements.
     """
     assert snapshot.taken_at == now, "snapshot must be taken at the scan instant"
-    hosts = view if isinstance(view, dict) else {h.host_id: h for h in view}
     # Placements and reboot commits within the tick change private copies,
     # made at a host's first change (sequential fill); `view` stays as it is.
     copies: dict[str, HostView] = {}
@@ -198,14 +195,14 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
 
     def edit(host_id: str | None) -> HostView | None:
         h = copies.get(host_id)
-        if h is None and host_id in hosts:
-            v = hosts[host_id]
+        if h is None and host_id in view:
+            v = view[host_id]
             h = copies[host_id] = HostView(v.host_id, v.power_on, v.monitor_up, v.load,
                                            v.vm_count, v.load_threshold)
         return h
 
     def place(rec: EscalationRecord, vm: VmInfo, kind: str) -> EscalationRecord:
-        target = choose_host({**hosts, **copies}.values(), vm)
+        target = choose_host({**view, **copies}.values(), vm)
         if target is None:
             if rec.phase is not Phase.AWAITING_CAPACITY:
                 actions.append(Action(DEFER, vm.vm_id))
@@ -234,7 +231,7 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
             pass
 
         elif rec.phase is Phase.HEALTHY:
-            src = hosts.get(vm.bound_host)  # the tick changes no monitor_up
+            src = view.get(vm.bound_host)  # the tick changes no monitor_up
             level = _entry_level(params, vm, src is not None and not src.monitor_up)
             if level == REBOOT:
                 actions.append(Action(REBOOT, vm.vm_id))

@@ -81,13 +81,8 @@ PRESETS = {
 }
 
 
-def replicate_experiment(name: str, n: int, seed: int) -> SimReport:
-    """Run n independent crash episodes under the named preset.
-
-    Episode i runs on a fresh cluster with generator seed + i; the first
-    draw places the crash within the scan period, subsequent draws sample
-    durations.
-    """
+def check_replicate_args(name: str, n: int, seed: int) -> None:
+    """Raise ValueError unless `replicate_experiment` can run these arguments."""
     if name not in PRESETS:
         raise ValueError(f"unknown experiment '{name}' "
                          f"(expected one of {', '.join(sorted(PRESETS))})")
@@ -95,6 +90,16 @@ def replicate_experiment(name: str, n: int, seed: int) -> SimReport:
         raise ValueError("n must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+
+
+def replicate_experiment(name: str, n: int, seed: int) -> SimReport:
+    """Run n independent crash episodes under the named preset.
+
+    Episode i runs on a fresh cluster with generator seed + i; the first
+    draw places the crash within the scan period, subsequent draws sample
+    durations.
+    """
+    check_replicate_args(name, n, seed)
     preset = PRESETS[name]
     config = parse_cluster_config(preset.cluster_doc)
     episodes = []

@@ -384,8 +384,9 @@ def failover_by_tick(vms, view, params, now=240):
                     vm_count=len(vms), load_threshold=1.0)
     down = SnapshotEntry(last_heartbeat_at=0, reported_load=0.0, verdict=DOWN)
     entries = {mid: down for mid in ["dead"] + [vm.vm_id for vm in vms]}
+    hosts = {h.host_id: h for h in view + [dead]}
     _, actions = tick({}, MonitorSnapshot(taken_at=now, entries=entries),
-                      view + [dead], now, params, vms)
+                      hosts, now, params, vms)
     return actions
 
 

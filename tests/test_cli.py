@@ -190,6 +190,20 @@ def test_report_missing_dir_exit_2(tmp_path):
     assert main(["report", str(tmp_path / "nowhere")]) == 2
 
 
+def test_report_with_an_unwritable_histogram_prints_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    main(["replicate", "nondestructive", "--n", "5", "--out", str(out_dir)])
+    capsys.readouterr()
+    blocked = out_dir / "histogram_non_destructive_crash.csv"
+    blocked.unlink()
+    blocked.mkdir()
+    assert main(["report", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"cannot write {out_dir}: ")
+    assert captured.out == ""
+
+
 def _fails_with_one_line(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -266,8 +280,27 @@ def test_unwritable_out_exit_2(tmp_path, capsys):
             (["run", str(SCENARIOS / "power_glitch.json"), "--out", str(blocker / "x")],
              blocker / "x")):
         assert main(argv) == 2
-        [line] = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
         assert line.startswith(f"cannot write {where}: ")
+        assert captured.out == ""
+
+
+def test_unwritable_out_is_refused_before_the_first_simulation(tmp_path, capsys,
+                                                               monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(hasim.cli, "Simulation", no_simulation)
+    monkeypatch.setattr(hasim.cli, "replicate_experiment", no_simulation)
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    assert main(["run", str(SCENARIOS / "power_glitch.json"), "--out", str(blocker)]) == 2
+    assert main(["replicate", "destructive", "--out", str(blocker / "x")]) == 2
+    assert capsys.readouterr().out == ""
+    # Bad arguments are still reported first, with exit 1.
+    _fails_with_one_line(capsys, ["replicate", "destructive", "--n", "0", "--out",
+                                  str(blocker)], "hasim replicate: n must be >= 1")
 
 
 def test_report_rejects_bin_width_below_one(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hasim.cluster import (
+    BOUND_LIFECYCLES,
     ClusterState,
     PhysicalHost,
     PowerState,
@@ -122,8 +123,81 @@ def test_default_threshold_rejects_bad_input():
         default_threshold(0)
 
 
+# -- oracle: a whole-graph check that words its own messages
+
+
+def oracle_check_state_invariants(state: ClusterState) -> None:
+    """Assert binding and lifecycle consistency of the whole cluster graph.
+
+    Raises AssertionError naming the first violating VM or host. The
+    hosted_vms lists must name known VMs, each once, and their vm -> host
+    map must equal the bound VMs' bound_host map. Every VM on a powered-off
+    host is halted. `check_state_invariants` must give the same verdict.
+    """
+    hosts = state.hosts.values()
+    hosted = {vm_id: host.host_id for host in hosts for vm_id in host.hosted_vms}
+    listed = sum(len(host.hosted_vms) for host in hosts)
+    bound = {}
+    waiting = VmLifecycle.WAITING_FOR_CAPACITY
+    for vm in state.vms.values():
+        if vm.bound_host is not None:
+            assert vm.lifecycle is not waiting, \
+                f"VM {vm.vm_id} is waiting for capacity but still bound"
+            bound[vm.vm_id] = vm.bound_host
+        else:
+            assert vm.lifecycle not in BOUND_LIFECYCLES, \
+                f"VM {vm.vm_id} is {vm.lifecycle.value} but unbound"
+    if listed != len(hosted) or hosted != bound:
+        _raise_binding_violation(state)
+    for host in hosts:
+        if host.power_state is PowerState.OFF:
+            for vm_id in host.hosted_vms:
+                lifecycle = state.vms[vm_id].lifecycle
+                assert lifecycle is VmLifecycle.HALTED, \
+                    f"VM {vm_id} is {lifecycle.value} on powered-off host {host.host_id}"
+
+
+def _raise_binding_violation(state: ClusterState) -> None:
+    """Name the first host entry or VM binding that breaks the vm -> host map."""
+    seen: dict[str, str] = {}
+    for host in state.hosts.values():
+        for vm_id in host.hosted_vms:
+            assert vm_id not in seen or seen[vm_id] != host.host_id, \
+                f"host {host.host_id}: duplicate entries in hosted_vms ({vm_id})"
+            assert vm_id not in seen, f"VM {vm_id} hosted by more than one host"
+            vm = state.vms.get(vm_id)
+            assert vm is not None, f"host {host.host_id} references unknown VM {vm_id}"
+            assert vm.bound_host == host.host_id, \
+                f"VM {vm_id} binding ({vm.bound_host}) disagrees with host {host.host_id}"
+            seen[vm_id] = host.host_id
+    for vm in state.vms.values():
+        if vm.bound_host is not None:
+            assert vm.bound_host in state.hosts, \
+                f"VM {vm.vm_id} bound to unknown host {vm.bound_host}"
+            assert vm.vm_id in seen, \
+                f"VM {vm.vm_id} bound to {vm.bound_host} but absent from its hosted_vms"
+    raise AssertionError("hosted_vms and bound_host disagree")
+
+
+def verdict(check, state):
+    """True when `check` passes on state, False when it raises AssertionError."""
+    try:
+        check(state)
+    except AssertionError:
+        return False
+    return True
+
+
+def assert_same_verdict(state):
+    """The check and its oracle agree on state; returns their verdict."""
+    held = verdict(oracle_check_state_invariants, state)
+    assert verdict(check_state_invariants, state) == held
+    return held
+
+
 def test_invariants_pass_on_consistent_state():
     check_state_invariants(make_state())
+    assert assert_same_verdict(make_state())
 
 
 def test_invariants_catch_binding_mismatch():
@@ -131,6 +205,10 @@ def test_invariants_catch_binding_mismatch():
     state.vms["a"].bound_host = "h2"
     with pytest.raises(AssertionError):
         check_state_invariants(state)
+    assert not assert_same_verdict(state)
+    state = two_host_state()
+    state.vms["a"].bound_host = "h2"
+    assert not assert_same_verdict(state)
 
 
 def test_invariants_catch_unbound_running_vm():
@@ -139,6 +217,7 @@ def test_invariants_catch_unbound_running_vm():
     state.vms["a"].bound_host = None
     with pytest.raises(AssertionError):
         check_state_invariants(state)
+    assert not assert_same_verdict(state)
 
 
 def test_invariants_catch_bound_waiting_vm():
@@ -224,7 +303,7 @@ def _off_with_running_vm(state):
      "host h1 references unknown VM ghost"),
     (lambda s: s.hosts["h1"].hosted_vms.append("b"), {"h1", "b"},
      r"host h1: duplicate entries in hosted_vms \(b\)"),
-    (_vm_hosted_twice, {"h2"}, r"VM a binding \(h1\) disagrees with host h2"),
+    (_vm_hosted_twice, {"h2"}, "VM a hosted by more than one host"),
     (lambda s: setattr(s.vms["c"], "bound_host", "h9"), {"c"},
      "VM c bound to unknown host h9"),
     (lambda s: s.hosts["h1"].hosted_vms.remove("b"), {"b"},
@@ -239,8 +318,75 @@ def _off_with_running_vm(state):
 def test_touched_check_names_a_violation_at_a_touched_machine(corrupt, touched, message):
     state = two_host_state()
     check_touched_invariants(state, {*state.hosts, *state.vms})
+    assert assert_same_verdict(state)
     corrupt(state)
     with pytest.raises(AssertionError):
         check_state_invariants(state)
+    assert not assert_same_verdict(state)
     with pytest.raises(AssertionError, match=message):
         check_touched_invariants(state, touched)
+
+
+def test_a_fault_at_a_vm_and_a_host_is_named_at_the_vm():
+    # c is bound to the unknown h9 but still listed on h1: the VM comes
+    # first in id order.
+    state = make_state()
+    state.vms["c"].bound_host = "h9"
+    with pytest.raises(AssertionError, match="VM c bound to unknown host h9"):
+        check_state_invariants(state)
+
+
+def random_state(rng):
+    """A small cluster built consistent, then given zero to three random faults."""
+    lifecycles = list(VmLifecycle)
+    hosts = {f"h{i}": PhysicalHost(f"h{i}", 4, 1024, 4.0,
+                                   PowerState.OFF if rng.random() < 0.3 else PowerState.ON)
+             for i in range(int(rng.integers(1, 4)))}
+    vms = {}
+    for j in range(int(rng.integers(0, 6))):
+        vm_id = f"v{j}"
+        if rng.random() < 0.2:
+            vm = VirtualMachine(vm_id, "m", None, "p", VmLifecycle.WAITING_FOR_CAPACITY)
+        else:
+            host = hosts[f"h{rng.integers(0, len(hosts))}"]
+            lifecycle = (VmLifecycle.HALTED if host.power_state is PowerState.OFF
+                         else lifecycles[int(rng.integers(0, 5))])
+            vm = VirtualMachine(vm_id, "m", host.host_id, "p", lifecycle)
+            host.hosted_vms.append(vm_id)
+        vms[vm_id] = vm
+    state = ClusterState(hosts=hosts, vms=vms)
+    host_ids = sorted(hosts) + ["h9"]
+    for _ in range(int(rng.integers(0, 4))):
+        host = hosts[host_ids[int(rng.integers(0, len(hosts)))]]
+        vm = vms.get(f"v{rng.integers(0, 6)}")
+        fault = int(rng.integers(0, 6))
+        if fault == 0:
+            host.hosted_vms.append(vm.vm_id if vm is not None else "ghost")
+        elif fault == 1 and host.hosted_vms:
+            host.hosted_vms.pop(int(rng.integers(0, len(host.hosted_vms))))
+        elif fault == 2 and vm is not None:
+            vm.bound_host = [None, *host_ids][int(rng.integers(0, len(host_ids) + 1))]
+        elif fault == 3 and vm is not None:
+            vm.lifecycle = lifecycles[int(rng.integers(0, len(lifecycles)))]
+        elif fault == 4:
+            host.power_state = PowerState.OFF
+        elif fault == 5:
+            host.power_state = PowerState.ON
+    return state
+
+
+def test_check_and_oracle_agree_on_random_states():
+    rng = np.random.default_rng(2026)
+    held = 0
+    for _ in range(3000):
+        state = random_state(rng)
+        if assert_same_verdict(state):
+            held += 1
+            continue
+        # The fault is named as the touched check names it over every machine.
+        with pytest.raises(AssertionError) as full:
+            check_state_invariants(state)
+        with pytest.raises(AssertionError) as touched:
+            check_touched_invariants(state, {*state.hosts, *state.vms})
+        assert str(full.value) == str(touched.value) != ""
+    assert 300 < held < 2700

@@ -32,6 +32,11 @@ def hv(host_id, load=0.0, vm_count=0, threshold=4.0, power_on=True, up=True):
                     load=load, vm_count=vm_count, load_threshold=threshold)
 
 
+def view_of(*views):
+    """The view `tick` takes: each host's id mapped to its HostView."""
+    return {h.host_id: h for h in views}
+
+
 def vi(vm_id, bound_host="alfa01", contribution=1.0, reinstall=True):
     return VmInfo(vm_id, bound_host, contribution, reinstall)
 
@@ -105,7 +110,7 @@ def failover(vms, view, params=PARAMS, now=240):
     Down, its VMs are Down, and none has an escalation record yet."""
     dead = hv("dead", power_on=False, up=False, vm_count=len(vms))
     verdicts = {"dead": DOWN, **{vm.vm_id: DOWN for vm in vms}}
-    _, actions = tick({}, snap(now, **verdicts), view + [dead], now, params, vms)
+    _, actions = tick({}, snap(now, **verdicts), view_of(*view, dead), now, params, vms)
     return actions
 
 
@@ -169,7 +174,7 @@ def test_failover_matches_greedy_oracle_randomized():
 
 def test_healthy_down_vm_gets_reboot():
     records, actions = tick({}, snap(240, alfa01=UP, gridce=DOWN),
-                            [hv("alfa01")], 240, PARAMS, [vi("gridce")])
+                            view_of(hv("alfa01")), 240, PARAMS, [vi("gridce")])
     assert actions == [Action(REBOOT, "gridce")]
     rec = records["gridce"]
     assert rec.phase is Phase.REBOOT_ISSUED
@@ -178,7 +183,7 @@ def test_healthy_down_vm_gets_reboot():
 
 def test_expired_reboot_escalates_to_restart():
     records = {"gridce": EscalationRecord(Phase.REBOOT_ISSUED, deadline=420)}
-    view = [hv("alfa01", load=5.0), hv("alfa04", load=1.0)]
+    view = view_of(hv("alfa01", load=5.0), hv("alfa04", load=1.0))
     records, actions = tick(records, snap(420, alfa01=UP, alfa04=UP, gridce=DOWN),
                             view, 420, PARAMS, [vi("gridce")])
     assert actions == [Action(RESTART, "gridce", "alfa04")]
@@ -189,13 +194,13 @@ def test_expired_reboot_escalates_to_restart():
 def test_unexpired_reboot_waits():
     records = {"gridce": EscalationRecord(Phase.REBOOT_ISSUED, deadline=420)}
     records, actions = tick(records, snap(300, alfa01=UP, gridce=DOWN),
-                            [hv("alfa01")], 300, PARAMS, [vi("gridce")])
+                            view_of(hv("alfa01")), 300, PARAMS, [vi("gridce")])
     assert actions == []
     assert records["gridce"].phase is Phase.REBOOT_ISSUED
 
 
 def test_all_up_is_a_fixed_point():
-    records, actions = tick({}, snap(60, alfa01=UP, a=UP, b=UP), [hv("alfa01")],
+    records, actions = tick({}, snap(60, alfa01=UP, a=UP, b=UP), view_of(hv("alfa01")),
                             60, PARAMS, [vi("a"), vi("b")])
     assert actions == []
     assert records == {}
@@ -208,14 +213,14 @@ def test_healthy_records_act_as_missing_and_are_not_returned():
     infos = [vi("up"), vi("down"), vi("parked", bound_host=None)]
     explicit = {vm.vm_id: EscalationRecord() for vm in infos}
     for records in ({}, explicit):
-        records, actions = tick(records, snapshot, [hv("alfa01")], 240, PARAMS, infos)
+        records, actions = tick(records, snapshot, view_of(hv("alfa01")), 240, PARAMS, infos)
         assert actions == [Action(REBOOT, "down")]
         assert records == {"down": EscalationRecord(Phase.REBOOT_ISSUED, deadline=420)}
 
 
 def test_up_resets_any_phase_to_healthy():
     records = {"v": EscalationRecord(Phase.RESTART_ISSUED, deadline=500)}
-    records, actions = tick(records, snap(300, alfa01=UP, v=UP), [hv("alfa01")],
+    records, actions = tick(records, snap(300, alfa01=UP, v=UP), view_of(hv("alfa01")),
                             300, PARAMS, [vi("v")])
     assert actions == []
     assert records == {}
@@ -223,7 +228,7 @@ def test_up_resets_any_phase_to_healthy():
 
 def test_expired_restart_escalates_to_reinstall():
     records = {"v": EscalationRecord(Phase.RESTART_ISSUED, deadline=600)}
-    records, actions = tick(records, snap(600, alfa01=UP, v=DOWN), [hv("alfa01")],
+    records, actions = tick(records, snap(600, alfa01=UP, v=DOWN), view_of(hv("alfa01")),
                             600, PARAMS, [vi("v")])
     assert actions == [Action(REINSTALL, "v", "alfa01")]
     assert records["v"].phase is Phase.REINSTALL_ISSUED
@@ -232,7 +237,7 @@ def test_expired_restart_escalates_to_reinstall():
 
 def test_reinstall_suppressed_for_opted_out_vm():
     records = {"v": EscalationRecord(Phase.RESTART_ISSUED, deadline=600)}
-    records, actions = tick(records, snap(600, alfa01=UP, v=DOWN), [hv("alfa01")],
+    records, actions = tick(records, snap(600, alfa01=UP, v=DOWN), view_of(hv("alfa01")),
                             600, PARAMS, [vi("v", reinstall=False)])
     assert actions == [Action(RESTART, "v", "alfa01")]
     assert records["v"].phase is Phase.RESTART_ISSUED
@@ -241,21 +246,21 @@ def test_reinstall_suppressed_for_opted_out_vm():
 
 def test_reboot_step_disabled_goes_straight_to_restart():
     params = ControllerParams(reboot_step_enabled=False)
-    records, actions = tick({}, snap(240, alfa01=UP, v=DOWN), [hv("alfa01")],
+    records, actions = tick({}, snap(240, alfa01=UP, v=DOWN), view_of(hv("alfa01")),
                             240, params, [vi("v")])
     assert actions == [Action(RESTART, "v", "alfa01")]
 
 
 def test_both_steps_disabled_goes_straight_to_reinstall():
     params = ControllerParams(reboot_step_enabled=False, restart_step_enabled=False)
-    records, actions = tick({}, snap(240, alfa01=UP, v=DOWN), [hv("alfa01")],
+    records, actions = tick({}, snap(240, alfa01=UP, v=DOWN), view_of(hv("alfa01")),
                             240, params, [vi("v")])
     assert actions == [Action(REINSTALL, "v", "alfa01")]
     assert records["v"].phase is Phase.REINSTALL_ISSUED
 
 
 def test_down_host_vms_restart_without_reboot():
-    view = [hv("dead", power_on=False, up=False), hv("backup", load=0.0)]
+    view = view_of(hv("dead", power_on=False, up=False), hv("backup", load=0.0))
     records, actions = tick({}, snap(240, dead=DOWN, backup=UP, v1=DOWN, v2=DOWN),
                             view, 240, PARAMS,
                             [vi("v1", "dead"), vi("v2", "dead")])
@@ -265,7 +270,7 @@ def test_down_host_vms_restart_without_reboot():
 
 def test_defer_and_retry_when_capacity_returns():
     # No eligible host: the VM parks and is retried every tick.
-    full = [hv("h1", load=3.9, threshold=4.0)]
+    full = view_of(hv("h1", load=3.9, threshold=4.0))
     records, actions = tick({}, snap(240, h1=UP, v=DOWN), full, 240,
                             ControllerParams(reboot_step_enabled=False),
                             [vi("v", "h1")])
@@ -281,7 +286,7 @@ def test_defer_and_retry_when_capacity_returns():
     assert records["v"].phase is Phase.AWAITING_CAPACITY
 
     # Capacity returns: the waiting VM is restarted at the next tick.
-    free = [hv("h1", load=1.0, threshold=4.0)]
+    free = view_of(hv("h1", load=1.0, threshold=4.0))
     records, actions = tick(records, snap(360, h1=UP), free, 360,
                             ControllerParams(reboot_step_enabled=False), [parked])
     assert actions == [Action(RESTART, "v", "h1")]
@@ -296,7 +301,7 @@ def test_reinstall_cycles_cap_at_requires_human():
     kinds = []
     for _ in range(10):
         records, actions = tick(records, snap(now, alfa01=UP, v=DOWN),
-                                [hv("alfa01")], now, params, [vi("v")])
+                                view_of(hv("alfa01")), now, params, [vi("v")])
         kinds.extend(a.kind for a in actions)
         if records["v"].phase is Phase.REQUIRES_HUMAN:
             break
@@ -309,7 +314,7 @@ def test_reinstall_cycles_cap_at_requires_human():
 
     # A VM needing human help gets no further actions.
     records, actions = tick(records, snap(now + 60, alfa01=UP, v=DOWN),
-                            [hv("alfa01")], now + 60, params, [vi("v")])
+                            view_of(hv("alfa01")), now + 60, params, [vi("v")])
     assert actions == []
     assert records["v"].phase is Phase.REQUIRES_HUMAN
 
@@ -321,7 +326,7 @@ def test_batch_placements_fill_sequentially_within_tick():
         "va": EscalationRecord(Phase.REBOOT_ISSUED, deadline=400),
         "vb": EscalationRecord(Phase.REBOOT_ISSUED, deadline=400),
     }
-    view = [hv("h1", load=2.0, threshold=4.0), hv("h2", load=2.5, threshold=4.0)]
+    view = view_of(hv("h1", load=2.0, threshold=4.0), hv("h2", load=2.5, threshold=4.0))
     records, actions = tick(records, snap(420, h1=UP, h2=UP, va=DOWN, vb=DOWN),
                             view, 420, PARAMS,
                             [vi("va", "h1", 1.5), vi("vb", "h1", 1.5)])
@@ -332,7 +337,7 @@ def test_batch_placements_fill_sequentially_within_tick():
 
 def test_tick_is_pure_and_deterministic():
     records = {"v": EscalationRecord(Phase.REBOOT_ISSUED, deadline=420)}
-    view = [hv("alfa01", load=1.0)]
+    view = view_of(hv("alfa01", load=1.0))
     snapshot = snap(420, alfa01=UP, v=DOWN)
     infos = [vi("v")]
     out1 = tick(records, snapshot, view, 420, PARAMS, infos)
@@ -340,11 +345,11 @@ def test_tick_is_pure_and_deterministic():
     assert out1 == out2
     # Inputs not mutated.
     assert records["v"].phase is Phase.REBOOT_ISSUED
-    assert view[0].load == 1.0
+    assert view["alfa01"].load == 1.0
 
 
 def test_actions_ordered_by_vm_id():
     records, actions = tick({}, snap(240, h=UP, vb=DOWN, va=DOWN, vc=DOWN),
-                            [hv("h")], 240, PARAMS,
+                            view_of(hv("h")), 240, PARAMS,
                             [vi("vb", "h"), vi("va", "h"), vi("vc", "h")])
     assert [a.vm_id for a in actions] == ["va", "vb", "vc"]

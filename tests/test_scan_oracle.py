@@ -34,19 +34,19 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def full_view(state, snapshot):
     """A view of every host, its load summed afresh, as scans built it
-    before the host table."""
-    views = []
+    before the host table: each host id mapped to its HostView."""
+    views = {}
     for host_id in sorted(state.hosts):
         host = state.hosts[host_id]
         entry = snapshot.entries.get(host_id)
-        views.append(HostView(
+        views[host_id] = HostView(
             host_id=host_id,
             power_on=host.power_state is PowerState.ON,
             monitor_up=entry is not None and entry.verdict != DOWN,
             load=host_load(state, host_id) + pending_load(state, host_id),
             vm_count=len(host.hosted_vms),
             load_threshold=host.load_threshold,
-        ))
+        )
     return views
 
 
