@@ -19,6 +19,7 @@ Run: python3 demos/03_power_glitch_replay.py
 from pathlib import Path
 
 from hasim import Simulation, host_load, load_scenario
+from hasim.cluster import load_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -46,8 +47,8 @@ def replay(name):
           f"{ep.recovery_s}s of outage")
     print("host loads at the end of the run:")
     for host_id in sorted(sim.state.hosts):
-        print(f"  {host_id}: load={host_load(sim.state, host_id):.1f} "
-              f"threshold={sim.state.hosts[host_id].load_threshold:.1f} "
+        print(f"  {host_id}: load={load_text(host_load(sim.state, host_id))} "
+              f"threshold={load_text(sim.state.hosts[host_id].load_threshold)} "
               f"vms={sim.state.hosts[host_id].hosted_vms}")
     print()
 

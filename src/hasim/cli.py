@@ -185,7 +185,7 @@ def cmd_report(args) -> int:
     except OSError as exc:
         print(f"cannot read {episodes_path}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:  # not an episodes.csv, undecodable bytes included
+    except ValueError as exc:  # not an episodes.csv or a bad row, undecodable bytes too
         print(f"{episodes_path}: {exc}")
         return EXIT_VALIDATION
     report = SimReport(episodes=episodes, horizon_s=0)

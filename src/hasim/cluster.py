@@ -4,6 +4,10 @@ ClusterState is the single source of truth the controller and monitor read;
 only the simulation engine mutates it. Host load is derived, never stored:
 the sum of the load contributions of the host's running VMs plus any
 scenario-injected extra load, and zero while the host is powered off.
+
+Loads and thresholds are int counts of milli-units, so threshold decisions
+are exact. `to_milli` reads a number of load units and `load_text` writes
+one; no other module knows the unit.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class PhysicalHost:
     host_id: str
     cpu_count: int
     ram_mb: int
-    load_threshold: float
+    load_threshold: int
     power_state: PowerState = PowerState.ON
     hosted_vms: list[str] = field(default_factory=list)
 
@@ -57,24 +61,40 @@ class VirtualMachine:
     boot_profile: str
     lifecycle: VmLifecycle = VmLifecycle.RUNNING
     reinstall_allowed: bool = True
-    load_contribution: float = 1.0
+    load_contribution: int = 1000
 
 
 @dataclass
 class ClusterState:
     hosts: dict[str, PhysicalHost]
     vms: dict[str, VirtualMachine]
-    extra_load: dict[str, float] = field(default_factory=dict)
+    extra_load: dict[str, int] = field(default_factory=dict)
 
 
-def default_threshold(cpu_count: int) -> float:
+def to_milli(units: int | float) -> int:
+    """The milli-units in a number of load units below 1e305. A float must
+    hold a whole number of them: 0.1 gives 100, and 0.0001 a ValueError."""
+    if not abs(units) < 1e305:  # so that 1000 times it is a finite float
+        raise ValueError("expected a number below 1e305")
+    milli = round(units * 1000)
+    if isinstance(units, float) and milli / 1000 != units:
+        raise ValueError("expected a multiple of 0.001")
+    return milli
+
+
+def load_text(milli: int) -> str:
+    """A load as a number of units: the repr of the float nearest it."""
+    return repr(milli / 1000)
+
+
+def default_threshold(cpu_count: int) -> int:
     """Load threshold for a host that does not declare one explicitly."""
     if cpu_count < 1:
         raise ValueError("cpu_count must be >= 1")
-    return float(cpu_count)
+    return to_milli(cpu_count)
 
 
-def host_load(state: ClusterState, host_id: str) -> float:
+def host_load(state: ClusterState, host_id: str) -> int:
     """Instantaneous derived load of a host.
 
     Sum of load contributions of its running VMs plus injected extra load;
@@ -84,16 +104,16 @@ def host_load(state: ClusterState, host_id: str) -> float:
     if host is None:
         raise KeyError(f"unknown host '{host_id}'")
     if host.power_state is PowerState.OFF:
-        return 0.0
+        return 0
     total = sum(
         state.vms[vm_id].load_contribution
         for vm_id in host.hosted_vms
         if state.vms[vm_id].lifecycle is VmLifecycle.RUNNING
     )
-    return total + state.extra_load.get(host_id, 0.0)
+    return total + state.extra_load.get(host_id, 0)
 
 
-def pending_load(state: ClusterState, host_id: str) -> float:
+def pending_load(state: ClusterState, host_id: str) -> int:
     """Committed-but-not-yet-running load: contributions of VMs booting or
     installing on the host. Used by placement so in-flight placements count
     against capacity."""

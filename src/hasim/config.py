@@ -26,6 +26,7 @@ from .cluster import (
     VirtualMachine,
     VmLifecycle,
     default_threshold,
+    to_milli,
 )
 from .controller import ControllerParams
 from .engine import (
@@ -145,23 +146,23 @@ class _Reader:
         return value
 
     def cpu_count(self, value, _bound) -> int:
-        """An integer >= 1 that a float can hold: it is the default threshold."""
+        """An integer >= 1 that is a threshold too: it is the default one."""
         value = self.integer(value, 1)
-        if value > sys.float_info.max:
-            raise _Rejected("expected a finite number")
+        self.load(value, ">")
         return value
 
-    def number(self, value, bound: tuple[str, float]) -> float:
-        """bound is (">=", minimum) or (">", minimum)."""
+    def load(self, value, op: str) -> int:
+        """A number of load units, as milli-units: >= 0, or > 0 for op ">"."""
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise _Rejected("expected a number")
         if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
             raise _Rejected("expected a finite number")
-        op, minimum = bound
-        value = float(value)
-        if value < minimum or (op == ">" and value == minimum):
-            raise _Rejected(f"must be {op} {minimum}")
-        return value
+        if value < 0 or (op == ">" and value == 0):
+            raise _Rejected(f"must be {op} 0.0")
+        try:
+            return to_milli(value)
+        except ValueError as exc:
+            raise _Rejected(str(exc)) from None
 
     def boolean(self, value, _bound) -> bool:
         if not isinstance(value, bool):
@@ -258,7 +259,7 @@ _HOST = {
     "host_id": (_Reader.string, True, None),
     "cpu_count": (_Reader.cpu_count, True, None),
     "ram_mb": (_Reader.integer, True, 1),
-    "load_threshold": (_Reader.number, False, (">", 0.0)),
+    "load_threshold": (_Reader.load, False, ">"),
     "power_state": (_Reader.one_of, False, tuple(PowerState)),
 }
 _VM = {
@@ -268,7 +269,7 @@ _VM = {
     "boot_profile": (_Reader.string, True, None),
     "lifecycle": (_Reader.one_of, False, (VmLifecycle.RUNNING, VmLifecycle.HALTED)),
     "reinstall_allowed": (_Reader.boolean, False, None),
-    "load_contribution": (_Reader.number, False, (">=", 0.0)),
+    "load_contribution": (_Reader.load, False, ">="),
 }
 
 
@@ -304,7 +305,7 @@ _INJECTIONS = {
     PHYSICAL_HOST_FAILURE: {"at": _AT, "kind": _NAME, "host": _NAME},
     POWER_GLITCH: {"at": _AT, "kind": _NAME, "hosts": (_Reader.string_list, True, None)},
     LOAD_SPIKE: {"at": _AT, "kind": _NAME, "host": _NAME,
-                 "extra_load": (_Reader.number, True, (">=", 0.0)),
+                 "extra_load": (_Reader.load, True, ">="),
                  "duration_s": (_Reader.integer, True, 1)},
 }
 _SCENARIO = {

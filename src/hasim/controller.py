@@ -110,9 +110,9 @@ class HostView:
     host_id: str
     power_on: bool
     monitor_up: bool
-    load: float
+    load: int
     vm_count: int
-    load_threshold: float
+    load_threshold: int
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class VmInfo:
 
     vm_id: str
     bound_host: str | None
-    load_contribution: float
+    load_contribution: int
     reinstall_allowed: bool
 
 

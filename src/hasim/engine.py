@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Container, Iterable
+from typing import TYPE_CHECKING, Container
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .cluster import (
     check_state_invariants,
     check_touched_invariants,
     host_load,
+    load_text,
     pending_load,
 )
 from .controller import (
@@ -101,7 +102,7 @@ class FailureInjection:
     vm_id: str | None = None
     host_id: str | None = None
     hosts: tuple[str, ...] = ()
-    extra_load: float = 0.0
+    extra_load: int = 0
     duration_s: int = 0
 
 
@@ -205,14 +206,9 @@ class Simulation:
     its verdict from the snapshot (a host with a beat train is Up). `tick`
     copies a host's view only to place a VM on it or commit a reboot's load.
 
-    Host loads come from two maps of load terms per host, `_running` and
-    `_pending`, that the transitions keep in `hosted_vms` order: a VM's term
-    is its load where it is RUNNING (`_running`) or BOOTING or INSTALLING
-    (`_pending`), and an int 0 elsewhere. A load is the built-in `sum` over
-    a map's terms, never a total moved by deltas. The nonzero terms are
-    those of `host_load` and `pending_load` in the same order, and a 0 term
-    changes neither a partial sum (none is -0.0) nor the int or float path
-    `sum` is on, so both give the same float bit for bit.
+    Host loads are int running totals: `_run_load` of a host's RUNNING VMs
+    and `_boot_load` of its BOOTING or INSTALLING ones, which `_count` moves
+    as a VM leaves or enters a host or lifecycle.
 
     seed: an integer seed, or a generator used as it is.
 
@@ -262,11 +258,14 @@ class Simulation:
         # touched since are stale until the next tick refreshes them.
         self._table: dict[str, HostView] = {}
         self._stale: set[str] = set(self.state.hosts)
-        # host -> {vm_id: load term}, in hosted_vms order (see the class doc)
-        self._running: dict[str, dict[str, float]] = {h: {} for h in self.state.hosts}
-        self._pending: dict[str, dict[str, float]] = {h: {} for h in self.state.hosts}
-        for host_id, host in self.state.hosts.items():
-            self._write_loads(host_id, host.hosted_vms)
+        # host -> load of its running VMs, and of its booting or installing ones
+        self._run_load = dict.fromkeys(self.state.hosts, 0)
+        self._boot_load = dict.fromkeys(self.state.hosts, 0)
+        self._totals = {VmLifecycle.RUNNING: self._run_load,
+                        VmLifecycle.BOOTING: self._boot_load,
+                        VmLifecycle.INSTALLING: self._boot_load}
+        for vm in self.state.vms.values():
+            self._count(vm, 1)
         # Machines a transition touched since the last scan.
         self._touched: set[str] = set()
         self.episodes: list[Episode] = []
@@ -319,13 +318,13 @@ class Simulation:
 
     # -- heartbeats ------------------------------------------------------
 
-    def _load(self, host_id: str) -> float:
-        """`host_load` from the host's running terms."""
+    def _load(self, host_id: str) -> int:
+        """`host_load` from the host's running total."""
         if self.state.hosts[host_id].power_state is PowerState.OFF:
-            return 0.0
-        return sum(self._running[host_id].values()) + self.state.extra_load.get(host_id, 0.0)
+            return 0
+        return self._run_load[host_id] + self.state.extra_load.get(host_id, 0)
 
-    def _reported_load(self, machine_id: str) -> float:
+    def _reported_load(self, machine_id: str) -> int:
         if machine_id in self.state.hosts:
             return self._load(machine_id)
         return self.state.vms[machine_id].load_contribution
@@ -359,24 +358,20 @@ class Simulation:
                 if machine_id in self.state.hosts:
                     self._stale.add(machine_id)
 
-    def _write_loads(self, host_id: str, vm_ids: Iterable[str]) -> None:
-        """Set the load terms of VMs bound to the host; a VM new to it gets
-        them last."""
-        vms, running, pending = self.state.vms, self._running[host_id], self._pending[host_id]
-        run, boot, install = VmLifecycle.RUNNING, VmLifecycle.BOOTING, VmLifecycle.INSTALLING
-        for vm_id in vm_ids:
-            vm = vms[vm_id]
-            load, lifecycle = vm.load_contribution, vm.lifecycle
-            running[vm_id] = load if lifecycle is run else 0
-            pending[vm_id] = load if lifecycle is boot or lifecycle is install else 0
+    def _count(self, vm: VirtualMachine, sign: int) -> None:
+        """Add the VM's load to its host's total for its lifecycle (sign 1),
+        or take it away (sign -1)."""
+        totals = self._totals.get(vm.lifecycle)
+        if totals is not None and vm.bound_host is not None:
+            totals[vm.bound_host] += sign * vm.load_contribution
 
     def _set_lifecycle(self, vm: VirtualMachine, lifecycle: VmLifecycle) -> None:
         was_running = vm.lifecycle is VmLifecycle.RUNNING
         if was_running:
             self._silence(vm.vm_id)
+        self._count(vm, -1)
         vm.lifecycle = lifecycle
-        if vm.bound_host is not None:
-            self._write_loads(vm.bound_host, (vm.vm_id,))
+        self._count(vm, 1)
         self._touch(vm.vm_id, vm.bound_host)
         self._boot_ticket[vm.vm_id] = self._boot_ticket.get(vm.vm_id, 0) + 1
         if lifecycle is VmLifecycle.RUNNING:
@@ -400,28 +395,26 @@ class Simulation:
     def _move(self, vm: VirtualMachine, target: str | None) -> None:
         """Bind the VM to `target`, or park it unbound and unmonitored for None."""
         source = vm.bound_host
-        if source == target:  # keeps the VM list's order, which orders the load sum
+        if source == target:  # a restart on its own host keeps its list place
             return
         self._touch(vm.vm_id, source, target)
+        self._count(vm, -1)
         if source is None:
             # Heartbeat history survives parking, so the staleness clock
             # still dates from the original failure.
             self.monitor.register(vm.vm_id, self.now)
         else:
             self.state.hosts[source].hosted_vms.remove(vm.vm_id)
-            del self._running[source][vm.vm_id], self._pending[source][vm.vm_id]
         vm.bound_host = target
         if target is None:
             self.monitor.unregister(vm.vm_id)
         else:
             self.state.hosts[target].hosted_vms.append(vm.vm_id)
-            self._write_loads(target, (vm.vm_id,))
+        self._count(vm, 1)
 
-    def _add_extra_load(self, host_id: str, delta: float) -> None:
-        extra = self.state.extra_load.get(host_id, 0.0) + delta
-        if extra <= 1e-12:  # the last spike ended; drop the rounding residue
-            self.state.extra_load.pop(host_id, None)
-        else:
+    def _add_extra_load(self, host_id: str, delta: int) -> None:
+        extra = self.state.extra_load.pop(host_id, 0) + delta
+        if extra:  # else the last spike ended
             self.state.extra_load[host_id] = extra
         self._touch(host_id)
         self._host_load_changed(host_id)
@@ -447,10 +440,10 @@ class Simulation:
     # -- controller scan -------------------------------------------------
 
     def _host_view(self, host_id: str) -> HostView:
-        """A host's view from the state and its load terms, with the host Up."""
+        """A host's view from the state and its load totals, with the host Up."""
         host = self.state.hosts[host_id]
         return HostView(host_id, host.power_state is PowerState.ON, True,
-                        self._load(host_id) + sum(self._pending[host_id].values()),
+                        self._load(host_id) + self._boot_load[host_id],
                         len(host.hosted_vms), host.load_threshold)
 
     def _refresh_table(self, snapshot: MonitorSnapshot) -> None:
@@ -628,7 +621,7 @@ class Simulation:
                     self._schedule(self.now + duration, "boot_complete",
                                    (host_id, self._boot_ticket.get(host_id, 0)))
         elif inj.kind == LOAD_SPIKE:
-            self._trace(f"inject {inj.kind} {inj.host_id} {inj.extra_load!r} "
+            self._trace(f"inject {inj.kind} {inj.host_id} {load_text(inj.extra_load)} "
                         f"{inj.duration_s}")
             self._add_extra_load(inj.host_id, inj.extra_load)
             self._schedule(self.now + inj.duration_s, "spike_end",
@@ -651,25 +644,22 @@ class Simulation:
                 self._open_episode(vm_id, episode_kind)
         return True
 
-    def _on_spike_end(self, host_id: str, extra_load: float) -> None:
+    def _on_spike_end(self, host_id: str, extra_load: int) -> None:
         self._add_extra_load(host_id, -extra_load)
         self._trace(f"spike_end {host_id}")
 
     def _check_coherence(self) -> None:
-        """Assert the load terms, the host table and the monitor's trains and
+        """Assert the load totals, the host table and the monitor's trains and
         coverage match the state.
 
-        Each host's load terms follow its `hosted_vms` and sum to `host_load`
-        and `pending_load`. A table entry not marked stale equals a fresh
-        view, but for a silent host's verdict, which is as of the last tick.
+        Each host's load totals equal `host_load` and `pending_load`. A table
+        entry not marked stale equals a fresh view, but for a silent host's
+        verdict, which is as of the last tick.
         """
         state = self.state
-        for host_id, host in state.hosts.items():
-            pending = self._pending[host_id]
-            assert list(self._running[host_id]) == list(pending) == host.hosted_vms, \
-                f"host {host_id}: load terms out of line with hosted_vms"
+        for host_id in state.hosts:
             assert self._load(host_id) == host_load(state, host_id), f"host {host_id}: load"
-            assert sum(pending.values()) == pending_load(state, host_id), \
+            assert self._boot_load[host_id] == pending_load(state, host_id), \
                 f"host {host_id}: pending load"
         for host_id, view in self._table.items():
             if host_id not in self._stale:

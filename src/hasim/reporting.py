@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 
-from .engine import Episode, KindStats, SimReport
+from .engine import INJECTION_KINDS, Episode, KindStats, SimReport
 
 REPORT_HEADER = "kind,count,mean_s,stddev_s,min_s,max_s"
 HISTOGRAM_HEADER = "bin_start_s,count"
@@ -36,41 +36,54 @@ def format_histogram_csv(stats: KindStats) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _row(ep: Episode) -> list[str]:
+    """An episode's fields in episodes.csv, an absent one empty."""
+    return [ep.vm_id, ep.kind, str(ep.failure_at)] + [
+        "" if value is None else str(value)
+        for value in (ep.detected_at, ep.recovered_at, ep.recovery_s, ep.recovered_on)]
+
+
 def format_episodes_csv(episodes: list[Episode]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(EPISODES_HEADER.split(","))
-    for ep in episodes:
-        writer.writerow([
-            ep.vm_id,
-            ep.kind,
-            ep.failure_at,
-            "" if ep.detected_at is None else ep.detected_at,
-            "" if ep.recovered_at is None else ep.recovered_at,
-            "" if ep.recovery_s is None else ep.recovery_s,
-            "" if ep.recovered_on is None else ep.recovered_on,
-        ])
+    writer.writerows(_row(ep) for ep in episodes)
     return out.getvalue()
 
 
 def parse_episodes_csv(text: str) -> list[Episode]:
-    """Read episodes back from episodes.csv (action lists are not stored)."""
+    """Read episodes back from episodes.csv (action lists are not stored).
+
+    A ValueError names the first row that does not parse, whose kind is no
+    injection kind, whose detection or recovery comes before its failure, or
+    that is not the row `format_episodes_csv` writes for its times, as when
+    its recovery_s is not recovered_at - failure_at.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != EPISODES_HEADER.split(","):
         raise ValueError("not an episodes.csv file")
     episodes = []
-    for row in reader:
-        vm_id, kind, failure_at, detected_at, recovered_at, _recovery_s, on = row
-        episodes.append(Episode(
-            vm_id=vm_id,
-            kind=kind,
-            failure_at=int(failure_at),
-            detected_at=int(detected_at) if detected_at else None,
-            recovered_at=int(recovered_at) if recovered_at else None,
-            recovered_on=on or None,
-        ))
+    for number, row in enumerate(reader, 1):
+        try:
+            episodes.append(_episode(row))
+        except ValueError as exc:
+            raise ValueError(f"row {number}: {exc}") from None
     return episodes
+
+
+def _episode(row: list[str]) -> Episode:
+    vm_id, kind, failure_at, detected_at, recovered_at, _recovery_s, on = row
+    ep = Episode(vm_id, kind, int(failure_at), int(detected_at) if detected_at else None,
+                 recovered_at=int(recovered_at) if recovered_at else None,
+                 recovered_on=on or None)
+    if kind not in INJECTION_KINDS:
+        raise ValueError(f"kind {kind!r} is no injection kind")
+    if min(ep.detection_s or 0, ep.recovery_s or 0) < 0:
+        raise ValueError("detected_at or recovered_at before failure_at")
+    if _row(ep) != row:
+        raise ValueError(f"expected {','.join(_row(ep))}")
+    return ep
 
 
 def format_actions(episode: Episode) -> str:

@@ -15,6 +15,8 @@ from typing import Container, Iterable, NamedTuple
 from xml.etree import ElementTree
 from xml.sax.saxutils import quoteattr
 
+from .cluster import load_text, to_milli
+
 UP = "up"
 DOWN = "down"
 
@@ -36,7 +38,7 @@ class TelemetryParams:
 
 class SnapshotEntry(NamedTuple):
     last_heartbeat_at: int
-    reported_load: float
+    reported_load: int
     verdict: str  # UP or DOWN
 
 
@@ -61,18 +63,19 @@ class HeartbeatOrderError(ValueError):
 
 class _BeatClass:
     """The trains whose entry is the same at every instant: started in the
-    same second modulo HEARTBEAT_PERIOD_S, and reporting loads of one repr.
-    `entry` and `tail` are the members' entry and element tail at the last
-    full snapshot, `members` the number of trains in the class."""
+    same second modulo HEARTBEAT_PERIOD_S, and reporting one load, whose
+    `text` is kept. `entry` and `tail` are the members' entry and element
+    tail at the last full snapshot, `members` the number of trains."""
 
-    __slots__ = ("key", "load", "members", "entry", "tail")
+    __slots__ = ("key", "text", "members", "entry", "tail")
 
-    def __init__(self, key: tuple[int, str] | None, load: float | None):
-        self.key, self.load, self.members = key, load, 0
+    def __init__(self, key: tuple[int, int] | None):
+        self.key, self.members = key, 0
+        self.text = None if key is None else load_text(key[1])
         self.entry = self.tail = None
 
 
-_SILENT = _BeatClass(None, None)  # the class place of a machine without a train
+_SILENT = _BeatClass(None)  # the class place of a machine without a train
 
 
 class Monitor:
@@ -96,19 +99,18 @@ class Monitor:
 
     The full `snapshot` renders its XML line with the entries, at a cost per
     machine of a few C-level passes. A train's entry at `now` depends only on
-    its beat class, the train start modulo HEARTBEAT_PERIOD_S and the repr of
-    its load (so `1`, `1.0` and `-0.0` stay apart), so Python work is done
-    once per class: one shared entry and one element tail. It is done per
-    machine only for the individual machines: the silent ones, and those
-    whose last recorded beat is not older than their class's beat (a train
-    start or load change in the last period). The classes are kept from one
-    full snapshot to the next: a train change or a recorded beat marks its
+    its beat class, the train start modulo HEARTBEAT_PERIOD_S and its load, so
+    Python work is done once per class: one shared entry and one element tail.
+    It is done per machine only for the individual machines: the silent ones,
+    and those whose last recorded beat is not older than their class's beat (a
+    train start or load change in the last period). The classes are kept from
+    one full snapshot to the next: a train change or a recorded beat marks its
     machine for a recheck, and the first full snapshot and one earlier than
     the previous one recheck every train, so a monitor that takes no full
     snapshot marks nothing. A class holds at least one train, so there are
     never more classes than trains. The registered ids, their element heads
-    and their classes are kept in name order until a new id is registered
-    or a registered one unregistered.
+    and their classes are kept in name order until a new id is registered or a
+    registered one unregistered.
     """
 
     def __init__(self, params: TelemetryParams | None = None):
@@ -116,16 +118,16 @@ class Monitor:
         self._active: set[str] = set()
         self._order: list[str] | None = None
         self._last_beat: dict[str, int] = {}
-        self._load: dict[str, float] = {}
-        self._train: dict[str, tuple[int, float]] = {}  # machine -> (start, load)
+        self._load: dict[str, int] = {}
+        self._train: dict[str, tuple[int, int]] = {}  # machine -> (start, load)
         self.silent: set[str] = set()
-        self._classes: dict[tuple[int, str], _BeatClass] = {}
+        self._classes: dict[tuple[int, int], _BeatClass] = {}
         self._class_of: dict[str, _BeatClass] = {}
         self._recheck: set[str] | None = None  # None before the first full snapshot
         self._classified_at = math.inf
         self._heads: dict[str, str] = {}
 
-    def register(self, machine_id: str, at: int, load: float = 0.0) -> None:
+    def register(self, machine_id: str, at: int, load: int = 0) -> None:
         """Add a machine to snapshot coverage.
 
         A machine seen for the first time gets an initial heartbeat at `at`;
@@ -145,7 +147,7 @@ class Monitor:
             self._order = None
         self.silent.discard(machine_id)
 
-    def record_heartbeat(self, machine_id: str, at: int, load: float) -> None:
+    def record_heartbeat(self, machine_id: str, at: int, load: int) -> None:
         prev = self._last_beat.get(machine_id)
         if prev is not None and at < prev:
             raise HeartbeatOrderError(
@@ -156,7 +158,7 @@ class Monitor:
         if self._recheck is not None:
             self._recheck.add(machine_id)
 
-    def start_beats(self, machine_id: str, at: int, load: float) -> None:
+    def start_beats(self, machine_id: str, at: int, load: int) -> None:
         self.record_heartbeat(machine_id, at, load)
         self._train[machine_id] = (at, load)
         self.silent.discard(machine_id)
@@ -170,7 +172,7 @@ class Monitor:
         if machine_id in self._active:
             self.silent.add(machine_id)
 
-    def load_changed(self, machine_id: str, at: int, load: float) -> None:
+    def load_changed(self, machine_id: str, at: int, load: int) -> None:
         """Beats of a running train from second `at` on report `load`."""
         train = self._train.get(machine_id)
         if train is not None:
@@ -222,8 +224,8 @@ class Monitor:
             self._reclassify(machine_id)
         for beat_class in self._classes.values():
             beat = _last_train_beat(beat_class.key[0], now)
-            entry = beat_class.entry = self._entry(beat, beat_class.load, now)
-            beat_class.tail = _tail(entry, beat_class.key[1])
+            entry = beat_class.entry = self._entry(beat, beat_class.key[1], now)
+            beat_class.tail = _tail(entry, beat_class.text)
         last_beat, class_of = self._last_beat, self._class_of
         self._recheck = {m for m in self._recheck
                          if m in class_of and class_of[m].entry[0] <= last_beat[m]}
@@ -232,7 +234,7 @@ class Monitor:
         parts[1::2] = [c.tail for c in classes]
         for machine_id in self.silent.union(index.keys() & self._recheck):
             entry = entries[machine_id] = self._recorded_entry(machine_id, now)
-            parts[2 * index[machine_id] + 1] = _tail(entry, repr(entry[1]))
+            parts[2 * index[machine_id] + 1] = _tail(entry, load_text(entry[1]))
         return MonitorSnapshot(now, entries, _cluster(now, "".join(parts)))
 
     def snapshot_of(self, now: int, machine_ids: Iterable[str]) -> MonitorSnapshot:
@@ -250,7 +252,7 @@ class Monitor:
                 entries[machine_id] = self._recorded_entry(machine_id, now)
         return MonitorSnapshot(taken_at=now, entries=entries)
 
-    def _entry(self, beat: int, load: float, now: int) -> SnapshotEntry:
+    def _entry(self, beat: int, load: int, now: int) -> SnapshotEntry:
         verdict = DOWN if now - beat >= self.params.detection_latency_s else UP
         return tuple.__new__(SnapshotEntry, (beat, load, verdict))
 
@@ -274,7 +276,7 @@ class Monitor:
         """Move a machine to the beat class of its train, or out of every
         class when it has none."""
         train = self._train.get(machine_id)
-        key = None if train is None else (train[0] % HEARTBEAT_PERIOD_S, repr(train[1]))
+        key = None if train is None else (train[0] % HEARTBEAT_PERIOD_S, train[1])
         old = self._class_of.get(machine_id, _SILENT)
         if old.key == key:
             return
@@ -288,7 +290,7 @@ class Monitor:
         else:
             new = self._classes.get(key)
             if new is None:
-                new = self._classes[key] = _BeatClass(key, train[1])
+                new = self._classes[key] = _BeatClass(key)
             new.members += 1
             self._class_of[machine_id] = new
         if machine_id in self._index:
@@ -306,10 +308,9 @@ def _head(name: str) -> str:
     return f'<HOST NAME={quoteattr(name)} LAST_HEARTBEAT="'
 
 
-def _tail(entry: SnapshotEntry, load_text: str) -> str:
-    """The element after `LAST_HEARTBEAT="`; `load_text` is the repr of the
-    entry's load."""
-    return f'{entry[0]}" LOAD="{load_text}" VERDICT="{entry[2].upper()}"/>'
+def _tail(entry: SnapshotEntry, text: str) -> str:
+    """The element after `LAST_HEARTBEAT="`; `text` is the entry's load text."""
+    return f'{entry[0]}" LOAD="{text}" VERDICT="{entry[2].upper()}"/>'
 
 
 def _cluster(taken_at: int, hosts: str) -> str:
@@ -321,14 +322,14 @@ def serialize_snapshot(snapshot: MonitorSnapshot) -> str:
 
     A snapshot that carries its line (`Monitor.snapshot`) returns it; any
     other is rendered entry by entry. Entries are sorted by machine name so
-    equal snapshots serialize to identical bytes. LOAD is the repr of the
-    reported load, so an int load prints as `1` and a float one as `1.0` or
-    `-0.0`.
+    equal snapshots serialize to identical bytes. LOAD is the reported load
+    as `load_text` writes it: a load of 6.4 units prints as `6.4`, and no
+    load as `0.0`.
     """
     if snapshot.line is not None:
         return snapshot.line
     return _cluster(snapshot.taken_at, "".join(
-        _head(name) + _tail(entry, repr(entry[1]))
+        _head(name) + _tail(entry, load_text(entry[1]))
         for name, entry in sorted(snapshot.entries.items())))
 
 
@@ -341,7 +342,7 @@ def parse_snapshot(text: str) -> MonitorSnapshot:
     for child in root:
         entries[child.attrib["NAME"]] = SnapshotEntry(
             last_heartbeat_at=int(child.attrib["LAST_HEARTBEAT"]),
-            reported_load=float(child.attrib["LOAD"]),
+            reported_load=to_milli(float(child.attrib["LOAD"])),
             verdict=child.attrib["VERDICT"].lower(),
         )
     return MonitorSnapshot(taken_at=int(root.attrib["TAKEN_AT"]), entries=entries)

@@ -15,14 +15,18 @@ Criteria (all tolerances pinned here, nothing deferred):
      reboot step enabled and < 240 s without it; placement exactly alfa04.
   5. controller properties over >= 10,000 randomized scenarios: escalation
      order, reinstall suppression, threshold safety, deadline respect, VM
-     conservation - zero violations.
+     conservation - zero violations; and over 2,000 more with loads and
+     thresholds in tenths.
   6. placement oracle equivalence: choose_host on 10,000 random views,
-     tick's batch placement on 1,000 random host failures.
+     tick's batch placement on 1,000 random host failures, against an exact
+     oracle on the drawn decimals.
   7. determinism: identical seeds give byte-identical trace, report and
      monitor-log files.
 """
 
+import dataclasses
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +34,7 @@ import pytest
 from scipy import stats
 
 from hasim.cli import main
-from hasim.cluster import PowerState, host_load, pending_load
+from hasim.cluster import PowerState, host_load, pending_load, to_milli
 from hasim.config import load_scenario, parse_cluster_config
 from hasim.controller import (
     DEFER,
@@ -46,6 +50,7 @@ from hasim.controller import (
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
     INJECTION_KINDS,
+    LOAD_SPIKE,
     NON_DESTRUCTIVE_CRASH,
     PHYSICAL_HOST_FAILURE,
     POWER_GLITCH,
@@ -232,8 +237,8 @@ class CheckedSimulation(Simulation):
 
 
 def random_cluster_doc(rng):
-    # Loads are quarter-unit steps: exactly representable in binary, so
-    # threshold comparisons are decided by the values, not by float noise.
+    # Loads are quarter-unit steps, which binary floats hold exactly;
+    # tenths_scenario covers loads they cannot hold.
     n_hosts = int(rng.integers(1, 7))
     hosts = [{"host_id": f"h{i:02d}", "cpu_count": int(rng.integers(1, 9)),
               "ram_mb": 4096} for i in range(n_hosts)]
@@ -280,7 +285,7 @@ def random_injections(rng, doc):
         else:
             injections.append(FailureInjection(
                 at, kind, host_id=hosts[int(rng.integers(0, len(hosts)))],
-                extra_load=int(rng.integers(2, 25)) * 0.25,
+                extra_load=int(rng.integers(2, 25)) * 250,
                 duration_s=int(rng.integers(60, 400))))
     return injections
 
@@ -328,17 +333,33 @@ def check_episode(ep, reinstall_allowed, params):
             f"{ep.vm_id}: {kinds.count(REINSTALL)} reinstalls on a corrupted VM"
 
 
-N_PROPERTY_SCENARIOS = 10_000
+def quarters_scenario(rng):
+    doc = random_cluster_doc(rng)
+    return doc, random_injections(rng, doc)
 
 
-@pytest.mark.slow
-def test_criterion_5_randomized_fsm_properties():
-    rng = np.random.default_rng(20260809)
+def tenths_scenario(rng):
+    """A criterion-5 scenario with VM loads, thresholds and spikes in tenths,
+    which binary floats cannot hold exactly. Thresholds of 1.0 to 5.9 leave
+    a few VMs of 0.1 to 1.9 close to a host's threshold."""
+    doc = random_cluster_doc(rng)
+    for vm in doc["vms"]:
+        vm["load_contribution"] = int(rng.integers(1, 20)) / 10
+    for host in doc["hosts"]:
+        host["load_threshold"] = int(rng.integers(10, 60)) / 10
+    injections = [dataclasses.replace(inj, extra_load=int(rng.integers(1, 30)) * 100)
+                  if inj.kind == LOAD_SPIKE else inj
+                  for inj in random_injections(rng, doc)]
+    return doc, injections
+
+
+def run_property_suite(rng, n, scenario):
+    """Run n scenarios from `scenario(rng)` under every criterion-5 check;
+    the number of episodes checked."""
     episodes_checked = 0
-    for i in range(N_PROPERTY_SCENARIOS):
-        doc = random_cluster_doc(rng)
+    for i in range(n):
+        doc, injections = scenario(rng)
         config = parse_cluster_config(doc)
-        injections = random_injections(rng, doc)
         sim = CheckedSimulation(config, injections, 720, seed=1_000_000 + i)
         report = sim.run()
         reinstall_allowed = {v["vm_id"]: v["reinstall_allowed"]
@@ -350,8 +371,28 @@ def test_criterion_5_randomized_fsm_properties():
         assert set(sim.state.vms) == {v["vm_id"] for v in doc["vms"]}
         bound = [vm_id for h in sim.state.hosts.values() for vm_id in h.hosted_vms]
         assert len(bound) == len(set(bound))
+    return episodes_checked
+
+
+N_PROPERTY_SCENARIOS = 10_000
+N_TENTHS_SCENARIOS = 2_000
+
+
+@pytest.mark.slow
+def test_criterion_5_randomized_fsm_properties():
+    rng = np.random.default_rng(20260809)
+    episodes_checked = run_property_suite(rng, N_PROPERTY_SCENARIOS, quarters_scenario)
     _verdict("criterion 5 (FSM property suite)", True,
              f"{N_PROPERTY_SCENARIOS} scenarios, {episodes_checked} episodes, "
+             f"0 violations")
+
+
+@pytest.mark.slow
+def test_criterion_5_tenths_loads():
+    episodes_checked = run_property_suite(np.random.default_rng(20261019),
+                                          N_TENTHS_SCENARIOS, tenths_scenario)
+    _verdict("criterion 5 (tenths loads)", True,
+             f"{N_TENTHS_SCENARIOS} scenarios, {episodes_checked} episodes, "
              f"0 violations")
 
 
@@ -367,22 +408,34 @@ def oracle_choose(view, vm):
     return sorted(eligible, key=lambda h: (h.load, h.vm_count, h.host_id))[0].host_id
 
 
+def exact(x):
+    """The decimal a drawn float was rounded to, as a Fraction: 0.1 is 1/10."""
+    return Fraction(repr(x))
+
+
 def random_view(rng, n):
-    return [HostView(host_id=f"h{i}",
-                     power_on=bool(rng.random() < 0.8),
-                     monitor_up=bool(rng.random() < 0.8),
-                     load=round(float(rng.uniform(0, 6)), 1),
-                     vm_count=int(rng.integers(0, 8)),
-                     load_threshold=round(float(rng.uniform(0.5, 6)), 1))
-            for i in range(n)]
+    """Host views on drawn tenths: in milli-units, and exactly."""
+    hosts = [(f"h{i}", bool(rng.random() < 0.8), bool(rng.random() < 0.8),
+              round(float(rng.uniform(0, 6)), 1), int(rng.integers(0, 8)),
+              round(float(rng.uniform(0.5, 6)), 1)) for i in range(n)]
+    return ([HostView(h, on, up, to_milli(load), count, to_milli(threshold))
+             for h, on, up, load, count, threshold in hosts],
+            [HostView(h, on, up, exact(load), count, exact(threshold))
+             for h, on, up, load, count, threshold in hosts])
+
+
+def random_vm(vm_id, bound_host, load):
+    """A VM of a drawn load: in milli-units, and exactly."""
+    return (VmInfo(vm_id, bound_host, to_milli(load), True),
+            VmInfo(vm_id, bound_host, exact(load), True))
 
 
 def failover_by_tick(vms, view, params, now=240):
     """The engine's path for a host failure: the first scan after host 'dead'
     failed sees it powered off and Down, with its VMs Down and no records."""
-    dead = HostView("dead", power_on=False, monitor_up=False, load=0.0,
-                    vm_count=len(vms), load_threshold=1.0)
-    down = SnapshotEntry(last_heartbeat_at=0, reported_load=0.0, verdict=DOWN)
+    dead = HostView("dead", power_on=False, monitor_up=False, load=0,
+                    vm_count=len(vms), load_threshold=1000)
+    down = SnapshotEntry(last_heartbeat_at=0, reported_load=0, verdict=DOWN)
     entries = {mid: down for mid in ["dead"] + [vm.vm_id for vm in vms]}
     hosts = {h.host_id: h for h in view + [dead]}
     _, actions = tick({}, MonitorSnapshot(taken_at=now, entries=entries),
@@ -391,26 +444,27 @@ def failover_by_tick(vms, view, params, now=240):
 
 
 def test_criterion_6_placement_oracle_equivalence():
+    # choose_host and tick work in milli-units; the oracle works on the
+    # decimals drawn, as Fractions, so it sees any rounding error.
     rng = np.random.default_rng(424242)
     for _ in range(10_000):
-        view = random_view(rng, int(rng.integers(0, 7)))
-        vm = VmInfo("v", None, round(float(rng.uniform(0.1, 2.5)), 1), True)
-        assert choose_host(view, vm) == oracle_choose(view, vm)
+        view, exact_view = random_view(rng, int(rng.integers(0, 7)))
+        vm, exact_vm = random_vm("v", None, round(float(rng.uniform(0.1, 2.5)), 1))
+        assert choose_host(view, vm) == oracle_choose(exact_view, exact_vm)
 
     params = parse_cluster_config(
         {"hosts": [{"host_id": "h", "cpu_count": 1, "ram_mb": 1}],
          "vms": [], "profiles": {}}).controller
     for _ in range(1_000):
-        view = random_view(rng, int(rng.integers(1, 6)))
-        vms = [VmInfo(f"vm{j}", "dead", round(float(rng.uniform(0.2, 2.0)), 1), True)
-               for j in range(int(rng.integers(1, 7)))]
-        actions = failover_by_tick(vms, view, params)
+        view, exact_view = random_view(rng, int(rng.integers(1, 6)))
+        vms, exact_vms = zip(*[random_vm(f"vm{j}", "dead",
+                                         round(float(rng.uniform(0.2, 2.0)), 1))
+                               for j in range(int(rng.integers(1, 7)))])
+        actions = failover_by_tick(list(vms), view, params)
         # Incremental-greedy oracle.
-        working = {h.host_id: HostView(h.host_id, h.power_on, h.monitor_up,
-                                       h.load, h.vm_count, h.load_threshold)
-                   for h in view}
+        working = {h.host_id: h for h in exact_view}
         expected = []
-        for vm in sorted(vms, key=lambda v: v.vm_id):
+        for vm in sorted(exact_vms, key=lambda v: v.vm_id):
             target = oracle_choose(list(working.values()), vm)
             if target is None:
                 expected.append(Action(DEFER, vm.vm_id))

@@ -45,6 +45,16 @@ def test_validate_malformed_parameter_prints_one_line(tmp_path, capsys):
     assert capsys.readouterr().out == "timing.boot_jitter_s: expected an integer\n"
 
 
+def test_validate_rejects_a_load_beyond_milli_units(tmp_path, capsys):
+    doc = json.loads(json.dumps(VALID_CONFIG))
+    doc["vms"][0]["load_contribution"] = 1e308
+    doc["hosts"][1]["load_threshold"] = 1e308
+    assert main(["validate", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr().out == (
+        "hosts[1].load_threshold: expected a number below 1e305\n"
+        "vms[0].load_contribution: expected a number below 1e305\n")
+
+
 def test_validate_unreadable_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
@@ -184,6 +194,25 @@ def test_report_resummarizes_run_dir(tmp_path, capsys):
     hist = (out_dir / "histogram_non_destructive_crash.csv").read_text()
     starts = [int(line.split(",")[0]) for line in hist.strip().split("\n")[1:]]
     assert all(s % 5 == 0 for s in starts)
+
+
+def test_report_rejects_a_bad_row_and_writes_nothing(tmp_path, capsys):
+    # Once a kind with a comma wrote histogram_a,b.csv and a 7-field report
+    # row, a kind with a slash failed after other histograms were written,
+    # and a recovery before the failure gave a negative mean.
+    header = "vm_id,kind,failure_at,detected_at,recovered_at,recovery_s,recovered_on"
+    good = "v,non_destructive_crash,0,70,180,180,h"
+    for row, problem in [('w,"a,b",10,80,190,180,h', "kind 'a,b' is no injection kind"),
+                         ("w,x/y,10,80,190,180,h", "kind 'x/y' is no injection kind"),
+                         ("w,power_glitch,10,80,5,-5,h",
+                          "detected_at or recovered_at before failure_at")]:
+        episodes = tmp_path / "episodes.csv"
+        episodes.write_text(f"{header}\n{good}\n{row}\n")
+        assert main(["report", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"{episodes}: row 2: {problem}\n"
+        assert captured.err == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["episodes.csv"]
 
 
 def test_report_missing_dir_exit_2(tmp_path):

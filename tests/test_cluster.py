@@ -1,4 +1,4 @@
-"""Domain model tests: derived load, threshold defaults, state invariants."""
+"""Domain model tests: load units, derived load, threshold defaults, state invariants."""
 
 import numpy as np
 import pytest
@@ -14,20 +14,22 @@ from hasim.cluster import (
     check_touched_invariants,
     default_threshold,
     host_load,
+    load_text,
     pending_load,
+    to_milli,
 )
 
 
 def make_state(power=PowerState.ON):
-    host = PhysicalHost("h1", cpu_count=4, ram_mb=8192, load_threshold=4.0,
+    host = PhysicalHost("h1", cpu_count=4, ram_mb=8192, load_threshold=4000,
                         power_state=power)
     vms = {
         "a": VirtualMachine("a", "52:54:00:00:00:0a", "h1", "p",
-                            VmLifecycle.RUNNING, True, 0.8),
+                            VmLifecycle.RUNNING, True, 800),
         "b": VirtualMachine("b", "52:54:00:00:00:0b", "h1", "p",
-                            VmLifecycle.RUNNING, True, 1.2),
+                            VmLifecycle.RUNNING, True, 1200),
         "c": VirtualMachine("c", "52:54:00:00:00:0c", "h1", "p",
-                            VmLifecycle.UNRESPONSIVE, True, 2.0),
+                            VmLifecycle.UNRESPONSIVE, True, 2000),
     }
     host.hosted_vms = ["a", "b", "c"]
     return ClusterState(hosts={"h1": host}, vms=vms)
@@ -35,11 +37,11 @@ def make_state(power=PowerState.ON):
 
 def brute_force_load(state, host_id):
     # Independent oracle: scan every VM in the cluster.
-    total = 0.0
+    total = 0
     for vm in state.vms.values():
         if vm.bound_host == host_id and vm.lifecycle is VmLifecycle.RUNNING:
             total += vm.load_contribution
-    return total + state.extra_load.get(host_id, 0.0)
+    return total + state.extra_load.get(host_id, 0)
 
 
 def test_host_load_sums_running_vms():
@@ -48,24 +50,24 @@ def test_host_load_sums_running_vms():
     state.hosts["h1"].hosted_vms = ["a", "b"]
     state.vms["c"].bound_host = None
     state.vms["c"].lifecycle = VmLifecycle.WAITING_FOR_CAPACITY
-    assert host_load(state, "h1") == pytest.approx(2.0)
+    assert host_load(state, "h1") == 2000
 
 
 def test_host_load_excludes_unresponsive():
     state = make_state()
-    assert host_load(state, "h1") == pytest.approx(0.8 + 1.2)
-    assert host_load(state, "h1") == pytest.approx(brute_force_load(state, "h1"))
+    assert host_load(state, "h1") == 800 + 1200
+    assert host_load(state, "h1") == brute_force_load(state, "h1")
 
 
 def test_host_load_off_host_is_zero():
     state = make_state(power=PowerState.OFF)
-    assert host_load(state, "h1") == 0.0
+    assert host_load(state, "h1") == 0
 
 
 def test_host_load_includes_extra_load():
     state = make_state()
-    state.extra_load["h1"] = 3.5
-    assert host_load(state, "h1") == pytest.approx(0.8 + 1.2 + 3.5)
+    state.extra_load["h1"] = 3500
+    assert host_load(state, "h1") == 800 + 1200 + 3500
 
 
 def test_host_load_unknown_host():
@@ -84,7 +86,7 @@ def test_host_load_matches_brute_force_on_random_states():
     for _ in range(200):
         n_hosts = int(rng.integers(1, 5))
         hosts = {
-            f"h{i}": PhysicalHost(f"h{i}", 4, 1024, 4.0)
+            f"h{i}": PhysicalHost(f"h{i}", 4, 1024, 4000)
             for i in range(n_hosts)
         }
         vms = {}
@@ -93,29 +95,47 @@ def test_host_load_matches_brute_force_on_random_states():
             lifecycle = rng.choice([VmLifecycle.RUNNING, VmLifecycle.UNRESPONSIVE,
                                     VmLifecycle.BOOTING, VmLifecycle.HALTED])
             vm = VirtualMachine(f"v{j}", f"52:54:00:00:01:{j:02x}", host_id, "p",
-                                lifecycle, True, float(rng.uniform(0.1, 2.0)))
+                                lifecycle, True, int(rng.integers(100, 2001)))
             vms[vm.vm_id] = vm
             hosts[host_id].hosted_vms.append(vm.vm_id)
         state = ClusterState(hosts=hosts, vms=vms)
         if rng.random() < 0.5:
-            state.extra_load["h0"] = float(rng.uniform(0, 5))
+            state.extra_load["h0"] = int(rng.integers(0, 5001))
         for host_id in hosts:
-            assert host_load(state, host_id) == pytest.approx(
-                brute_force_load(state, host_id))
+            assert host_load(state, host_id) == brute_force_load(state, host_id)
 
 
 def test_pending_load_counts_booting_and_installing():
     state = make_state()
     state.vms["a"].lifecycle = VmLifecycle.BOOTING
     state.vms["c"].lifecycle = VmLifecycle.INSTALLING
-    assert pending_load(state, "h1") == pytest.approx(0.8 + 2.0)
-    assert host_load(state, "h1") == pytest.approx(1.2)
+    assert pending_load(state, "h1") == 800 + 2000
+    assert host_load(state, "h1") == 1200
 
 
 def test_default_threshold():
-    assert default_threshold(8) == 8.0
-    assert default_threshold(1) == 1.0
-    assert isinstance(default_threshold(4), float)
+    assert default_threshold(8) == 8000
+    assert default_threshold(1) == 1000
+    assert isinstance(default_threshold(4), int)
+
+
+@pytest.mark.parametrize("units,milli", [
+    (0, 0), (1, 1000), (2.5, 2500), (0.1, 100), (6.4, 6400), (0.001, 1), (-0.0, 0),
+    (0.1 + 0.2, None), (0.0005, None), (1.0001, None), (1e308, None), (10**305, None)])
+def test_to_milli_takes_whole_milli_units_only(units, milli):
+    if milli is None:
+        with pytest.raises(ValueError):
+            to_milli(units)
+    else:
+        assert to_milli(units) == milli and type(to_milli(units)) is int
+
+
+def test_load_text_is_the_repr_of_the_units():
+    assert [load_text(m) for m in (0, 1, 100, 1000, 6400, 250, 10**20)] == \
+        ["0.0", "0.001", "0.1", "1.0", "6.4", "0.25", "1e+17"]
+    # A float sum of the same units prints what a fresh parse gives.
+    for m in range(0, 20000, 7):
+        assert float(load_text(m)) == m / 1000 and to_milli(float(load_text(m))) == m
 
 
 def test_default_threshold_rejects_bad_input():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hasim.cluster import PowerState, VmLifecycle
+from hasim.cluster import PowerState, VmLifecycle, to_milli
 from hasim.config import ConfigError, load_cluster_config, load_scenario
 from hasim.controller import ControllerParams
 from hasim.engine import (
@@ -63,14 +63,14 @@ def test_zero_vms_is_valid():
 
 def test_threshold_defaults_to_cpu_count():
     config = load_cluster_config(doc())
-    assert all(h.load_threshold == 4.0 for h in config.hosts)
+    assert all(h.load_threshold == 4000 for h in config.hosts)
 
 
 def test_explicit_threshold_respected():
     document = json.loads(doc())
     document["hosts"][0]["load_threshold"] = 6.5
     config = load_cluster_config(json.dumps(document))
-    assert config.hosts[0].load_threshold == 6.5
+    assert config.hosts[0].load_threshold == 6500
 
 
 def test_dangling_host_reference_names_offender():
@@ -355,11 +355,14 @@ def test_scenario_null_optional_key_is_default():
     ("vms", "reinstall_allowed", "reinstall_allowed", True),
     ("vms", "load_contribution", "load_contribution", 1.0)])
 def test_null_optional_key_is_default(block, key, field, default):
-    # A null optional value once dropped its machine without a problem.
+    # A null optional value once dropped its machine without a problem. The
+    # default loads are given in units.
     document = json.loads(doc())
     document[block][0][key] = None
     config = load_cluster_config(json.dumps(document))
     assert (len(config.hosts), len(config.vms)) == (4, 1)
+    if key.startswith("load_"):
+        default = to_milli(default)
     assert getattr(getattr(config, block)[0], field) == default
 
 
@@ -443,6 +446,35 @@ def test_lifecycle_has_the_power_state_wording():
         load_cluster_config(json.dumps(document))
     assert exc.value.problems == ["hosts[0].power_state: must be 'on' or 'off'",
                                   "vms[0].lifecycle: must be 'running' or 'halted'"]
+
+
+@pytest.mark.parametrize("literal,problem", [
+    ("0.0005", "expected a multiple of 0.001"), ("6.4001", "expected a multiple of 0.001"),
+    ("1e308", "expected a number below 1e305"), ("1" + "0" * 305, "expected a number below 1e305")])
+def test_loads_must_be_whole_milli_units(literal, problem):
+    # 1e308 * 1000 overflows to inf, which has no nearest int.
+    text = doc().replace('"vm_id": "gridce"',
+                         f'"vm_id": "gridce", "load_contribution": {literal}')
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(text)
+    assert exc.value.problems == [f"vms[0].load_contribution: {problem}"]
+    text = doc().replace('"host_id": "alfa01"', f'"host_id": "alfa01", "load_threshold": {literal}')
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(text)
+    assert exc.value.problems == [f"hosts[0].load_threshold: {problem}"]
+
+
+def test_loads_parse_exactly_in_milli_units():
+    document = json.loads(doc())
+    document["hosts"][0]["load_threshold"] = 6.4
+    document["vms"][0]["load_contribution"] = 0.1
+    config = load_cluster_config(json.dumps(document))
+    assert (config.hosts[0].load_threshold, config.vms[0].load_contribution) == (6400, 100)
+    spike = {"at": 0, "kind": "load_spike", "host": "alfa02", "extra_load": 2,
+             "duration_s": 10}
+    scenario = load_scenario(json.dumps({"cluster": document, "horizon_s": 60,
+                                         "injections": [spike]}))
+    assert scenario.injections[0].extra_load == 2000
 
 
 def test_cpu_count_beyond_float_range_is_a_problem():

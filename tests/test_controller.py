@@ -1,7 +1,12 @@
-"""Escalation FSM transitions and placement choice."""
+"""Escalation FSM transitions and placement choice.
+
+The helpers take loads in units, as a document states them, and build views
+in milli-units.
+"""
 
 import numpy as np
 
+from hasim.cluster import to_milli
 from hasim.controller import (
     DEFER,
     REBOOT,
@@ -21,7 +26,7 @@ from hasim.telemetry import DOWN, UP, MonitorSnapshot, SnapshotEntry
 
 def snap(now, **verdicts):
     entries = {
-        mid: SnapshotEntry(last_heartbeat_at=0, reported_load=0.0, verdict=v)
+        mid: SnapshotEntry(last_heartbeat_at=0, reported_load=0, verdict=v)
         for mid, v in verdicts.items()
     }
     return MonitorSnapshot(taken_at=now, entries=entries)
@@ -29,7 +34,8 @@ def snap(now, **verdicts):
 
 def hv(host_id, load=0.0, vm_count=0, threshold=4.0, power_on=True, up=True):
     return HostView(host_id=host_id, power_on=power_on, monitor_up=up,
-                    load=load, vm_count=vm_count, load_threshold=threshold)
+                    load=to_milli(load), vm_count=vm_count,
+                    load_threshold=to_milli(threshold))
 
 
 def view_of(*views):
@@ -38,7 +44,7 @@ def view_of(*views):
 
 
 def vi(vm_id, bound_host="alfa01", contribution=1.0, reinstall=True):
-    return VmInfo(vm_id, bound_host, contribution, reinstall)
+    return VmInfo(vm_id, bound_host, to_milli(contribution), reinstall)
 
 
 PARAMS = ControllerParams()
@@ -138,8 +144,8 @@ def test_failover_overflow_defers_excess():
 
 
 def oracle_failover(failed_host, vms, view):
-    working = {h.host_id: hv(h.host_id, h.load, h.vm_count, h.load_threshold,
-                             h.power_on, h.monitor_up) for h in view}
+    working = {h.host_id: HostView(h.host_id, h.power_on, h.monitor_up, h.load,
+                                   h.vm_count, h.load_threshold) for h in view}
     actions = []
     for vm in sorted(vms, key=lambda v: v.vm_id):
         target = oracle_choose(list(working.values()), vm)
@@ -279,7 +285,7 @@ def test_defer_and_retry_when_capacity_returns():
     assert records["v"].pending == RESTART
 
     # Still no capacity: silent retry, no repeated Defer.
-    parked = VmInfo("v", None, 1.0, True)
+    parked = vi("v", None)
     records, actions = tick(records, snap(300, h1=UP), full, 300,
                             ControllerParams(reboot_step_enabled=False), [parked])
     assert actions == []
@@ -345,7 +351,7 @@ def test_tick_is_pure_and_deterministic():
     assert out1 == out2
     # Inputs not mutated.
     assert records["v"].phase is Phase.REBOOT_ISSUED
-    assert view["alfa01"].load == 1.0
+    assert view["alfa01"].load == 1000
 
 
 def test_actions_ordered_by_vm_id():

@@ -229,7 +229,7 @@ def test_load_spike_defers_restart_until_it_ends():
     # places the restart; reinstall follows one t2 later.
     config = one_host_config()
     injections = [
-        FailureInjection(0, LOAD_SPIKE, host_id="node01", extra_load=6.0,
+        FailureInjection(0, LOAD_SPIKE, host_id="node01", extra_load=6000,
                          duration_s=520),
         FailureInjection(130, DESTRUCTIVE_CRASH, "svc01"),
     ]
@@ -243,7 +243,7 @@ def test_load_spike_defers_restart_until_it_ends():
 def test_waiting_vm_is_parked_out_of_monitoring():
     config = one_host_config()
     injections = [
-        FailureInjection(0, LOAD_SPIKE, host_id="node01", extra_load=6.0,
+        FailureInjection(0, LOAD_SPIKE, host_id="node01", extra_load=6000,
                          duration_s=3000),
         FailureInjection(130, DESTRUCTIVE_CRASH, "svc01"),
     ]
@@ -264,7 +264,7 @@ def test_simulation_reports_every_injection_problem():
     injections = [
         FailureInjection(10, NON_DESTRUCTIVE_CRASH, "ghost"),
         FailureInjection(-1, PHYSICAL_HOST_FAILURE, host_id="node01"),
-        FailureInjection(10, LOAD_SPIKE, host_id="node01", extra_load=1.0),
+        FailureInjection(10, LOAD_SPIKE, host_id="node01", extra_load=1000),
         FailureInjection(10, "meteor_strike"),
         FailureInjection(700, POWER_GLITCH, hosts=("node01", "nope")),
     ]
@@ -535,10 +535,10 @@ def test_each_transition_keeps_caches_and_monitor_coherent_by_itself():
         lambda: sim._move(vm, "node02"),
         lambda: sim._set_lifecycle(vm, VmLifecycle.INSTALLING),
         lambda: sim._set_lifecycle(vm, VmLifecycle.RUNNING),
-        lambda: sim._add_extra_load("node02", 0.5),
+        lambda: sim._add_extra_load("node02", 500),
         lambda: sim._set_power(host, PowerState.OFF),
         lambda: sim._set_lifecycle(vm, VmLifecycle.HALTED),
-        lambda: sim._add_extra_load("node02", -0.5),
+        lambda: sim._add_extra_load("node02", -500),
         lambda: sim._set_power(host, PowerState.ON),
     ]
     for step in steps:
@@ -548,12 +548,11 @@ def test_each_transition_keeps_caches_and_monitor_coherent_by_itself():
         sim._check_coherence()
 
 
-def test_load_terms_sum_to_fresh_host_and_pending_loads():
-    # The engine's host loads are `sum`s over per-host load terms with an int
-    # 0 for each VM that does not count. Under random transitions they must
-    # equal a fresh `host_load` and `pending_load` bit for bit, type
-    # included, on loads in tenths (inexact in binary), integers and -0.0,
-    # which the config parser would turn into floats.
+def test_load_totals_equal_fresh_host_and_pending_loads():
+    # The engine keeps each host's running and booting load as int totals
+    # that the transitions move by deltas. Under random transitions they must
+    # equal a fresh `host_load` and `pending_load`, on loads in tenths and in
+    # whole units, and zero loads.
     rng = np.random.default_rng(20261019)
     bound = [VmLifecycle.RUNNING, VmLifecycle.UNRESPONSIVE, VmLifecycle.HALTED,
              VmLifecycle.BOOTING, VmLifecycle.INSTALLING]
@@ -562,11 +561,11 @@ def test_load_terms_sum_to_fresh_host_and_pending_loads():
         return options[int(rng.integers(0, len(options)))]
 
     for _ in range(200):
-        hosts = [PhysicalHost(f"h{i}", 4, 8192, 100.0) for i in range(3)]
+        hosts = [PhysicalHost(f"h{i}", 4, 8192, 100_000) for i in range(3)]
         vms = [VirtualMachine(f"v{j:02d}", f"52:54:00:00:00:{j:02x}",
                               pick(hosts).host_id, "default", pick(bound),
-                              load_contribution=pick([int(rng.integers(1, 20)) / 10,
-                                                      int(rng.integers(0, 5)), -0.0]))
+                              load_contribution=pick([int(rng.integers(1, 20)) * 100,
+                                                      int(rng.integers(0, 5)) * 1000, 0]))
                for j in range(int(rng.integers(1, 13)))]
         sim = Simulation(ClusterConfig(hosts, vms, profiles={"default": DEFAULT_PROFILE}),
                          [], 10**6, invariant_checks="off")
@@ -589,14 +588,14 @@ def test_load_terms_sum_to_fresh_host_and_pending_loads():
                 sim._set_power(host, PowerState.OFF if host.power_state is PowerState.ON
                                else PowerState.ON)
             elif kind == 3:  # a spike starts, or every spike on the host ends
-                extra = state.extra_load.get(host.host_id, 0.0)
-                sim._add_extra_load(host.host_id, pick([int(rng.integers(1, 20)) / 10, -extra]))
+                extra = state.extra_load.get(host.host_id, 0)
+                sim._add_extra_load(host.host_id, pick([int(rng.integers(1, 20)) * 100, -extra]))
             else:
                 sim._set_lifecycle(vm, pick(bound))
             for host_id in state.hosts:
-                assert repr(sim._load(host_id)) == repr(host_load(state, host_id))
-                assert (repr(sum(sim._pending[host_id].values()))
-                        == repr(pending_load(state, host_id)))
+                assert sim._load(host_id) == host_load(state, host_id)
+                assert sim._boot_load[host_id] == pending_load(state, host_id)
+            assert all(state.extra_load.values()), "an ended spike leaves no 0 entry"
 
 
 def test_power_transition_cancels_a_pending_host_boot():
@@ -612,7 +611,6 @@ def test_power_transition_cancels_a_pending_host_boot():
 
 
 def test_restart_on_its_own_host_keeps_the_vm_list():
-    # The VM list orders the summed host load, which the monitor log reports.
     config = parse_cluster_config({
         "hosts": [{"host_id": "node01", "cpu_count": 4, "ram_mb": 8192}],
         "vms": [{"vm_id": f"svc0{i}", "mac": f"52:54:00:00:00:0{i}",
@@ -627,3 +625,42 @@ def test_restart_on_its_own_host_keeps_the_vm_list():
     assert [str(a) for _, a in report.episodes[0].actions] == ["restart svc01 node01"]
     assert report.episodes[0].recovered_at is not None
     assert sim.state.hosts["node01"].hosted_vms == ["svc01", "svc02"]
+
+
+# -- exact loads -----------------------------------------------------------
+
+
+def test_no_placement_brings_a_host_to_its_threshold():
+    # Host a sits at 4.4 under a threshold of 6.4, and w's 2.0 would take it
+    # to exactly 6.4: w must wait. The float sum 1.1 + 1.2 + 1.9 + 0.2 + 2.0
+    # is 6.3999999999999995, which once let the restart through.
+    doc = {"hosts": [{"host_id": "a", "cpu_count": 8, "ram_mb": 1024, "load_threshold": 6.4},
+                     {"host_id": "b", "cpu_count": 4, "ram_mb": 1024}],
+           "vms": [{"vm_id": f"v{i}", "mac": f"52:54:00:00:00:0{i}", "bound_host": "a",
+                    "boot_profile": "p", "load_contribution": load}
+                   for i, load in enumerate([1.1, 1.2, 1.9, 0.2])]
+           + [{"vm_id": "w", "mac": "52:54:00:00:00:09", "bound_host": "b",
+               "boot_profile": "p", "load_contribution": 2.0}],
+           "profiles": {"p": {}}}
+    sim = Simulation(parse_cluster_config(doc),
+                     [FailureInjection(100, PHYSICAL_HOST_FAILURE, host_id="b")], 600)
+    report = sim.run()
+    assert [str(a) for _, a in report.episodes[0].actions] == ["defer w"]
+    assert host_load(sim.state, "a") == 4400
+
+
+def test_a_spike_that_ends_leaves_the_exact_load():
+    # Spikes of 0.2 and 0.4 overlap on a host running 1.0; once the 0.2 one
+    # ends, the float sum 1.0 + (0.2 + 0.4 - 0.2) logged 1.4000000000000001.
+    config = one_host_config()
+    injections = [FailureInjection(0, LOAD_SPIKE, host_id="node01", extra_load=200,
+                                   duration_s=100),
+                  FailureInjection(50, LOAD_SPIKE, host_id="node01", extra_load=400,
+                                   duration_s=200)]
+    sim = Simulation(config, injections, 300, collect_trace=True, emit_monitor_log=True)
+    report = sim.run()
+    assert "0 inject load_spike node01 0.2 100" in report.trace
+    assert "50 inject load_spike node01 0.4 200" in report.trace
+    loads = [line.split('NAME="node01"')[1].split('"')[3] for line in report.monitor_log]
+    assert loads == ["1.0", "1.6", "1.4", "1.4", "1.4", "1.0"]
+    assert sim.state.extra_load == {}

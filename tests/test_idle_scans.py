@@ -338,7 +338,7 @@ def test_every_transition_and_action_wakes_a_waiting_vm():
     steps = [
         lambda: sim._set_lifecycle(vm, VmLifecycle.HALTED),
         lambda: sim._move(vm, "node02"),
-        lambda: sim._add_extra_load("node02", 0.5),
+        lambda: sim._add_extra_load("node02", 500),
         lambda: sim._set_power(host, PowerState.OFF),
         lambda: sim._apply(Action(REBOOT, "svc01")),  # halted: changes nothing
     ]
@@ -347,7 +347,7 @@ def test_every_transition_and_action_wakes_a_waiting_vm():
         step()
         assert sim._wake == sim.now
     sim._waiting, sim._wake = False, math.inf
-    sim._add_extra_load("node02", -0.5)
+    sim._add_extra_load("node02", -500)
     assert sim._wake == math.inf
 
 

@@ -67,3 +67,21 @@ def test_summary_mentions_recovery_host():
     assert "gridce" in text
     assert "recovered on alfa04" in text
     assert "NOT RECOVERED" in text  # db01 never recovered
+
+
+@pytest.mark.parametrize("row,problem", [
+    ('w,"a,b",10,80,190,180,h', "row 2: kind 'a,b' is no injection kind"),
+    ("w,x/y,10,80,190,180,h", "row 2: kind 'x/y' is no injection kind"),
+    ("w,power_glitch,10,80,5,-5,h", "row 2: detected_at or recovered_at before failure_at"),
+    ("w,power_glitch,10,5,,,", "row 2: detected_at or recovered_at before failure_at"),
+    ("w,power_glitch,10,80,190,100,h", "row 2: expected w,power_glitch,10,80,190,180,h"),
+    ("w,power_glitch,10,80,,180,", "row 2: expected w,power_glitch,10,80,,,"),
+    ("w,power_glitch,1O,80,190,180,h", "row 2: invalid literal for int()"),
+    ("w,power_glitch,10", "row 2: not enough values to unpack"),
+], ids=["comma-kind", "slash-kind", "recovered-early", "detected-early", "wrong-recovery_s",
+        "recovery_s-unrecovered", "not-an-int", "short-row"])
+def test_parse_rejects_rows_no_run_writes(row, problem):
+    good = "v,non_destructive_crash,0,70,180,180,h"
+    with pytest.raises(ValueError) as exc:
+        parse_episodes_csv(f"{EPISODES_HEADER}\n{good}\n{row}\n")
+    assert str(exc.value).startswith(problem)

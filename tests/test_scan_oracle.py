@@ -4,7 +4,7 @@ FullScanSimulation is the engine with the scan as it was before sparse
 scans: a snapshot of every registered machine, a view of every host with
 its load summed afresh, every VM passed to `tick`, and a next scan at every
 scan. It also reports every host load it beats or logs from a fresh
-`host_load`, not from the engine's load terms. Its trace, episodes, monitor
+`host_load`, not from the engine's load totals. Its trace, episodes, monitor
 log and records must equal the engine's byte for byte, with the monitor log
 on and off.
 """
@@ -131,8 +131,8 @@ def overlapping_scenario(rng):
     600 s, where spikes last 1 to 400 s and may hit the same host, a glitched
     host or a failed one, and a host may glitch, fail, or both. Boots of 20
     to 300 s and installs of 20 to 600 s against patiences down to one scan
-    period move VMs that are still booting or installing. Loads in tenths
-    are not exact in binary, so a load summed in another order differs.
+    period move VMs that are still booting or installing. Loads are in
+    tenths, which binary floats cannot hold exactly.
     """
     doc = random_cluster_doc(rng)
     for vm in doc["vms"]:
@@ -157,7 +157,7 @@ def overlapping_scenario(rng):
         if kind == 0:
             injections.append(FailureInjection(
                 at, LOAD_SPIKE, host_id=pick(hosts),
-                extra_load=int(rng.integers(1, 60)) / 10,
+                extra_load=int(rng.integers(1, 60)) * 100,
                 duration_s=int(rng.integers(1, 401))))
         elif kind == 1:
             injections.append(FailureInjection(at, POWER_GLITCH, hosts=(pick(hosts),)))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hasim.cluster import to_milli
 from hasim.telemetry import (
     DOWN,
     HEARTBEAT_PERIOD_S,
@@ -21,14 +22,14 @@ from hasim.telemetry import (
 
 def test_up_below_latency():
     m = Monitor()
-    m.register("alfa01", 0, 0.5)
+    m.register("alfa01", 0, 500)
     assert m.snapshot(60).entries["alfa01"].verdict == UP
 
 
 def test_down_at_latency_boundary():
     # Closed boundary: staleness == 70 is already Down.
     m = Monitor()
-    m.register("gridce", 0, 1.0)
+    m.register("gridce", 0, 1000)
     assert m.snapshot(69).entries["gridce"].verdict == UP
     assert m.snapshot(70).entries["gridce"].verdict == DOWN
 
@@ -66,8 +67,8 @@ def test_out_of_order_heartbeat_rejected():
 def test_equal_timestamp_heartbeat_allowed():
     m = Monitor()
     m.register("a", 50, 0.0)
-    m.record_heartbeat("a", 50, 1.0)
-    assert m.snapshot(50).entries["a"].reported_load == 1.0
+    m.record_heartbeat("a", 50, 1000)
+    assert m.snapshot(50).entries["a"].reported_load == 1000
 
 
 def test_empty_monitor_snapshot():
@@ -122,7 +123,7 @@ def test_next_down_at_is_the_first_later_down_instant():
 def test_next_down_at_ignores_beat_trains_and_unregistered_machines():
     m = Monitor(TelemetryParams(detection_latency_s=45))
     m.register("beating", 0)
-    m.start_beats("beating", 0, 1.0)
+    m.start_beats("beating", 0, 1000)
     m.register("parked", 10)
     m.unregister("parked")
     ids = {"beating", "parked", "silent"}
@@ -131,7 +132,7 @@ def test_next_down_at_ignores_beat_trains_and_unregistered_machines():
     assert m.next_down_at(0, ids) == 75
     m.stop_beats("beating", 100)  # last beat at 90
     assert m.next_down_at(100, ids) == 135
-    m.start_beats("silent", 100, 1.0)
+    m.start_beats("silent", 100, 1000)
     m.register("parked", 100)  # its staleness clock still dates from 10
     assert m.next_down_at(100, ids) == 135
     assert m.next_down_at(40, ids) == 55
@@ -141,7 +142,7 @@ def test_next_down_at_is_inf_with_nothing_silent():
     assert Monitor().next_down_at(0, {"a"}) == math.inf
     m = Monitor()
     m.register("a", 0)
-    m.start_beats("a", 0, 1.0)
+    m.start_beats("a", 0, 1000)
     assert m.next_down_at(10**9, {"a"}) == math.inf
 
 
@@ -169,11 +170,11 @@ def test_beat_train_is_seen_up_to_the_second_before():
     # A periodic beat at t counts after every other event at t.
     m = Monitor()
     m.register("a", 0)
-    m.start_beats("a", 5, 1.0)
+    m.start_beats("a", 5, 1000)
     assert m.snapshot(15).entries["a"].last_heartbeat_at == 5
     assert m.snapshot(16).entries["a"].last_heartbeat_at == 15
     m.load_changed("a", 25, 2.0)  # precedes the beat at 25, which reports 2.0
-    assert m.snapshot(25).entries["a"] == SnapshotEntry(15, 1.0, UP)
+    assert m.snapshot(25).entries["a"] == SnapshotEntry(15, 1000, UP)
     assert m.snapshot(34).entries["a"] == SnapshotEntry(25, 2.0, UP)
     m.stop_beats("a", 45)  # the beat at 45 is never sent
     assert m.snapshot(114).entries["a"] == SnapshotEntry(35, 2.0, DOWN)
@@ -189,13 +190,13 @@ def test_beat_trains_match_beat_by_beat_replay():
         machines = [f"m{i}" for i in range(int(rng.integers(1, 4)))]
         history, train, snapshots = [], {}, 0
         for mid in machines:
-            m.register(mid, 0, 0.5)
-            history.append((0, mid, 0.5))
+            m.register(mid, 0, 500)
+            history.append((0, mid, 500))
         for t in range(0, 400):
             for _ in range(int(rng.poisson(0.15))):
                 mid = machines[int(rng.integers(0, len(machines)))]
                 op = int(rng.integers(0, 3))
-                load = float(rng.integers(0, 16)) * 0.25
+                load = int(rng.integers(0, 16)) * 250
                 if op == 0 and mid not in train:
                     m.start_beats(mid, t, load)
                     history.append((t, mid, load))
@@ -228,7 +229,7 @@ def random_snapshot(rng) -> MonitorSnapshot:
     for i in range(int(rng.integers(0, 8))):
         entries[f"machine{i}"] = SnapshotEntry(
             last_heartbeat_at=int(rng.integers(0, 10_000)),
-            reported_load=round(float(rng.uniform(0, 16)), 3),
+            reported_load=to_milli(round(float(rng.uniform(0, 16)), 3)),
             verdict=UP if rng.random() < 0.5 else DOWN,
         )
     return MonitorSnapshot(taken_at=int(rng.integers(0, 10_000)), entries=entries)
@@ -242,10 +243,10 @@ def test_serialization_round_trip_randomized():
 
 
 def test_serialization_deterministic():
-    snap = MonitorSnapshot(5, {"b": SnapshotEntry(1, 0.5, UP),
-                               "a": SnapshotEntry(2, 1.5, DOWN)})
-    same = MonitorSnapshot(5, {"a": SnapshotEntry(2, 1.5, DOWN),
-                               "b": SnapshotEntry(1, 0.5, UP)})
+    snap = MonitorSnapshot(5, {"b": SnapshotEntry(1, 500, UP),
+                               "a": SnapshotEntry(2, 1500, DOWN)})
+    same = MonitorSnapshot(5, {"a": SnapshotEntry(2, 1500, DOWN),
+                               "b": SnapshotEntry(1, 500, UP)})
     assert serialize_snapshot(snap) == serialize_snapshot(same)
     assert '<HOST NAME="a"' in serialize_snapshot(snap)
 
@@ -259,7 +260,7 @@ def test_serialization_injective_on_random_pairs():
 
 
 def test_single_up_host_element_shape():
-    snap = MonitorSnapshot(120, {"alfa01": SnapshotEntry(110, 2.5, UP)})
+    snap = MonitorSnapshot(120, {"alfa01": SnapshotEntry(110, 2500, UP)})
     text = serialize_snapshot(snap)
     assert text == ('<CLUSTER TAKEN_AT="120">'
                     '<HOST NAME="alfa01" LAST_HEARTBEAT="110" LOAD="2.5"'
