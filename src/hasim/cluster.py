@@ -132,8 +132,7 @@ def check_state_invariants(state: ClusterState) -> None:
     each once, and their vm -> host map equals the bound VMs' bound_host map;
     lifecycles agree with binding; off hosts hold only halted VMs. Then
     `check_touched_invariants` over every machine names it. The engine runs
-    this at the end of a run, and after every event with
-    `invariant_checks="event"`.
+    this at the end of every run; the tests also run it after every event.
     """
     hosts = state.hosts.values()
     hosted = {vm_id: host.host_id for host in hosts for vm_id in host.hosted_vms}

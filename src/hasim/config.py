@@ -383,7 +383,7 @@ def parse_cluster_config(doc: dict) -> ClusterConfig:
 def _decode(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too deep, too many digits
         raise ConfigError([f"parse error: {exc}"]) from exc
 
 

@@ -175,6 +175,8 @@ def injection_problems(injections: list[FailureInjection | None],
             problems.append(f"{where}: unknown host '{inj.host_id}'")
         if inj.kind == LOAD_SPIKE and inj.duration_s < 1:
             problems.append(f"{where}.duration_s: must be >= 1")
+        if inj.kind == LOAD_SPIKE and type(inj.extra_load) is not int:
+            problems.append(f"{where}.extra_load: expected an int of milli-units")
         if horizon_s is not None and inj.at > horizon_s:
             problems.append(f"{where}: at={inj.at} exceeds horizon_s")
     return problems
@@ -224,12 +226,9 @@ class Simulation:
     lowers it to now (an action counts even when it changes no state: a
     reboot's load commit in `tick` never took place).
 
-    invariant_checks: "off", "scan" (default: at each scan, the binding and
-    power rules for the machines touched since the previous scan, with
-    `check_touched_invariants`, and the full-graph check at the end of the
-    run) or "event" (the full-graph check after every event, together with
-    the coherence of the host table and the monitor's beat trains,
-    registrations and silent set; slow, meant for focused tests).
+    Each scan checks the binding and power rules for the machines touched
+    since the previous one (`check_touched_invariants`), and the run ends
+    with the full-graph check; per-event checks belong to the tests.
 
     Every scan schedules the next one at the first grid instant after now
     at or after `_idle_until()` or the next event, and none when both are
@@ -241,12 +240,17 @@ class Simulation:
 
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
                  horizon_s: int, *, seed: int | np.random.Generator = 0,
-                 collect_trace: bool = False, emit_monitor_log: bool = False,
-                 invariant_checks: str = "scan"):
-        if invariant_checks not in ("off", "scan", "event"):
-            raise ValueError("invariant_checks must be off, scan or event, "
-                             f"not {invariant_checks!r}")
+                 collect_trace: bool = False, emit_monitor_log: bool = False):
         self.state: ClusterState = config.build_state()
+        problems = [f"host {h.host_id}: load_threshold is not an int of milli-units"
+                    for h in self.state.hosts.values() if type(h.load_threshold) is not int]
+        problems += [f"vm {vm.vm_id}: load_contribution is not an int of milli-units"
+                     for vm in self.state.vms.values()
+                     if type(vm.load_contribution) is not int]
+        problems += injection_problems(injections, self.state.vms, self.state.hosts,
+                                       horizon_s)
+        if problems:
+            raise ScenarioError("; ".join(problems))
         self.params = config.controller
         self.timing = config.timing
         self.horizon_s = horizon_s
@@ -279,14 +283,9 @@ class Simulation:
         self.now = 0
         # Whether the last tick left a VM waiting for capacity.
         self._waiting = False
-        self._invariants = invariant_checks
         self.trace: list[str] | None = [] if collect_trace else None
         self.monitor_log: list[str] | None = [] if emit_monitor_log else None
 
-        problems = injection_problems(injections, self.state.vms, self.state.hosts,
-                                      horizon_s)
-        if problems:
-            raise ScenarioError("; ".join(problems))
         for inj in injections:
             self._schedule(inj.at, "inject", (inj,))
         phase = self.timing.controller_phase_s
@@ -473,9 +472,8 @@ class Simulation:
         return self.now if self.monitor_log is not None else self._wake
 
     def _on_scan(self) -> None:
-        if self.now < self._idle_until():
-            self._trace("scan")
-        else:
+        self._trace("scan")
+        if self.now >= self._idle_until():
             self._tick()
         self._check_scan()
         # The first grid instant that could tick or that follows the next
@@ -492,10 +490,9 @@ class Simulation:
             self._schedule(at, "scan", ())
 
     def _check_scan(self) -> None:
-        """In "scan" mode, check the machines touched since the last scan."""
+        """Check the machines touched since the last scan."""
         if self._touched:
-            if self._invariants == "scan":
-                check_touched_invariants(self.state, self._touched)
+            check_touched_invariants(self.state, self._touched)
             self._touched.clear()
 
     def _tick(self) -> None:
@@ -522,7 +519,6 @@ class Simulation:
                             if rec.deadline is not None])
         self._waiting = any(rec.phase is Phase.AWAITING_CAPACITY
                             for rec in self.records.values())
-        self._trace("scan")
         for action in actions:
             self._apply(action)
 
@@ -654,7 +650,8 @@ class Simulation:
 
         Each host's load totals equal `host_load` and `pending_load`. A table
         entry not marked stale equals a fresh view, but for a silent host's
-        verdict, which is as of the last tick.
+        verdict, which is as of the last tick. The tests run this after every
+        event.
         """
         state = self.state
         for host_id in state.hosts:
@@ -686,11 +683,7 @@ class Simulation:
             last = (at, seq)
             self.now = at
             getattr(self, f"_on_{kind}")(*args)
-            if self._invariants == "event":
-                check_state_invariants(self.state)
-                self._check_coherence()
-        if self._invariants != "off":
-            check_state_invariants(self.state)
+        check_state_invariants(self.state)
         return SimReport(episodes=self.episodes, horizon_s=self.horizon_s,
                          trace=self.trace, monitor_log=self.monitor_log)
 

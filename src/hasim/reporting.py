@@ -60,15 +60,20 @@ def parse_episodes_csv(text: str) -> list[Episode]:
     its recovery_s is not recovered_at - failure_at.
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != EPISODES_HEADER.split(","):
-        raise ValueError("not an episodes.csv file")
     episodes = []
-    for number, row in enumerate(reader, 1):
-        try:
-            episodes.append(_episode(row))
-        except ValueError as exc:
-            raise ValueError(f"row {number}: {exc}") from None
+    number = -1  # of the row read last; the header is row 0
+    try:
+        header = next(reader, None)
+        number = 0
+        if header != EPISODES_HEADER.split(","):
+            raise ValueError("not an episodes.csv file")
+        for number, row in enumerate(reader, 1):
+            try:
+                episodes.append(_episode(row))
+            except ValueError as exc:
+                raise ValueError(f"row {number}: {exc}") from None
+    except csv.Error as exc:  # a field longer than csv's limit
+        raise ValueError(f"row {number + 1}: {exc}") from None
     return episodes
 
 

@@ -74,14 +74,12 @@ def assert_same_as_event_beats(config, injections, horizon_s, seed):
     analytic = Simulation(config, injections, horizon_s, seed=seed,
                           collect_trace=True, emit_monitor_log=True).run()
     beats_last = EventBeatSimulation(config, injections, horizon_s, seed=seed,
-                                     collect_trace=True, emit_monitor_log=True,
-                                     invariant_checks="off").run()
+                                     collect_trace=True, emit_monitor_log=True).run()
     assert analytic.monitor_log == beats_last.monitor_log
     assert analytic.trace == beats_last.trace
     assert analytic.episodes == beats_last.episodes
     old_order = EventBeatSimulation(config, injections, horizon_s, seed=seed,
-                                    collect_trace=True, invariant_checks="off",
-                                    beats_last=False).run()
+                                    collect_trace=True, beats_last=False).run()
     assert analytic.trace == old_order.trace
     assert analytic.episodes == old_order.episodes
     return analytic

@@ -293,6 +293,44 @@ def test_undecodable_input_is_one_problem(tmp_path, capsys):
         assert captured.out.count("\n") == 1 and captured.err == ""
 
 
+def test_too_deep_input_is_one_problem(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("parse error: maximum recursion depth exceeded")
+        assert captured.out.count("\n") == 1 and captured.err == ""
+
+
+def test_too_long_integer_is_one_problem(tmp_path, capsys):
+    # Also in a cluster file a scenario names by path.
+    (tmp_path / "cluster.json").write_text('{"hosts": [], "vms": ' + "9" * 5000 + "}")
+    (tmp_path / "scenario.json").write_text(
+        json.dumps({"cluster": "cluster.json", "horizon_s": 100}))
+    for command, name, where in (("validate", "cluster.json", ""),
+                                 ("run", "scenario.json", "cluster: ")):
+        assert main([command, str(tmp_path / name)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"{where}parse error: Exceeds the limit (4300 digits)")
+        assert captured.out.count("\n") == 1 and captured.err == ""
+
+
+def test_report_of_an_overlong_field_is_one_problem(tmp_path, capsys):
+    header = "vm_id,kind,failure_at,detected_at,recovered_at,recovery_s,recovered_on"
+    good = "v,non_destructive_crash,0,70,180,180,h"
+    long = "v" * 140_000
+    episodes = tmp_path / "episodes.csv"
+    for text, row in ((f"{header}\n{good}\n{long},power_glitch,0,,,,\n", 2),
+                      (f"{long}{header}\n{good}\n", 0)):
+        episodes.write_text(text)
+        assert main(["report", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == \
+            f"{episodes}: row {row}: field larger than field limit (131072)\n"
+        assert captured.err == ""
+
+
 def test_report_of_undecodable_episodes_is_one_problem(tmp_path, capsys):
     (tmp_path / "episodes.csv").write_bytes(NOT_UTF8)
     assert main(["report", str(tmp_path)]) == 1

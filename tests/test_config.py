@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_engine import EventCheckedSimulation
 
 from hasim.cluster import PowerState, VmLifecycle, to_milli
 from hasim.config import ConfigError, load_cluster_config, load_scenario
@@ -18,7 +19,6 @@ from hasim.engine import (
     PHYSICAL_HOST_FAILURE,
     POWER_GLITCH,
     FailureInjection,
-    Simulation,
     TimingParams,
 )
 from hasim.provisioning import BootProfile
@@ -590,7 +590,7 @@ def test_parameter_blocks_are_rejected_or_run(controller, telemetry, timing, pro
         config = load_cluster_config(json.dumps(document))
     except ConfigError:
         return
-    report = Simulation(config, FUZZ_INJECTIONS, 600, invariant_checks="event").run()
+    report = EventCheckedSimulation(config, FUZZ_INJECTIONS, 600).run()
     assert len(report.episodes) == 2
 
 
@@ -659,7 +659,6 @@ def test_machines_and_injections_are_rejected_or_run(document):
     assert [h.host_id for h in config.hosts] == [h["host_id"] for h in cluster["hosts"] or []]
     assert [v.vm_id for v in config.vms] == [v["vm_id"] for v in cluster["vms"] or []]
     assert len(scenario.injections) == len(document["injections"] or [])
-    sim = Simulation(config, scenario.injections, scenario.horizon_s,
-                     invariant_checks="event")
+    sim = EventCheckedSimulation(config, scenario.injections, scenario.horizon_s)
     sim.run()
     assert sim.now <= scenario.horizon_s

@@ -14,6 +14,7 @@ from hasim.cluster import (
     PowerState,
     VirtualMachine,
     VmLifecycle,
+    check_state_invariants,
     host_load,
     pending_load,
 )
@@ -37,6 +38,38 @@ from hasim.provisioning import DEFAULT_PROFILE
 from hasim.telemetry import UP
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+class EventCheckedSimulation(Simulation):
+    """The engine with the full-graph check and `_check_coherence` after
+    every event: it overrides each `_on_*` handler `run` dispatches to.
+    Slow, for focused tests."""
+
+    def _check_event(self):
+        check_state_invariants(self.state)
+        self._check_coherence()
+
+    def _on_inject(self, *args):
+        super()._on_inject(*args)
+        self._check_event()
+
+    def _on_scan(self):
+        super()._on_scan()
+        self._check_event()
+
+    def _on_boot_complete(self, *args):
+        super()._on_boot_complete(*args)
+        self._check_event()
+
+    def _on_spike_end(self, *args):
+        super()._on_spike_end(*args)
+        self._check_event()
+
+
+def test_event_checks_cover_every_event_kind():
+    # A new event kind must get a checked handler too.
+    assert {name for name in vars(EventCheckedSimulation) if name.startswith("_on_")} \
+        == {name for name in dir(Simulation) if name.startswith("_on_")}
 
 
 def one_host_config(**blocks):
@@ -281,6 +314,22 @@ def test_simulation_reports_every_injection_problem():
     ]
 
 
+def test_loads_in_units_are_rejected():
+    # Loads and thresholds are int milli-units; 0.5 once ran as 0.0005.
+    spike = FailureInjection(0, LOAD_SPIKE, host_id="node01", extra_load=0.5,
+                             duration_s=100)
+    with pytest.raises(ScenarioError, match=r"^injections\[0\]\.extra_load: expected an int"):
+        Simulation(one_host_config(), [spike], 600)
+    config = one_host_config()
+    config.vms[0].load_contribution = 1.0
+    with pytest.raises(ScenarioError, match="^vm svc01: load_contribution is not an int"):
+        Simulation(config, [], 600)
+    config = one_host_config()
+    config.hosts[0].load_threshold = 4.0
+    with pytest.raises(ScenarioError, match="^host node01: load_threshold is not an int"):
+        Simulation(config, [], 600)
+
+
 def test_injection_on_non_running_vm_skipped():
     config = one_host_config()
     injections = [
@@ -332,11 +381,6 @@ def test_monitor_log_emitted_per_scan():
     # Scans at 0, 60, ..., 300.
     assert len(report.monitor_log) == 6
     assert all(line.startswith("<CLUSTER TAKEN_AT=") for line in report.monitor_log)
-
-
-def test_invariant_checks_must_be_a_known_mode():
-    with pytest.raises(ValueError, match="off, scan or event"):
-        Simulation(one_host_config(), [], 600, invariant_checks="evnt")
 
 
 # h1 fails for good at 100 s. Its VM v fits nowhere else and waits for
@@ -514,7 +558,7 @@ def test_random_scenarios_with_per_event_invariants():
             injections = [FailureInjection(inj.at, inj.kind, host_id=inj.host_id)]
         else:
             injections = [FailureInjection(inj.at, inj.kind, hosts=inj.hosts)]
-        Simulation(config, injections, 720, seed=i, invariant_checks="event").run()
+        EventCheckedSimulation(config, injections, 720, seed=i).run()
 
 
 # -- transitions ---------------------------------------------------------
@@ -568,7 +612,7 @@ def test_load_totals_equal_fresh_host_and_pending_loads():
                                                       int(rng.integers(0, 5)) * 1000, 0]))
                for j in range(int(rng.integers(1, 13)))]
         sim = Simulation(ClusterConfig(hosts, vms, profiles={"default": DEFAULT_PROFILE}),
-                         [], 10**6, invariant_checks="off")
+                         [], 10**6)
         state = sim.state
         for step in range(40):
             sim.now += 1

@@ -10,12 +10,11 @@ every registered machine, a view of every host and `tick` over every VM.
 That scan must return exactly `records`, no action and no new detection. No
 event runs before a jumped-over instant, so its full scan runs with the
 state as it is when the next scan is scheduled. A skipped scan must not
-tick, and every other scan must. In "event" mode it also holds the cluster
-state equal to a deep copy across every skipped scan, and at every scan
-after which no transition or action happened since the previous scan.
-Every host and VM that no transition
-touched since the previous scan, which "scan" mode leaves out of its
-invariant check, must equal its copy as well.
+tick, and every other scan must. With per-event checks it also holds the
+cluster state equal to a deep copy across every skipped scan, and at every
+scan after which no transition or action happened since the previous scan.
+Every host and VM that no transition touched since the previous scan, which
+the scan's invariant check leaves out, must equal its copy as well.
 """
 
 import copy
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_acceptance import random_cluster_doc, random_injections
-from test_engine import two_host_config
+from test_engine import EventCheckedSimulation, two_host_config
 from test_scan_oracle import full_view, overlapping_scenario
 
 import hasim.engine
@@ -48,18 +47,18 @@ from hasim.telemetry import DOWN
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-class SkipCheckedSimulation(Simulation):
+class SkipCheckedSimulation(EventCheckedSimulation):
     """Checks each skipped or jumped-over scan against `tick`, that a
     skipped scan never ticks and every other scan does, and each unchanged
     state and untouched machine against its copy at the previous scan; runs
-    with "event" checks."""
+    with per-event checks."""
 
     def __init__(self, *args, **kwargs):
         self.skipped = self.jumped = self.unchanged = self.ticks = 0
         self.changes = 0  # transitions and actions so far
         self._copy = None
         self._scanned = -1  # the change count at the end of the previous scan
-        super().__init__(*args, invariant_checks="event", **kwargs)
+        super().__init__(*args, **kwargs)
 
     def _touch(self, *machine_ids):
         self.changes += 1
@@ -351,7 +350,7 @@ def test_every_transition_and_action_wakes_a_waiting_vm():
     assert sim._wake == math.inf
 
 
-# -- the "scan"-mode invariant check ---------------------------------------
+# -- the scan's invariant check ---------------------------------------------
 
 
 class CorruptMove(Simulation):
@@ -374,16 +373,28 @@ class CorruptHalt(Simulation):
             self.corrupted_at = self.now
 
 
-@pytest.mark.parametrize("sim_class", [CorruptMove, CorruptHalt])
-def test_a_corrupting_transition_fails_the_next_scan_check(sim_class):
-    # The glitch scenario halts a VM at 291 s, between two scans, and
-    # restarts VMs on other hosts at scans. The check must run at the first
-    # scan after the corruption.
+def run_corrupted(sim_class):
     scenario = load_scenario((SCENARIOS / "power_glitch.json").read_text(),
                              base_dir=SCENARIOS)
     sim = sim_class(scenario.config, scenario.injections, scenario.horizon_s,
                     seed=scenario.seed)
     with pytest.raises(AssertionError, match="hosted_vms|absent"):
         sim.run()
-    period = scenario.config.controller.scan_period_s
+    return sim
+
+
+@pytest.mark.parametrize("sim_class", [CorruptMove, CorruptHalt])
+def test_a_corrupting_transition_fails_the_next_scan_check(sim_class):
+    # The glitch scenario halts a VM at 291 s, between two scans, and
+    # restarts VMs on other hosts at scans. The check must run at the first
+    # scan after the corruption.
+    sim = run_corrupted(sim_class)
+    period = sim.params.scan_period_s
     assert sim.now == period * -(-sim.corrupted_at // period)
+
+
+@pytest.mark.parametrize("corrupt", [CorruptMove, CorruptHalt])
+def test_a_corrupting_transition_fails_its_own_event_check(corrupt):
+    # Per-event checks fail at the corrupting event, the halt at 291 s too.
+    sim = run_corrupted(type(corrupt.__name__, (corrupt, EventCheckedSimulation), {}))
+    assert sim.now == sim.corrupted_at

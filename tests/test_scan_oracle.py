@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_acceptance import random_cluster_doc, random_injections
+from test_engine import EventCheckedSimulation
 
 from hasim.cluster import PowerState, host_load, pending_load
 from hasim.config import load_scenario, parse_cluster_config
@@ -81,19 +82,17 @@ class FullScanSimulation(Simulation):
 
 
 def assert_same_as_full_scans(config, injections, horizon_s, seed):
-    """The sparse engine, with event-mode checks, against the full scans.
+    """The sparse engine, with per-event checks, against the full scans.
 
     In the full-scan engine the monitor log flag only adds the log, so one
     oracle run serves the sparse runs with the log on and off.
     """
     full = FullScanSimulation(config, injections, horizon_s, seed=seed,
-                              collect_trace=True, emit_monitor_log=True,
-                              invariant_checks="off")
+                              collect_trace=True, emit_monitor_log=True)
     expected = full.run()
     for emit in (True, False):
-        sparse = Simulation(config, injections, horizon_s, seed=seed,
-                            collect_trace=True, emit_monitor_log=emit,
-                            invariant_checks="event")
+        sparse = EventCheckedSimulation(config, injections, horizon_s, seed=seed,
+                                        collect_trace=True, emit_monitor_log=emit)
         report = sparse.run()
         assert report.trace == expected.trace
         assert report.episodes == expected.episodes

@@ -1,7 +1,7 @@
-"""Touched-only "scan"-mode checks against the full invariant check.
+"""Touched-only scan checks against the full invariant check.
 
-In "scan" mode a scan checks only the machines that a transition touched
-since the previous scan (`check_touched_invariants`). BothChecksSimulation
+A scan checks only the machines that a transition touched since the
+previous scan (`check_touched_invariants`). BothChecksSimulation
 runs the full `check_state_invariants` beside it at every scan, and the two
 must give the same verdict. On the oracle families both always hold. On
 runs that corrupt one touched machine at a random transition, both must
@@ -36,7 +36,7 @@ class BothChecksSimulation(Simulation):
     def __init__(self, *args, **kwargs):
         self.touched_scans = 0
         self.failed_at = None
-        super().__init__(*args, invariant_checks="scan", **kwargs)
+        super().__init__(*args, **kwargs)
 
     def _check_scan(self):
         self.touched_scans += bool(self._touched)
