@@ -188,7 +188,7 @@ def cmd_report(args) -> int:
     except ValueError as exc:  # not an episodes.csv or a bad row, undecodable bytes too
         print(f"{episodes_path}: {exc}")
         return EXIT_VALIDATION
-    report = SimReport(episodes=episodes, horizon_s=0)
+    report = SimReport(episodes=episodes, horizon_s=None)  # episodes.csv holds none
     stats = summarize(report, args.bin_width)
     if _write(report_dir, ((f"histogram_{s.kind}.csv", format_histogram_csv(s))
                            for s in stats)):

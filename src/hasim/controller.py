@@ -4,9 +4,9 @@ The controller runs once per scan period. For every virtual machine it
 compares the monitor verdict against the VM's escalation record and emits at
 most one action: reboot the guest, restart it on a chosen physical host,
 reinstall it from scratch on a chosen host, or defer it until capacity
-exists. Escalation moves strictly upward within a failure episode — reboot,
-then restart once T1 has elapsed, then reinstall once T2 has elapsed — and a
-machine seen Up resets to healthy.
+exists. A Down VM steps at once from HEALTHY, and from an issued phase at
+its record's deadline: reboot, then restart once T1 has elapsed, then
+reinstall once T2 has elapsed. A machine seen Up resets to healthy.
 
 Placement picks the least-loaded powered-on host whose monitor verdict is Up
 and which can absorb the VM's load without reaching its threshold, breaking
@@ -145,23 +145,6 @@ def choose_host(view: Iterable[HostView], vm) -> str | None:
     return best.host_id if best is not None else None
 
 
-def _commit(edit, vm: VmInfo, target: str) -> None:
-    """Record a placement in the tick's views (sequential fill).
-
-    `edit` returns the tick's private copy of a host's view. The target
-    absorbs the VM's load immediately; the hosted-VM count moves only when
-    the VM actually changes hosts (a same-host restart is already counted in
-    vm_count).
-    """
-    tv = edit(target)
-    tv.load += vm.load_contribution
-    if vm.bound_host != target:
-        tv.vm_count += 1
-        src = edit(vm.bound_host)
-        if src is not None:
-            src.vm_count -= 1
-
-
 def _entry_level(params: ControllerParams, vm: VmInfo, host_down: bool) -> str:
     """First intervention for a failed VM; after an expired reboot, pass host_down."""
     if host_down or not params.reboot_step_enabled:
@@ -178,9 +161,13 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
 
     A VM missing from `records` is HEALTHY, and the returned records hold
     only the VMs whose escalation stays open: a VM seen Up, or left HEALTHY,
-    gets no record. Host liveness is the view's monitor_up. `view` maps host
-    ids to HostViews. The tick never changes it, so a tick that places
-    nothing and commits no reboot costs nothing per host.
+    gets no record. A VM awaiting capacity tries its pending step at every
+    scan, and a Down VM steps from HEALTHY at once. Any other record steps
+    when its VM is Down and `now` has reached its deadline, which one test
+    decides; REQUIRES_HUMAN, without a deadline, never steps. Host liveness
+    is the view's monitor_up. `view` maps host ids to HostViews. The tick
+    never changes it, so a tick that places nothing and commits no reboot
+    costs nothing per host.
 
     Pure function of its inputs; actions come out ordered by vm_id because
     VMs are processed in that order, which is also the sequential-fill order
@@ -202,17 +189,25 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
         return h
 
     def place(rec: EscalationRecord, vm: VmInfo, kind: str) -> EscalationRecord:
+        """Place the VM for `kind` or defer it. The views follow at once: the target
+        takes its load, and the VM counts move when it leaves its host."""
         target = choose_host({**view, **copies}.values(), vm)
+        leaves = (target != vm.bound_host if target is not None
+                  else rec.phase is not Phase.AWAITING_CAPACITY)
+        if target is not None:
+            actions.append(Action(kind, vm.vm_id, target))
+            tv = edit(target)
+            tv.load += vm.load_contribution
+            if leaves:
+                tv.vm_count += 1
+        elif leaves:
+            actions.append(Action(DEFER, vm.vm_id))
+        src = edit(vm.bound_host) if leaves else None
+        if src is not None:
+            src.vm_count -= 1
         if target is None:
-            if rec.phase is not Phase.AWAITING_CAPACITY:
-                actions.append(Action(DEFER, vm.vm_id))
-                src = edit(vm.bound_host)
-                if src is not None:
-                    src.vm_count -= 1
             return replace(rec, phase=Phase.AWAITING_CAPACITY, deadline=None,
                            pending=kind)
-        actions.append(Action(kind, vm.vm_id, target))
-        _commit(edit, vm, target)
         if kind == RESTART:
             return replace(rec, phase=Phase.RESTART_ISSUED,
                            deadline=now + params.t2_s, pending=None)
@@ -227,8 +222,7 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
 
         down = entry is not None and entry.verdict == DOWN
         if not down and rec.phase is not Phase.AWAITING_CAPACITY:
-            # Not monitored (e.g. parked) and not waiting: nothing to decide.
-            pass
+            pass  # not monitored (e.g. parked) and not waiting: nothing to decide
 
         elif rec.phase is Phase.HEALTHY:
             src = view.get(vm.bound_host)  # the tick changes no monitor_up
@@ -244,31 +238,25 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
             else:
                 rec = place(rec, vm, level)
 
-        elif rec.phase is Phase.REBOOT_ISSUED:
-            if now >= rec.deadline:
-                rec = place(rec, vm, _entry_level(params, vm, host_down=True))
-
-        elif rec.phase is Phase.RESTART_ISSUED:
-            if now >= rec.deadline:
-                if vm.reinstall_allowed:
-                    rec = place(rec, vm, REINSTALL)
-                else:
-                    # Reinstall opted out: keep retrying restarts.
-                    rec = place(rec, vm, RESTART)
-
-        elif rec.phase is Phase.REINSTALL_ISSUED:
-            if now >= rec.deadline:
-                cycles = rec.cycles + 1
-                if cycles >= MAX_ESCALATION_CYCLES:
-                    rec = replace(rec, phase=Phase.REQUIRES_HUMAN,
-                                  deadline=None, cycles=cycles)
-                else:
-                    rec = place(replace(rec, cycles=cycles), vm, RESTART)
-
         elif rec.phase is Phase.AWAITING_CAPACITY:
             rec = place(rec, vm, rec.pending or RESTART)
 
-        # REQUIRES_HUMAN: excluded until seen Up again.
+        elif rec.deadline is None or now < rec.deadline:
+            pass  # REQUIRES_HUMAN, or an issued phase before its deadline
+
+        elif rec.phase is Phase.REBOOT_ISSUED:
+            rec = place(rec, vm, _entry_level(params, vm, host_down=True))
+
+        elif rec.phase is Phase.RESTART_ISSUED:
+            # A VM that opts out of reinstalls keeps retrying restarts.
+            rec = place(rec, vm, REINSTALL if vm.reinstall_allowed else RESTART)
+
+        elif rec.cycles + 1 >= MAX_ESCALATION_CYCLES:  # REINSTALL_ISSUED
+            rec = replace(rec, phase=Phase.REQUIRES_HUMAN, deadline=None,
+                          cycles=rec.cycles + 1)
+        else:
+            rec = place(replace(rec, cycles=rec.cycles + 1), vm, RESTART)
+
         if rec.phase is not Phase.HEALTHY:
             out[vm.vm_id] = rec
 

@@ -134,7 +134,7 @@ class Episode:
 @dataclass
 class SimReport:
     episodes: list[Episode]
-    horizon_s: int
+    horizon_s: int | None  # None when unknown, as in `hasim report`
     trace: list[str] | None = None
     monitor_log: list[str] | None = None
 

@@ -96,11 +96,12 @@ def format_actions(episode: Episode) -> str:
 
 
 def summary_text(report: SimReport, stats: list[KindStats]) -> str:
-    """Human-readable account of a run: per-kind aggregates, then episodes."""
-    lines = [f"horizon: {report.horizon_s} s",
-             f"episodes: {len(report.episodes)} "
-             f"({len(report.recovered())} recovered, "
-             f"{len(report.unrecovered())} not recovered within the horizon)"]
+    """Human-readable account of a run: its horizon when known, per-kind
+    aggregates, then episodes."""
+    lines = [] if report.horizon_s is None else [f"horizon: {report.horizon_s} s"]
+    lines.append(f"episodes: {len(report.episodes)} "
+                 f"({len(report.recovered())} recovered, "
+                 f"{len(report.unrecovered())} not recovered within the horizon)")
     for s in stats:
         lines.append(
             f"  {s.kind}: n={s.count} mean={s.mean_s:.1f}s stddev={s.stddev_s:.1f}s "

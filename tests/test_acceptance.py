@@ -15,8 +15,9 @@ Criteria (all tolerances pinned here, nothing deferred):
      reboot step enabled and < 240 s without it; placement exactly alfa04.
   5. controller properties over >= 10,000 randomized scenarios: escalation
      order, reinstall suppression, threshold safety, deadline respect, VM
-     conservation - zero violations; and over 2,000 more with loads and
-     thresholds in tenths.
+     conservation - zero violations; over 2,000 more with loads and
+     thresholds in tenths; and over 1,500 more with drawn controller,
+     telemetry and timing blocks, checked against bounds derived from them.
   6. placement oracle equivalence: choose_host on 10,000 random views,
      tick's batch placement on 1,000 random host failures, against an exact
      oracle on the drawn decimals.
@@ -293,7 +294,8 @@ def random_injections(rng, doc):
 LEVEL = {REBOOT: 1, RESTART: 2, REINSTALL: 3}
 
 
-def check_episode(ep, reinstall_allowed, params):
+def check_episode(ep, reinstall_allowed, config, injections):
+    params = config.controller
     kinds = [a.kind for _, a in ep.actions]
     levels = [LEVEL[k] for k in kinds if k in LEVEL]
     # Causality: actions happen at scan instants; detection happens within
@@ -353,9 +355,65 @@ def tenths_scenario(rng):
     return doc, injections
 
 
-def run_property_suite(rng, n, scenario):
-    """Run n scenarios from `scenario(rng)` under every criterion-5 check;
-    the number of episodes checked."""
+def drawn_parameters_scenario(rng):
+    """A criterion-5 scenario whose controller, telemetry and timing blocks
+    are drawn within the reader's rules: every patience at least one scan
+    period, a phase inside it, a latency above the heartbeat period, and
+    each step flag on or off."""
+    doc, injections = quarters_scenario(rng)
+    scan = int(rng.integers(10, 121))
+    doc["controller"] = {
+        "scan_period_s": scan,
+        "t1_s": int(rng.integers(scan, scan + 241)),
+        "t2_s": int(rng.integers(scan, scan + 241)),
+        "reinstall_patience_s": int(rng.integers(scan, 721)),
+        "reboot_step_enabled": bool(rng.random() < 0.5),
+        "restart_step_enabled": bool(rng.random() < 0.5)}
+    doc["telemetry"] = {"detection_latency_s": int(rng.integers(11, 151))}
+    doc["timing"] = {"controller_phase_s": int(rng.integers(0, scan))}
+    return doc, injections
+
+
+PATIENCE = {REBOOT: "t1_s", RESTART: "t2_s", REINSTALL: "reinstall_patience_s"}
+
+
+def check_drawn_episode(ep, reinstall_allowed, config, injections):
+    """Bounds derived from the scenario's own parameter blocks."""
+    params, scan = config.controller, config.controller.scan_period_s
+    latency = config.telemetry.detection_latency_s
+    assert all((t - config.timing.controller_phase_s) % scan == 0 for t, _ in ep.actions), \
+        f"{ep.vm_id}: action off the scan grid: {ep.actions}"
+    if ep.detected_at is not None:
+        assert latency <= ep.detected_at - ep.failure_at < latency + scan, \
+            f"{ep.vm_id}: detection {ep.detected_at - ep.failure_at}s after failure"
+    steps = [(t, a.kind) for t, a in ep.actions if a.kind != DEFER]
+    # Each intervention waits out the patience of the one before it.
+    for (t, kind), (later_t, _) in zip(steps, steps[1:]):
+        assert later_t - t >= getattr(params, PATIENCE[kind]), \
+            f"{ep.vm_id}: {later_t - t}s after a {kind}: {steps}"
+    kinds = [kind for _, kind in steps]
+    if not params.reboot_step_enabled:
+        assert REBOOT not in kinds, f"{ep.vm_id}: reboot with the reboot step off"
+    if not reinstall_allowed[ep.vm_id]:
+        assert REINSTALL not in kinds, f"{ep.vm_id}: reinstall despite opt-out"
+    assert REBOOT not in kinds[1:], f"{ep.vm_id}: reboot after a first step: {kinds}"
+    # The README table's first intervention: a reboot when the step is on
+    # and the host is Up (always, without host faults), else a restart when
+    # that step is on or the VM opts out, else a reinstall.
+    after = RESTART if params.restart_step_enabled or not reinstall_allowed[ep.vm_id] \
+        else REINSTALL
+    host_faults = any(inj.kind in (PHYSICAL_HOST_FAILURE, POWER_GLITCH) for inj in injections)
+    if not params.reboot_step_enabled:
+        first = {after}
+    else:
+        first = {REBOOT, after} if host_faults else {REBOOT}
+    assert not kinds or kinds[0] in first, \
+        f"{ep.vm_id}: first intervention {kinds[0]}, expected one of {sorted(first)}"
+
+
+def run_property_suite(rng, n, scenario, check=check_episode):
+    """Run n scenarios from `scenario(rng)` under `check` and the other
+    criterion-5 checks; the number of episodes checked."""
     episodes_checked = 0
     for i in range(n):
         doc, injections = scenario(rng)
@@ -365,7 +423,7 @@ def run_property_suite(rng, n, scenario):
         reinstall_allowed = {v["vm_id"]: v["reinstall_allowed"]
                              for v in doc["vms"]}
         for ep in report.episodes:
-            check_episode(ep, reinstall_allowed, config.controller)
+            check(ep, reinstall_allowed, config, injections)
         episodes_checked += len(report.episodes)
         # VM conservation: nothing lost, nothing duplicated, bindings sane.
         assert set(sim.state.vms) == {v["vm_id"] for v in doc["vms"]}
@@ -393,6 +451,19 @@ def test_criterion_5_tenths_loads():
                                           N_TENTHS_SCENARIOS, tenths_scenario)
     _verdict("criterion 5 (tenths loads)", True,
              f"{N_TENTHS_SCENARIOS} scenarios, {episodes_checked} episodes, "
+             f"0 violations")
+
+
+N_DRAWN_PARAMETER_SCENARIOS = 1_500
+
+
+@pytest.mark.slow
+def test_criterion_5_drawn_parameter_blocks():
+    episodes_checked = run_property_suite(np.random.default_rng(20261020),
+                                          N_DRAWN_PARAMETER_SCENARIOS,
+                                          drawn_parameters_scenario, check_drawn_episode)
+    _verdict("criterion 5 (drawn parameter blocks)", True,
+             f"{N_DRAWN_PARAMETER_SCENARIOS} scenarios, {episodes_checked} episodes, "
              f"0 violations")
 
 

@@ -191,6 +191,8 @@ def test_report_resummarizes_run_dir(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("kind,count,mean_s")
+    # episodes.csv holds no horizon, so the summary states none.
+    assert "horizon:" not in captured.err
     hist = (out_dir / "histogram_non_destructive_crash.csv").read_text()
     starts = [int(line.split(",")[0]) for line in hist.strip().split("\n")[1:]]
     assert all(s % 5 == 0 for s in starts)

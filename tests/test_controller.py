@@ -359,3 +359,19 @@ def test_actions_ordered_by_vm_id():
                             view_of(hv("h")), 240, PARAMS,
                             [vi("vb", "h"), vi("va", "h"), vi("vc", "h")])
     assert [a.vm_id for a in actions] == ["va", "vb", "vc"]
+
+
+def test_a_defer_and_a_move_free_the_vm_count_of_the_host_left():
+    # va fits nowhere and is deferred off a; vb moves from d to c. Each host
+    # left then counts one VM less, and that count alone breaks the load ties
+    # of vc (a, not d) and vd (d, not c).
+    records = {"va": EscalationRecord(Phase.REBOOT_ISSUED, deadline=400),
+               "vb": EscalationRecord(Phase.RESTART_ISSUED, deadline=400)}
+    view = view_of(hv("a", load=1.0, vm_count=2), hv("c", load=0.0, vm_count=1),
+                   hv("d", load=1.0, vm_count=2), hv("dead", power_on=False, up=False))
+    verdicts = dict(a=UP, c=UP, d=UP, va=DOWN, vb=DOWN, vc=DOWN, vd=DOWN)
+    records, actions = tick(records, snap(420, **verdicts), view, 420, PARAMS,
+                            [vi("va", "a", 5.0), vi("vb", "d", 1.0, reinstall=False),
+                             vi("vc", "dead"), vi("vd", "dead")])
+    assert actions == [Action(DEFER, "va"), Action(RESTART, "vb", "c"),
+                       Action(RESTART, "vc", "a"), Action(RESTART, "vd", "d")]
