@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 from .cluster import (
     MAC_RE,
-    ClusterState,
     PhysicalHost,
     PowerState,
     VirtualMachine,
@@ -61,42 +62,31 @@ class ClusterConfig:
     telemetry: TelemetryParams = field(default_factory=TelemetryParams)
     timing: TimingParams = field(default_factory=TimingParams)
 
-    def build_state(self) -> ClusterState:
-        """Fresh mutable state from the declarations.
-
-        Every call returns independent host/VM instances, so one config can
-        seed many simulation runs.
-        """
-        hosts = {
-            h.host_id: PhysicalHost(h.host_id, h.cpu_count, h.ram_mb,
-                                    h.load_threshold, h.power_state, [])
-            for h in self.hosts
-        }
-        vms = {}
-        for v in self.vms:
-            vms[v.vm_id] = VirtualMachine(v.vm_id, v.mac, v.bound_host,
-                                          v.boot_profile, v.lifecycle,
-                                          v.reinstall_allowed, v.load_contribution)
-            if v.bound_host is not None:
-                hosts[v.bound_host].hosted_vms.append(v.vm_id)
-        return ClusterState(hosts=hosts, vms=vms)
-
 
 class _Rejected(Exception):
     """A value of the wrong type or out of bounds; the message says which."""
 
 
 _TOP_LEVEL = "top level"
+# The value types of a column test; None is an absent optional value.
+_INT, _STRINGS = {int}, {str, type(None)}
+_BOOLEANS, _NUMBERS = {bool, type(None)}, {int, float, type(None)}
 
 
 class _Reader:
     """Reads JSON objects against specs, collecting every problem.
 
-    A spec maps each key to (kind, required, bound), in reading order. A kind
-    is a method of this class that takes the JSON value and the bound, and
-    returns the accepted value or raises _Rejected. The kinds that hold
-    records read them with this reader, which keeps the ids its hosts and
-    VMs declare.
+    A spec (`_Spec`) gives each key (kind, required, bound), in reading
+    order. A kind is a method of this class that takes the JSON value and
+    the bound, and returns the accepted value or raises _Rejected. The kinds
+    that hold records read them with this reader, which keeps the ids its
+    hosts and VMs declare.
+
+    An object is read by `record`, a key at a time. A list of hosts or VMs,
+    whatever its length, is read by `read`, a key's column at a time: the
+    kind's column test returns the values the kind accepts, in C-level
+    passes, when it accepts every value in the column. Only when it does
+    not does the kind run once per value, to name each rejected one.
     """
 
     def __init__(self, problems: list[str], base_dir: Path | None = None):
@@ -104,7 +94,7 @@ class _Reader:
         self.base_dir = base_dir  # resolves a scenario's cluster path
         self.declared: dict[str, set] = {"hosts": set(), "vms": set()}
 
-    def record(self, body, spec: dict, where: str) -> tuple[dict, bool]:
+    def record(self, body, spec: _Spec, where: str) -> tuple[dict, bool]:
         """The accepted values of one object, and whether it is complete.
 
         Null means absent. An absent or rejected optional key is left out of
@@ -114,11 +104,13 @@ class _Reader:
         if not isinstance(body, dict):
             self.problems.append(f"{where}: expected an object")
             return {}, False
-        if not body.keys() <= spec.keys():
+        if not body.keys() <= spec.keys:
             self.problems.extend(f"{where}: unknown key '{key}'"
-                                 for key in body if key not in spec)
+                                 for key in body if key not in spec.keys)
         values, complete = {}, True
-        for key, (kind, required, bound) in spec.items():
+        if not body and spec.last_required < 0:  # nothing to read, nothing missing
+            return values, complete
+        for _, key, kind, required, bound, _, _ in spec.entries:
             value = body.get(key)
             if value is None:
                 if required:
@@ -132,6 +124,79 @@ class _Reader:
                 self.problems.append(f"{at}: {exc}")
                 complete = complete and not required
         return values, complete
+
+    def read(self, bodies: list, spec: _Spec, where: str) -> tuple[list[list], list[bool]]:
+        """The records of a list, as `record` reads each, a key at a time:
+        the column of accepted values of each spec key up to the last one
+        read, where an absent optional value is the key's default and a
+        rejected one None, and whether each record is complete.
+
+        Each problem is tagged (record index, key position), and the tags are
+        sorted, so the problems come in `record`'s order: by record, then
+        unknown keys in body order, then spec order. Records are named
+        `where[i]`.
+        """
+        found = []  # (record index, key position, problem)
+        objects = [isinstance(body, dict) for body in bodies]
+        if False in objects:
+            found += [(i, -1, f"{where}[{i}]: expected an object")
+                      for i, is_object in enumerate(objects) if not is_object]
+            bodies = [body if is_object else {} for body, is_object in zip(bodies, objects)]
+        present = set().union(*bodies)
+        if not present <= spec.keys:
+            found += [(i, -1, f"{where}[{i}]: unknown key '{key}'")
+                      for i, body in enumerate(bodies) for key in body if key not in spec.keys]
+            present &= spec.keys
+        # The columns end with the last key read; the machine class gives
+        # the keys after it their defaults.
+        columns, complete, n, left = [], objects, len(bodies), len(present)
+        last_required = spec.last_required
+        for pos, key, kind, required, bound, test, default in spec.entries:
+            if not left and pos > last_required:
+                break
+            if key in present:
+                left -= 1
+                column = [body.get(key) for body in bodies]
+                accepted = test(self, column, bound)
+                if accepted is None:
+                    accepted = self._each(column, pos, key, kind, required, bound, where,
+                                          objects, found)
+                    if required:
+                        complete = [c and value is not None
+                                    for c, value in zip(complete, accepted)]
+                if default is not None and None in accepted:
+                    accepted = [default if value is None else value for value in accepted]
+                columns.append(accepted)
+            elif required:
+                found += [(i, pos, f"{where}[{i}]: missing required key '{key}'")
+                          for i in compress(range(n), objects)]
+                columns.append([None] * n)
+                complete = [False] * n
+            else:
+                columns.append([default] * n)
+        if found:
+            found.sort(key=_RECORD_AND_KEY)
+            self.problems += [problem for *_, problem in found]
+        return columns, complete
+
+    def _each(self, column: list, pos: int, key: str, kind, required: bool, bound,
+              where: str, objects: list[bool], found: list) -> list:
+        """Run the kind on each value of a column its column test rejected:
+        the accepted values, None where absent or rejected, with a tagged
+        problem for each rejected value and each missing required one."""
+        accepted = []
+        for i, value in enumerate(column):
+            if value is None:
+                if required and objects[i]:
+                    found.append((i, pos, f"{where}[{i}]: missing required key '{key}'"))
+            else:
+                try:
+                    value = kind(self, value, bound)
+                except _Rejected as exc:
+                    found.append((i, pos, f"{where}[{i}].{key}: {exc}"))
+                    value = None
+            accepted.append(value)
+        return accepted
 
     def string(self, value, _bound) -> str:
         if not isinstance(value, str) or not value:
@@ -187,18 +252,72 @@ class _Reader:
             raise _Rejected(f"'{mac}' is not a colon-separated 48-bit address")
         return mac
 
+    # Column tests: the values the kind accepts if it accepts every value in
+    # the column, else None. Only the tests of optional keys' kinds accept
+    # None, an absent value.
+
+    def all_strings(self, column: list, _bound) -> list | None:
+        try:
+            return column if all(map(str.__len__, column)) else None
+        except TypeError:  # a value that is no string
+            return None
+
+    def all_integers(self, column: list, minimum: int) -> list | None:
+        if _INT.issuperset(map(type, column)) and min(column) >= minimum:
+            return column
+        return None
+
+    def all_cpu_counts(self, column: list, _bound) -> list | None:
+        """Below 1e305, an integer >= 1 is a threshold too."""
+        if _INT.issuperset(map(type, column)) and min(column) >= 1 and max(column) < 1e305:
+            return column
+        return None
+
+    def all_booleans(self, column: list, _bound) -> list | None:
+        return column if _BOOLEANS.issuperset(map(type, column)) else None
+
+    def all_loads(self, column: list, op: str) -> list | None:
+        """Each distinct (type, value) is read once: 1 and 1.0 give 1000,
+        and True is no number."""
+        if not _NUMBERS.issuperset(map(type, column)):
+            return None
+        try:
+            loads = {key: self.load(key[1], op)
+                     for key in set(zip(map(type, column), column)) if key[1] is not None}
+        except _Rejected:
+            return None
+        return list(map(loads.get, zip(map(type, column), column)))
+
+    def all_of(self, column: list, members: tuple) -> list | None:
+        if not _STRINGS.issuperset(map(type, column)):
+            return None
+        try:
+            found = {value: self.one_of(value, members)
+                     for value in set(column) if value is not None}
+        except _Rejected:
+            return None
+        return list(map(found.get, column))
+
+    def all_macs(self, column: list, _bound) -> list | None:
+        try:
+            macs = list(map(str.lower, column))
+        except TypeError:  # a value that is no string
+            return None
+        return macs if all(map(MAC_RE.match, macs)) else None
+
+    # Kinds that hold records.
+
     def machines(self, raw, bound) -> list:
-        """bound is (list name, spec, build); a machine's id is its first key."""
+        """bound is (list name, spec, build); a machine's id is its first key,
+        and build makes the machines of the complete records' columns."""
         where, spec, build = bound
         if not isinstance(raw, list):
             raise _Rejected("expected a list")
-        found = []
-        for i, body in enumerate(raw):
-            values, complete = self.record(body, spec, f"{where}[{i}]")
-            self.declared[where].add(values.get(next(iter(spec))))
-            if complete:
-                found.append(build(**values))
-        return found
+        columns, complete = self.read(raw, spec, where)
+        self.declared[where].update(columns[0])
+        if False in complete:
+            columns = [list(compress(column, complete)) for column in columns]
+        return build(columns)
 
     def profiles(self, raw, _bound) -> dict[str, BootProfile]:
         if not isinstance(raw, dict):
@@ -255,14 +374,55 @@ class _Reader:
                                 host_id=values.pop("host", None), **values)
 
 
-_HOST = {
+class _Spec:
+    """`{key: (kind, required, bound)}` in reading order, with each key's
+    checks bound once in `entries`: its position, key, kind, whether it is
+    required, its bound, its kind's column test and its default.
+    `last_required` is the position of the last required key, or -1.
+
+    A machine spec names the first fields of its machine class, in order,
+    and takes their defaults; every other default is None."""
+
+    def __init__(self, entries: dict, cls=None):
+        self.keys = frozenset(entries)
+        defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING} \
+            if cls else {}
+        self.entries = [(pos, key, kind, required, bound, _COLUMNS.get(kind), defaults.get(key))
+                        for pos, (key, (kind, required, bound)) in enumerate(entries.items())]
+        self.last_required = max((pos for pos, _, _, required, *_ in self.entries if required),
+                                 default=-1)
+
+
+_RECORD_AND_KEY = itemgetter(0, 1)
+_COLUMNS = {_Reader.string: _Reader.all_strings, _Reader.integer: _Reader.all_integers,
+            _Reader.cpu_count: _Reader.all_cpu_counts, _Reader.load: _Reader.all_loads,
+            _Reader.boolean: _Reader.all_booleans, _Reader.one_of: _Reader.all_of,
+            _Reader.mac: _Reader.all_macs}
+
+
+def _hosts(columns: list[list]) -> list[PhysicalHost]:
+    """The hosts of `read`'s columns, which end before the threshold when no
+    record has one. An absent threshold is the default of the cpu_count."""
+    ids, cpu_counts, rams, *optional = columns
+    thresholds = optional.pop(0) if optional else [None] * len(ids)
+    if None in thresholds:
+        thresholds = [default_threshold(cpu) if threshold is None else threshold
+                      for cpu, threshold in zip(cpu_counts, thresholds)]
+    return list(map(PhysicalHost, ids, cpu_counts, rams, thresholds, *optional))
+
+
+def _vms(columns: list[list]) -> list[VirtualMachine]:
+    return list(map(VirtualMachine, *columns))
+
+
+_HOST = _Spec({
     "host_id": (_Reader.string, True, None),
     "cpu_count": (_Reader.cpu_count, True, None),
     "ram_mb": (_Reader.integer, True, 1),
     "load_threshold": (_Reader.load, False, ">"),
     "power_state": (_Reader.one_of, False, tuple(PowerState)),
-}
-_VM = {
+}, PhysicalHost)
+_VM = _Spec({
     "vm_id": (_Reader.string, True, None),
     "mac": (_Reader.mac, True, None),
     "bound_host": (_Reader.string, True, None),
@@ -270,68 +430,66 @@ _VM = {
     "lifecycle": (_Reader.one_of, False, (VmLifecycle.RUNNING, VmLifecycle.HALTED)),
     "reinstall_allowed": (_Reader.boolean, False, None),
     "load_contribution": (_Reader.load, False, ">="),
-}
+}, VirtualMachine)
 
 
-def _param_spec(cls, minimum: int) -> dict:
+def _param_spec(cls, minimum: int) -> _Spec:
     """Every field of a parameter block is an optional key."""
-    return {f.name: (_Reader.boolean, False, None) if isinstance(f.default, bool)
-            else (_Reader.integer, False, minimum)
-            for f in fields(cls)}
+    return _Spec({f.name: (_Reader.boolean, False, None) if isinstance(f.default, bool)
+                  else (_Reader.integer, False, minimum)
+                  for f in fields(cls)})
 
 
 _PROFILE = _param_spec(BootProfile, 1)
 _BLOCKS = {"controller": (ControllerParams, _param_spec(ControllerParams, 1)),
            "telemetry": (TelemetryParams, _param_spec(TelemetryParams, 1)),
            "timing": (TimingParams, _param_spec(TimingParams, 0))}
-
-
-def _host(**values) -> PhysicalHost:
-    values.setdefault("load_threshold", default_threshold(values["cpu_count"]))
-    return PhysicalHost(**values)
-
-
-_CLUSTER = {
-    "hosts": (_Reader.machines, False, ("hosts", _HOST, _host)),
-    "vms": (_Reader.machines, False, ("vms", _VM, VirtualMachine)),
+_CLUSTER = _Spec({
+    "hosts": (_Reader.machines, False, ("hosts", _HOST, _hosts)),
+    "vms": (_Reader.machines, False, ("vms", _VM, _vms)),
     "profiles": (_Reader.profiles, False, None),
     **{name: (_Reader.block, False, name) for name in _BLOCKS},
-}
+})
 _AT, _NAME = (_Reader.integer, True, 0), (_Reader.string, True, None)
-_CRASH = {"at": _AT, "kind": _NAME, "vm": _NAME}
+_CRASH = _Spec({"at": _AT, "kind": _NAME, "vm": _NAME})
 _INJECTIONS = {
     NON_DESTRUCTIVE_CRASH: _CRASH,
     DESTRUCTIVE_CRASH: _CRASH,
-    PHYSICAL_HOST_FAILURE: {"at": _AT, "kind": _NAME, "host": _NAME},
-    POWER_GLITCH: {"at": _AT, "kind": _NAME, "hosts": (_Reader.string_list, True, None)},
-    LOAD_SPIKE: {"at": _AT, "kind": _NAME, "host": _NAME,
-                 "extra_load": (_Reader.load, True, ">="),
-                 "duration_s": (_Reader.integer, True, 1)},
+    PHYSICAL_HOST_FAILURE: _Spec({"at": _AT, "kind": _NAME, "host": _NAME}),
+    POWER_GLITCH: _Spec({"at": _AT, "kind": _NAME,
+                         "hosts": (_Reader.string_list, True, None)}),
+    LOAD_SPIKE: _Spec({"at": _AT, "kind": _NAME, "host": _NAME,
+                       "extra_load": (_Reader.load, True, ">="),
+                       "duration_s": (_Reader.integer, True, 1)}),
 }
-_SCENARIO = {
+_SCENARIO = _Spec({
     "cluster": (_Reader.cluster, True, None),
     "horizon_s": (_Reader.integer, True, 1),
     "replications": (_Reader.integer, False, 1),
     "seed": (_Reader.integer, False, 0),
     "injections": (_Reader.injections, False, None),
-}
+})
 
 
 def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -> None:
-    for name in ("t1_s", "t2_s", "reinstall_patience_s"):
-        if getattr(config.controller, name) < config.controller.scan_period_s:
-            problems.append(f"controller: {name} must be >= scan_period_s")
+    controller = config.controller
+    scan = controller.scan_period_s
+    if min(controller.t1_s, controller.t2_s, controller.reinstall_patience_s) < scan:
+        for name in ("t1_s", "t2_s", "reinstall_patience_s"):
+            if getattr(controller, name) < scan:
+                problems.append(f"controller: {name} must be >= scan_period_s")
     if config.telemetry.detection_latency_s <= HEARTBEAT_PERIOD_S:
         problems.append("telemetry: detection_latency_s must be > "
                         f"{HEARTBEAT_PERIOD_S} (the heartbeat period)")
 
-    host_ids = set()
+    host_ids, off = set(), set()
     for h in config.hosts:
         if h.host_id in host_ids:
             problems.append(f"duplicate host_id '{h.host_id}'")
         host_ids.add(h.host_id)
+        if h.power_state is PowerState.OFF:
+            off.add(h.host_id)
 
-    off = {h.host_id for h in config.hosts if h.power_state is PowerState.OFF}
     vm_ids, macs = set(), set()
     for v in config.vms:
         if v.vm_id in vm_ids:
@@ -349,15 +507,18 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
         if v.boot_profile not in config.profiles:
             problems.append(f"vm '{v.vm_id}': unknown profile '{v.boot_profile}'")
 
-    if config.timing.controller_phase_s >= config.controller.scan_period_s:
+    timing = config.timing
+    if timing.controller_phase_s >= scan:
         problems.append("timing: controller_phase_s must be in [0, scan_period_s)")
 
     # Jitter must stay below every nominal duration it can apply to,
     # including the default profile used for physical host boots.
-    profiles = (DEFAULT_PROFILE, *config.profiles.values())
-    if config.timing.boot_jitter_s >= min(p.boot_total_s for p in profiles):
+    boot, install = DEFAULT_PROFILE.boot_total_s, DEFAULT_PROFILE.install_total_s
+    for profile in config.profiles.values():
+        boot, install = min(boot, profile.boot_total_s), min(install, profile.install_total_s)
+    if timing.boot_jitter_s >= boot:
         problems.append("timing: boot_jitter_s must be below the shortest boot total")
-    if config.timing.reinstall_jitter_s >= min(p.install_total_s for p in profiles):
+    if timing.reinstall_jitter_s >= install:
         problems.append(
             "timing: reinstall_jitter_s must be below the shortest install total")
 

@@ -241,12 +241,7 @@ class Simulation:
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
                  horizon_s: int, *, seed: int | np.random.Generator = 0,
                  collect_trace: bool = False, emit_monitor_log: bool = False):
-        self.state: ClusterState = config.build_state()
-        problems = [f"host {h.host_id}: load_threshold is not an int of milli-units"
-                    for h in self.state.hosts.values() if type(h.load_threshold) is not int]
-        problems += [f"vm {vm.vm_id}: load_contribution is not an int of milli-units"
-                     for vm in self.state.vms.values()
-                     if type(vm.load_contribution) is not int]
+        problems, beating, silent = self._build_state(config)
         problems += injection_problems(injections, self.state.vms, self.state.hosts,
                                        horizon_s)
         if problems:
@@ -262,14 +257,9 @@ class Simulation:
         # touched since are stale until the next tick refreshes them.
         self._table: dict[str, HostView] = {}
         self._stale: set[str] = set(self.state.hosts)
-        # host -> load of its running VMs, and of its booting or installing ones
-        self._run_load = dict.fromkeys(self.state.hosts, 0)
-        self._boot_load = dict.fromkeys(self.state.hosts, 0)
         self._totals = {VmLifecycle.RUNNING: self._run_load,
                         VmLifecycle.BOOTING: self._boot_load,
                         VmLifecycle.INSTALLING: self._boot_load}
-        for vm in self.state.vms.values():
-            self._count(vm, 1)
         # Machines a transition touched since the last scan.
         self._touched: set[str] = set()
         self.episodes: list[Episode] = []
@@ -291,19 +281,62 @@ class Simulation:
         phase = self.timing.controller_phase_s
         assert 0 <= phase < self.params.scan_period_s
         self._schedule(phase, "scan", ())
-        for host_id in sorted(self.state.hosts):
-            if self.state.hosts[host_id].power_state is PowerState.ON:
-                self._start_beats(host_id)
-            self.monitor.register(host_id, 0)
-        for vm_id in sorted(self.state.vms):
-            vm = self.state.vms[vm_id]
-            if vm.bound_host is not None:
-                if vm.lifecycle is VmLifecycle.RUNNING:
-                    self._start_beats(vm_id)
-                self.monitor.register(vm_id, 0, vm.load_contribution)
+        self.monitor.register_started(self.now, beating, silent)
         # The wake instant: no `tick` before it can decide anything (see
         # `_idle_until`). Until the first tick, that is the first VM Down instant.
         self._wake = self.monitor.next_down_at(self.now, self.state.vms)
+
+    def _build_state(self, config: "ClusterConfig") -> tuple[list[str], dict[str, int],
+                                                            dict[str, int]]:
+        """Set `state` and the hosts' load totals from the config's
+        declarations in one pass over its VMs. Return the declarations'
+        problems, and the machines that beat at t=0 and those that do not,
+        each mapped to the load it reports.
+
+        The state's hosts and VMs are new instances, so one config can seed
+        many simulation runs. A VM of the wrong load type stays out of the
+        totals, so that every problem is found.
+        """
+        hosts = {h.host_id: PhysicalHost(h.host_id, h.cpu_count, h.ram_mb,
+                                         h.load_threshold, h.power_state, [])
+                 for h in config.hosts}
+        problems = [f"host {h}: load_threshold is not an int of milli-units"
+                    for h, host in hosts.items() if type(host.load_threshold) is not int]
+        # host -> load of its running VMs, and of its booting or installing ones
+        run = self._run_load = dict.fromkeys(hosts, 0)
+        boot = self._boot_load = dict.fromkeys(hosts, 0)
+        beating, silent, vms = {}, {}, {}
+        running, booting = VmLifecycle.RUNNING, (VmLifecycle.BOOTING, VmLifecycle.INSTALLING)
+        for v in config.vms:
+            vm_id, host_id, load = v.vm_id, v.bound_host, v.load_contribution
+            vms[vm_id] = VirtualMachine(vm_id, v.mac, host_id, v.boot_profile, v.lifecycle,
+                                        v.reinstall_allowed, load)
+            if type(load) is not int:
+                problems.append(f"vm {vm_id}: load_contribution is not an int of milli-units")
+                load = 0
+            if host_id is not None:
+                host = hosts.get(host_id)
+                if host is None:
+                    problems.append(f"vm '{vm_id}': unknown bound_host '{host_id}'")
+                elif v.lifecycle is running:
+                    host.hosted_vms.append(vm_id)
+                    run[host_id] += load
+                    beating[vm_id] = load
+                else:
+                    host.hosted_vms.append(vm_id)
+                    if v.lifecycle in booting:
+                        boot[host_id] += load
+                    silent[vm_id] = load
+            if v.boot_profile not in config.profiles:
+                problems.append(f"vm '{vm_id}': unknown profile '{v.boot_profile}'")
+        # A host beats while powered on, reporting its load.
+        for host_id, host in hosts.items():
+            if host.power_state is PowerState.ON:
+                beating[host_id] = run[host_id]
+            else:
+                silent[host_id] = 0
+        self.state = ClusterState(hosts=hosts, vms=vms)
+        return problems, beating, silent
 
     # -- scheduling ------------------------------------------------------
 

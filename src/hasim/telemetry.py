@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Container, Iterable, NamedTuple
 from xml.etree import ElementTree
 from xml.sax.saxutils import quoteattr
@@ -140,6 +141,22 @@ class Monitor:
             self.silent.add(machine_id)
         if machine_id not in self._last_beat:
             self.record_heartbeat(machine_id, at, load)
+
+    def register_started(self, at: int, beating: dict[str, int],
+                         silent: dict[str, int]) -> None:
+        """Register machines seen for the first time, all at `at`, as
+        `register` and `start_beats` at `at` would: each machine of `beating`
+        starts a train, each of `silent` records one beat; both map a machine
+        to its load. A simulation registers its whole t=0 cluster this way."""
+        self._active.update(beating, silent)
+        self._last_beat.update(dict.fromkeys(chain(beating, silent), at))
+        self._load.update(beating)
+        self._load.update(silent)
+        self._train.update(zip(beating, zip(repeat(at), beating.values())))
+        self.silent.update(silent)
+        if self._recheck is not None:
+            self._recheck.update(beating, silent)
+        self._order = None
 
     def unregister(self, machine_id: str) -> None:
         if machine_id in self._active:

@@ -33,6 +33,19 @@ class EventBeatSimulation(Simulation):
         self._beats_last = beats_last
         self._beat_ticket: dict[str, int] = {}
         super().__init__(*args, **kwargs)
+        # The engine registers the t=0 trains in bulk. Each becomes a first
+        # beat event instead, scheduled after the scans and injections in the
+        # order the engine once started them: hosts, then VMs, by id.
+        state = self.state
+        started = [h for h in sorted(state.hosts) if self._responsive(h)] + \
+            [v for v in sorted(state.vms)
+             if state.vms[v].bound_host is not None and self._responsive(v)]
+        assert set(started) == self.monitor._train.keys()
+        for machine_id in started:
+            self.monitor.stop_beats(machine_id, self.now)
+            self._start_beats(machine_id)
+        assert not self.monitor._train
+        self._wake = self.monitor.next_down_at(self.now, state.vms)
 
     def _schedule(self, at, kind, args):
         self._seq += 1

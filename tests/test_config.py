@@ -19,6 +19,7 @@ from hasim.engine import (
     PHYSICAL_HOST_FAILURE,
     POWER_GLITCH,
     FailureInjection,
+    Simulation,
     TimingParams,
 )
 from hasim.provisioning import BootProfile
@@ -174,7 +175,7 @@ def test_controller_phase_must_fit_scan_period():
 
 def test_referential_integrity_full_graph():
     config = load_cluster_config(doc())
-    state = config.build_state()
+    state = Simulation(config, [], 60).state
     # Every binding edge resolves both ways.
     for vm in state.vms.values():
         assert vm.bound_host in state.hosts
@@ -187,9 +188,11 @@ def test_referential_integrity_full_graph():
 
 def test_build_state_returns_independent_copies():
     config = load_cluster_config(doc())
-    s1, s2 = config.build_state(), config.build_state()
+    s1, s2 = Simulation(config, [], 60).state, Simulation(config, [], 60).state
     s1.hosts["alfa01"].hosted_vms.clear()
+    s1.vms["gridce"].bound_host = None
     assert s2.hosts["alfa01"].hosted_vms == ["gridce"]
+    assert s2.vms["gridce"].bound_host == config.vms[0].bound_host == "alfa01"
 
 
 def test_scenario_loads_inline_cluster():

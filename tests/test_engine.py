@@ -34,6 +34,7 @@ from hasim.engine import (
     sample_duration,
     summarize,
 )
+from hasim.presets import PRESETS
 from hasim.provisioning import DEFAULT_PROFILE
 from hasim.telemetry import UP
 
@@ -328,6 +329,19 @@ def test_loads_in_units_are_rejected():
     config.hosts[0].load_threshold = 4.0
     with pytest.raises(ScenarioError, match="^host node01: load_threshold is not an int"):
         Simulation(config, [], 600)
+
+
+@pytest.mark.parametrize("field, problem", [
+    ("bound_host", "vm 'svc01': unknown bound_host 'nope'"),
+    ("boot_profile", "vm 'svc01': unknown profile 'nope'"),
+], ids=["bound_host", "boot_profile"])
+def test_python_built_config_naming_an_unknown_machine_or_profile(field, problem):
+    # One problem line each, not a KeyError from set-up or from the boot.
+    config = parse_cluster_config(PRESETS["nondestructive"].cluster_doc)
+    setattr(config.vms[0], field, "nope")
+    with pytest.raises(ScenarioError) as exc:
+        Simulation(config, [FailureInjection(100, NON_DESTRUCTIVE_CRASH, "svc01")], 600).run()
+    assert str(exc.value) == problem
 
 
 def test_injection_on_non_running_vm_skipped():

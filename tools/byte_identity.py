@@ -6,8 +6,9 @@ Run: python3 tools/byte_identity.py DIR
 For the source tree this script belongs to, it runs each command below with
 that tree's `src/` and writes what the command produced into `DIR/<case>/`:
 the files it wrote (under `out/`), its `stdout`, its `stderr` and its `exit`
-code. In stdout and stderr the output directory reads `$OUT` and the tree's
-root reads `$TREE`, so two trees give equal bytes for equal behavior:
+code. In stdout and stderr the output directory reads `$OUT`, DIR reads
+`$DIR` and the tree's root reads `$TREE`, so two trees give equal bytes for
+equal behavior:
 
     python3 OLD/tools/byte_identity.py /tmp/old
     python3 NEW/tools/byte_identity.py /tmp/new
@@ -21,7 +22,11 @@ The commands:
   seeds 1-3 and its `steady` input of seed 1, generated by
   `bench/workloads.py` (the documents go to `DIR/inputs/`);
 - `hasim replicate nondestructive|destructive --n 1000 --seed 42 --out`;
-- the four demos.
+- the four demos;
+- bad input, whose problem lists must match: `hasim validate` on a cluster
+  with problems in every record kind, and `hasim run --out` on a scenario
+  that names that cluster by path and has bad injections (both documents go
+  to `DIR/inputs/`).
 
 DIR must not exist yet.
 """
@@ -37,6 +42,49 @@ from pathlib import Path
 TREE = Path(__file__).resolve().parent.parent
 # The benchmark inputs run: (workload, seed).
 INPUTS = (("storm", 1), ("storm", 2), ("storm", 3), ("steady", 1))
+# A cluster with problems in every record kind: unknown, missing, null and
+# mistyped keys, non-object records, bounds, MACs, NaN, 10**400, references.
+BAD_CLUSTER = {
+    "hosts": [
+        {"host_id": "h1", "cpu_count": 4, "ram_mb": 1024},
+        {"host_id": "", "cpu_count": 0, "ram_mb": "x", "load_threshold": -1,
+         "power_state": "dim", "rack": 3},
+        "not a host",
+        {"cpu_count": 10**400, "ram_mb": 1, "load_threshold": 2.0005},
+        {"host_id": "h1", "cpu_count": 2, "ram_mb": 1, "power_state": "off"},
+    ],
+    "vms": [
+        {"vm_id": "v1", "mac": "52:54:00:00:00:01", "bound_host": "h1", "boot_profile": "p"},
+        {"vm_id": "v2", "mac": "52:54:00:00:00:ZZ", "bound_host": "h9", "boot_profile": "q",
+         "lifecycle": "booting", "reinstall_allowed": "yes",
+         "load_contribution": float("nan"), "owner": "x"},
+        7,
+        {"vm_id": "v1", "mac": "52:54:00:00:00:01", "bound_host": "h1", "boot_profile": "p",
+         "load_contribution": 0.0001},
+        {"vm_id": None, "mac": "52:54:00:00:00:03", "boot_profile": "p", "lifecycle": None},
+        {"vm_id": "h1", "mac": "52:54:00:00:00:04", "bound_host": "h1", "boot_profile": "r",
+         "load_contribution": True},
+    ],
+    "profiles": {"p": {"boot_s": 0}, "q": [], "r": {"install_s": 1.5, "colour": 1}},
+    "controller": {"t1_s": 0, "scan_period_s": "60", "speed": 2},
+    "telemetry": {"detection_latency_s": 5},
+    "timing": {"boot_jitter_s": -3, "controller_phase_s": 600},
+    "extra": True,
+}
+# Names the cluster above by path; its injections have problems of their own
+# and against the ids the cluster declares, rejected records included.
+BAD_SCENARIO = {
+    "cluster": "bad_cluster.json", "horizon_s": 600, "seed": 1,
+    "injections": [
+        {"at": 10, "kind": "non_destructive_crash", "vm": "v2"},
+        {"at": 10, "kind": "destructive_crash", "vm": "ghost"},
+        {"at": -5, "kind": "power_glitch", "hosts": ["h1", "nope"]},
+        {"at": 700, "kind": "load_spike", "host": "h1", "extra_load": "lots", "duration_s": 0},
+        {"kind": "meteor"},
+        "boom",
+        {"at": 10, "kind": "physical_host_failure", "host": "h1", "why": "x"},
+    ],
+}
 
 
 def cases(root: Path):
@@ -57,6 +105,9 @@ def cases(root: Path):
                     "--n", "1000", "--seed", "42")
     for demo in sorted((TREE / "demos").glob("*.py")):
         yield f"demo_{demo.stem}", [sys.executable, str(demo)]
+    yield "validate_bad_cluster", [sys.executable, "-m", "hasim.cli", "validate",
+                                   str(root / "inputs" / "bad_cluster.json")]
+    yield hasim("run_bad_scenario", "run", str(root / "inputs" / "bad_scenario.json"))
 
 
 def write_inputs(inputs: Path) -> None:
@@ -68,6 +119,8 @@ def write_inputs(inputs: Path) -> None:
     for name, seed in INPUTS:
         doc = getattr(workloads, f"{name}_scenario")(seed)
         (inputs / f"{name}_{seed}.json").write_text(json.dumps(doc))
+    for name, doc in (("bad_cluster", BAD_CLUSTER), ("bad_scenario", BAD_SCENARIO)):
+        (inputs / f"{name}.json").write_text(json.dumps(doc))
 
 
 def main(argv: list[str]) -> int:
@@ -86,7 +139,8 @@ def main(argv: list[str]) -> int:
         case.mkdir()
         result = subprocess.run(command, capture_output=True, text=True, env=env, cwd=case)
         for stream, text in (("stdout", result.stdout), ("stderr", result.stderr)):
-            text = text.replace(str(case / "out"), "$OUT").replace(str(TREE), "$TREE")
+            text = text.replace(str(case / "out"), "$OUT").replace(str(root), "$DIR") \
+                .replace(str(TREE), "$TREE")
             (case / stream).write_text(text)
         (case / "exit").write_text(f"{result.returncode}\n")
     print(f"wrote {root}", file=sys.stderr)
