@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import compress
-from operator import itemgetter
 from pathlib import Path
 
 from .cluster import (
@@ -68,8 +66,9 @@ class _Rejected(Exception):
 
 
 _TOP_LEVEL = "top level"
-# The value types of a column test; None is an absent optional value.
-_INT, _STRINGS = {int}, {str, type(None)}
+# The value types of a list of records and of column tests; None is an
+# absent optional value.
+_DICT, _INT, _STRINGS = {dict}, {int}, {str, type(None)}
 _BOOLEANS, _NUMBERS = {bool, type(None)}, {int, float, type(None)}
 
 
@@ -82,11 +81,11 @@ class _Reader:
     that hold records read them with this reader, which keeps the ids its
     hosts and VMs declare.
 
-    An object is read by `record`, a key at a time. A list of hosts or VMs,
-    whatever its length, is read by `read`, a key's column at a time: the
-    kind's column test returns the values the kind accepts, in C-level
-    passes, when it accepts every value in the column. Only when it does
-    not does the kind run once per value, to name each rejected one.
+    An object is read by `record`, a key at a time, which names every
+    problem. A list of hosts or VMs is accepted by `columns`, a key's column
+    at a time: each kind's column test returns the values the kind accepts,
+    in C-level passes, when it accepts every value in the column. A list
+    with any problem is read by `record` instead, a record at a time.
     """
 
     def __init__(self, problems: list[str], base_dir: Path | None = None):
@@ -125,78 +124,36 @@ class _Reader:
                 complete = complete and not required
         return values, complete
 
-    def read(self, bodies: list, spec: _Spec, where: str) -> tuple[list[list], list[bool]]:
-        """The records of a list, as `record` reads each, a key at a time:
-        the column of accepted values of each spec key up to the last one
-        read, where an absent optional value is the key's default and a
-        rejected one None, and whether each record is complete.
-
-        Each problem is tagged (record index, key position), and the tags are
-        sorted, so the problems come in `record`'s order: by record, then
-        unknown keys in body order, then spec order. Records are named
-        `where[i]`.
-        """
-        found = []  # (record index, key position, problem)
-        objects = [isinstance(body, dict) for body in bodies]
-        if False in objects:
-            found += [(i, -1, f"{where}[{i}]: expected an object")
-                      for i, is_object in enumerate(objects) if not is_object]
-            bodies = [body if is_object else {} for body, is_object in zip(bodies, objects)]
+    def columns(self, bodies: list, spec: _Spec) -> list[list] | None:
+        """The column of accepted values of each spec key up to the last one
+        read, an absent optional value being the key's default, when every
+        record is an object of spec keys with every required key and each
+        key's column test accepts its column; else None."""
+        if not _DICT.issuperset(map(type, bodies)):
+            return None
         present = set().union(*bodies)
         if not present <= spec.keys:
-            found += [(i, -1, f"{where}[{i}]: unknown key '{key}'")
-                      for i, body in enumerate(bodies) for key in body if key not in spec.keys]
-            present &= spec.keys
+            return None
         # The columns end with the last key read; the machine class gives
         # the keys after it their defaults.
-        columns, complete, n, left = [], objects, len(bodies), len(present)
-        last_required = spec.last_required
-        for pos, key, kind, required, bound, test, default in spec.entries:
-            if not left and pos > last_required:
+        columns, left = [], len(present)
+        for pos, key, _, required, bound, test, default in spec.entries:
+            if not left and pos > spec.last_required:
                 break
             if key in present:
                 left -= 1
-                column = [body.get(key) for body in bodies]
-                accepted = test(self, column, bound)
-                if accepted is None:
-                    accepted = self._each(column, pos, key, kind, required, bound, where,
-                                          objects, found)
-                    if required:
-                        complete = [c and value is not None
-                                    for c, value in zip(complete, accepted)]
-                if default is not None and None in accepted:
-                    accepted = [default if value is None else value for value in accepted]
-                columns.append(accepted)
+                # A required key's test rejects None, an absent value.
+                column = test(self, [body.get(key) for body in bodies], bound)
+                if column is None:
+                    return None
+                if default is not None and None in column:
+                    column = [default if value is None else value for value in column]
             elif required:
-                found += [(i, pos, f"{where}[{i}]: missing required key '{key}'")
-                          for i in compress(range(n), objects)]
-                columns.append([None] * n)
-                complete = [False] * n
+                return None
             else:
-                columns.append([default] * n)
-        if found:
-            found.sort(key=_RECORD_AND_KEY)
-            self.problems += [problem for *_, problem in found]
-        return columns, complete
-
-    def _each(self, column: list, pos: int, key: str, kind, required: bool, bound,
-              where: str, objects: list[bool], found: list) -> list:
-        """Run the kind on each value of a column its column test rejected:
-        the accepted values, None where absent or rejected, with a tagged
-        problem for each rejected value and each missing required one."""
-        accepted = []
-        for i, value in enumerate(column):
-            if value is None:
-                if required and objects[i]:
-                    found.append((i, pos, f"{where}[{i}]: missing required key '{key}'"))
-            else:
-                try:
-                    value = kind(self, value, bound)
-                except _Rejected as exc:
-                    found.append((i, pos, f"{where}[{i}].{key}: {exc}"))
-                    value = None
-            accepted.append(value)
-        return accepted
+                column = [default] * len(bodies)
+            columns.append(column)
+        return columns
 
     def string(self, value, _bound) -> str:
         if not isinstance(value, str) or not value:
@@ -309,15 +266,24 @@ class _Reader:
 
     def machines(self, raw, bound) -> list:
         """bound is (list name, spec, build); a machine's id is its first key,
-        and build makes the machines of the complete records' columns."""
+        and build makes the machines of `columns`' columns. A list `columns`
+        does not accept is read by `record`, to name its problems, and build
+        makes each complete record's machine from one-row columns."""
         where, spec, build = bound
         if not isinstance(raw, list):
             raise _Rejected("expected a list")
-        columns, complete = self.read(raw, spec, where)
-        self.declared[where].update(columns[0])
-        if False in complete:
-            columns = [list(compress(column, complete)) for column in columns]
-        return build(columns)
+        columns = self.columns(raw, spec)
+        if columns is not None:
+            self.declared[where].update(columns[0])
+            return build(columns)
+        found = []
+        for i, body in enumerate(raw):
+            values, complete = self.record(body, spec, f"{where}[{i}]")
+            self.declared[where].add(values.get(spec.entries[0][1]))
+            if complete:
+                found += build([[values.get(key, default)]
+                                for _, key, *_, default in spec.entries])
+        return found
 
     def profiles(self, raw, _bound) -> dict[str, BootProfile]:
         if not isinstance(raw, dict):
@@ -393,7 +359,6 @@ class _Spec:
                                  default=-1)
 
 
-_RECORD_AND_KEY = itemgetter(0, 1)
 _COLUMNS = {_Reader.string: _Reader.all_strings, _Reader.integer: _Reader.all_integers,
             _Reader.cpu_count: _Reader.all_cpu_counts, _Reader.load: _Reader.all_loads,
             _Reader.boolean: _Reader.all_booleans, _Reader.one_of: _Reader.all_of,
@@ -401,8 +366,8 @@ _COLUMNS = {_Reader.string: _Reader.all_strings, _Reader.integer: _Reader.all_in
 
 
 def _hosts(columns: list[list]) -> list[PhysicalHost]:
-    """The hosts of `read`'s columns, which end before the threshold when no
-    record has one. An absent threshold is the default of the cpu_count."""
+    """The hosts of `machines`' columns, which end before the threshold when
+    no record has one. An absent threshold is the default of the cpu_count."""
     ids, cpu_counts, rams, *optional = columns
     thresholds = optional.pop(0) if optional else [None] * len(ids)
     if None in thresholds:

@@ -205,16 +205,6 @@ class Monitor:
             if beat > self._last_beat[machine_id]:
                 self.record_heartbeat(machine_id, beat, train[1])
 
-    def check_coverage(self, responsive: set[str], monitored: set[str]) -> None:
-        """Assert that the trains are exactly `responsive`, the registered
-        machines exactly `monitored`, and `silent` the rest of `monitored`."""
-        for name, actual, expected in (
-                ("beat trains", self._train.keys(), responsive),
-                ("registered machines", self._active, monitored),
-                ("silent set", self.silent, monitored - responsive)):
-            assert actual == expected, \
-                f"{name} differ from the state: {sorted(actual ^ expected)}"
-
     def down_at(self, machine_id: str) -> int:
         """The instant a machine that stays silent turns Down."""
         return self._last_beat[machine_id] + self.params.detection_latency_s

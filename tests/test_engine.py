@@ -41,14 +41,48 @@ from hasim.telemetry import UP
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def check_coherence(sim: Simulation) -> None:
+    """Assert the load totals, the host table and the monitor's trains and
+    coverage match the state.
+
+    Each host's load totals equal `host_load` and `pending_load`. A table
+    entry not marked stale equals a fresh view, but for a silent host's
+    verdict, which is as of the last tick. The beat trains are exactly the
+    responsive machines, the registered machines exactly the hosts and the
+    bound VMs, and the silent set the rest of the registered machines.
+    """
+    state, monitor = sim.state, sim.monitor
+    for host_id in state.hosts:
+        assert sim._load(host_id) == host_load(state, host_id), f"host {host_id}: load"
+        assert sim._boot_load[host_id] == pending_load(state, host_id), \
+            f"host {host_id}: pending load"
+    for host_id, view in sim._table.items():
+        if host_id not in sim._stale:
+            fresh = sim._host_view(host_id)
+            fresh.monitor_up = view.monitor_up
+            assert view == fresh, f"host {host_id}: table entry {view} is stale ({fresh})"
+            assert view.monitor_up or host_id in monitor.silent, \
+                f"host {host_id} beats but is Down in the table"
+    hosts, vms = state.hosts, state.vms.values()
+    responsive = {h for h, host in hosts.items() if host.power_state is PowerState.ON} \
+        | {vm.vm_id for vm in vms if vm.lifecycle is VmLifecycle.RUNNING}
+    monitored = hosts.keys() | {vm.vm_id for vm in vms if vm.bound_host is not None}
+    for name, actual, expected in (
+            ("beat trains", monitor._train.keys(), responsive),
+            ("registered machines", monitor._active, monitored),
+            ("silent set", monitor.silent, monitored - responsive)):
+        assert actual == expected, \
+            f"{name} differ from the state: {sorted(actual ^ expected)}"
+
+
 class EventCheckedSimulation(Simulation):
-    """The engine with the full-graph check and `_check_coherence` after
+    """The engine with the full-graph check and `check_coherence` after
     every event: it overrides each `_on_*` handler `run` dispatches to.
     Slow, for focused tests."""
 
     def _check_event(self):
         check_state_invariants(self.state)
-        self._check_coherence()
+        check_coherence(self)
 
     def _on_inject(self, *args):
         super()._on_inject(*args)
@@ -603,7 +637,7 @@ def test_each_transition_keeps_caches_and_monitor_coherent_by_itself():
         sim._stale.update(sim.state.hosts)
         sim._refresh_table(sim.monitor.snapshot(sim.now))
         step()
-        sim._check_coherence()
+        check_coherence(sim)
 
 
 def test_load_totals_equal_fresh_host_and_pending_loads():

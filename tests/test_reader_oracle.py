@@ -1,15 +1,18 @@
 """The column reader of `hasim.config` against the record-at-a-time reader
 it replaced, kept in `reader_oracle.py`.
 
-Both read the same documents: the two fuzz generators of test_config.py and
-a seeded generator of malformed scenario documents. They must give equal
-problem lists in the same order, equal ids declared by `hosts` and `vms`
-(rejected records included), and equal scenarios and configurations.
+Both read the same documents: the two fuzz generators of test_config.py, a
+seeded generator of malformed scenario documents, and the benchmark's
+`steady` cluster broken at one record. They must give equal problem lists in
+the same order, equal ids declared by `hosts` and `vms` (rejected records
+included), and equal scenarios and configurations.
 """
 
 import copy
+import importlib.util
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -22,10 +25,13 @@ from hasim import config
 from hasim.config import ConfigError
 from hasim.controller import ControllerParams
 from hasim.engine import INJECTION_KINDS, TimingParams
+from hasim.presets import PRESETS
 from hasim.provisioning import BootProfile
 from hasim.telemetry import TelemetryParams
 
+ROOT = Path(__file__).resolve().parent.parent
 MALFORMED_DOCUMENTS = 6000
+LONG_LIST_DOCUMENTS = 30
 
 
 def outcome(load, text: str, base_dir: Path | None):
@@ -165,15 +171,95 @@ def assert_malformed_documents_read_alike(documents, files: Path) -> None:
     assert accepted and rejected > accepted
 
 
-def test_malformed_documents_read_alike(tmp_path):
-    # The first 150 of each half of the slow test's documents.
-    documents = list(malformed_documents(MALFORMED_DOCUMENTS, tmp_path))
+def quick_malformed_documents(files: Path) -> list[dict]:
+    """The first 150 of each half of the slow test's documents."""
+    documents = list(malformed_documents(MALFORMED_DOCUMENTS, files))
     half = MALFORMED_DOCUMENTS // 2
-    assert_malformed_documents_read_alike(documents[:150] + documents[half:half + 150],
-                                          tmp_path)
+    return documents[:150] + documents[half:half + 150]
+
+
+def test_malformed_documents_read_alike(tmp_path):
+    assert_malformed_documents_read_alike(quick_malformed_documents(tmp_path), tmp_path)
 
 
 @pytest.mark.slow
 def test_all_malformed_documents_read_alike(tmp_path):
     assert_malformed_documents_read_alike(malformed_documents(MALFORMED_DOCUMENTS, tmp_path),
                                           tmp_path)
+
+
+# -- long lists with one problem ------------------------------------------------
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def long_list_documents(count: int):
+    """`count` copies of the bench `steady` scenario of seed 1 (200 hosts x
+    2000 VMs), each broken once at a random record: one value replaced by a
+    bad one, one unknown key added, or the record replaced by a non-object;
+    seeded."""
+    text = json.dumps(bench_workloads().steady_scenario(1))
+    non_objects = [value for value in BAD_VALUES if not isinstance(value, dict)]
+    rng = random.Random(20261020)
+    for _ in range(count):
+        doc = json.loads(text)
+        records = doc["cluster"][rng.choice(["hosts", "vms"])]
+        i, roll = rng.randrange(len(records)), rng.randrange(3)
+        if roll == 0:
+            records[i][rng.choice(list(records[i]))] = rng.choice(BAD_VALUES)
+        elif roll == 1:
+            records[i][rng.choice(["extra", "vm_ids", "load"])] = 1
+        else:
+            records[i] = rng.choice(non_objects)
+        yield doc
+
+
+def test_long_lists_with_one_problem_read_alike():
+    for doc in long_list_documents(LONG_LIST_DOCUMENTS):
+        assert_same_reading(doc)
+
+
+def test_valid_lists_never_leave_the_column_path(tmp_path, monkeypatch):
+    # A host or VM list is read record by record exactly when a problem
+    # names one of its records: a column test that rejects a value its kind
+    # accepts would send valid lists to the record path.
+    read_by_record = set()
+    record = config._Reader.record
+
+    def counted(self, body, spec, where):
+        if spec is config._HOST or spec is config._VM:
+            read_by_record.add(where.partition("[")[0])
+        return record(self, body, spec, where)
+
+    monkeypatch.setattr(config._Reader, "record", counted)
+    workloads = bench_workloads()
+    scenarios = [(json.dumps(doc), tmp_path)
+                 for doc in [*quick_malformed_documents(tmp_path),
+                             *long_list_documents(LONG_LIST_DOCUMENTS),
+                             workloads.steady_scenario(1), workloads.storm_scenario(1)]]
+    scenarios += [(path.read_text(), path.parent)
+                  for path in sorted((ROOT / "scenarios").glob("power_glitch*.json"))]
+    clusters = [json.loads((ROOT / "scenarios" / "cluster_basic.json").read_text()),
+                *(preset.cluster_doc for preset in PRESETS.values())]
+    reads = [partial(config.load_scenario, *scenario) for scenario in scenarios] + \
+        [partial(config.parse_cluster_config, cluster) for cluster in clusters]
+    by_record = by_columns = 0
+    for read in reads:
+        read_by_record.clear()
+        try:
+            read()
+            problems = []
+        except ConfigError as exc:
+            problems = exc.problems
+        named = {name for name in ("hosts", "vms")
+                 if any(p.removeprefix("cluster: ").startswith(f"{name}[") for p in problems)}
+        assert read_by_record == named, problems
+        by_record += bool(named)
+        by_columns += not named
+    assert by_record > 30 and by_columns > 30

@@ -24,9 +24,10 @@ The commands:
 - `hasim replicate nondestructive|destructive --n 1000 --seed 42 --out`;
 - the four demos;
 - bad input, whose problem lists must match: `hasim validate` on a cluster
-  with problems in every record kind, and `hasim run --out` on a scenario
-  that names that cluster by path and has bad injections (both documents go
-  to `DIR/inputs/`).
+  with problems in every record kind, and on the benchmark's `steady`
+  cluster of seed 1 with one problem deep in each list, and `hasim run
+  --out` on a scenario that names the first cluster by path and has bad
+  injections (the documents go to `DIR/inputs/`).
 
 DIR must not exist yet.
 """
@@ -107,6 +108,8 @@ def cases(root: Path):
         yield f"demo_{demo.stem}", [sys.executable, str(demo)]
     yield "validate_bad_cluster", [sys.executable, "-m", "hasim.cli", "validate",
                                    str(root / "inputs" / "bad_cluster.json")]
+    yield "validate_long_bad_cluster", [sys.executable, "-m", "hasim.cli", "validate",
+                                        str(root / "inputs" / "long_bad_cluster.json")]
     yield hasim("run_bad_scenario", "run", str(root / "inputs" / "bad_scenario.json"))
 
 
@@ -119,7 +122,12 @@ def write_inputs(inputs: Path) -> None:
     for name, seed in INPUTS:
         doc = getattr(workloads, f"{name}_scenario")(seed)
         (inputs / f"{name}_{seed}.json").write_text(json.dumps(doc))
-    for name, doc in (("bad_cluster", BAD_CLUSTER), ("bad_scenario", BAD_SCENARIO)):
+    # One VM's MAC broken deep in its list, and one host with an unknown key.
+    long_bad_cluster = workloads.steady_scenario(1)["cluster"]
+    long_bad_cluster["vms"][1733]["mac"] = "52:54:00:00:06:zz"
+    long_bad_cluster["hosts"][151]["rack"] = 12
+    for name, doc in (("bad_cluster", BAD_CLUSTER), ("bad_scenario", BAD_SCENARIO),
+                      ("long_bad_cluster", long_bad_cluster)):
         (inputs / f"{name}.json").write_text(json.dumps(doc))
 
 
