@@ -31,6 +31,7 @@ from .reporting import (
     parse_episodes_csv,
     summary_text,
 )
+from .streams import streams
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,11 +68,10 @@ def _run_replicated(scenario: Scenario, seed: int, *, collect_trace: bool,
     episodes = []
     trace: list[str] = []
     monitor_log: list[str] = []
-    for i in range(scenario.replications):
-        rep_seed = seed + i
-        trace.append(f"0 replication {i} seed {rep_seed}")
+    for i, rng in enumerate(streams(seed, scenario.replications)):
+        trace.append(f"0 replication {i} seed {seed + i}")
         sim = Simulation(scenario.config, scenario.injections, scenario.horizon_s,
-                         seed=rep_seed, collect_trace=collect_trace,
+                         seed=rng, collect_trace=collect_trace,
                          emit_monitor_log=emit_monitor_log)
         report = sim.run()
         episodes.extend(report.episodes)

@@ -20,7 +20,7 @@ records. The simulation engine owns all mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -206,13 +206,11 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
         if src is not None:
             src.vm_count -= 1
         if target is None:
-            return replace(rec, phase=Phase.AWAITING_CAPACITY, deadline=None,
-                           pending=kind)
+            return EscalationRecord(Phase.AWAITING_CAPACITY, None, kind, rec.cycles)
         if kind == RESTART:
-            return replace(rec, phase=Phase.RESTART_ISSUED,
-                           deadline=now + params.t2_s, pending=None)
-        return replace(rec, phase=Phase.REINSTALL_ISSUED,
-                       deadline=now + params.reinstall_patience_s, pending=None)
+            return EscalationRecord(Phase.RESTART_ISSUED, now + params.t2_s, None, rec.cycles)
+        return EscalationRecord(Phase.REINSTALL_ISSUED, now + params.reinstall_patience_s,
+                                None, rec.cycles)
 
     for vm in sorted(vm_infos, key=lambda v: v.vm_id):
         entry = snapshot.entries.get(vm.vm_id)
@@ -233,8 +231,8 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
                 # placements in this tick must not claim that headroom.
                 if src is not None:
                     edit(vm.bound_host).load += vm.load_contribution
-                rec = replace(rec, phase=Phase.REBOOT_ISSUED,
-                              deadline=now + params.t1_s)
+                rec = EscalationRecord(Phase.REBOOT_ISSUED, now + params.t1_s,
+                                       rec.pending, rec.cycles)
             else:
                 rec = place(rec, vm, level)
 
@@ -252,10 +250,10 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
             rec = place(rec, vm, REINSTALL if vm.reinstall_allowed else RESTART)
 
         elif rec.cycles + 1 >= MAX_ESCALATION_CYCLES:  # REINSTALL_ISSUED
-            rec = replace(rec, phase=Phase.REQUIRES_HUMAN, deadline=None,
-                          cycles=rec.cycles + 1)
+            rec = EscalationRecord(Phase.REQUIRES_HUMAN, None, rec.pending, rec.cycles + 1)
         else:
-            rec = place(replace(rec, cycles=rec.cycles + 1), vm, RESTART)
+            rec = place(EscalationRecord(rec.phase, rec.deadline, rec.pending, rec.cycles + 1),
+                        vm, RESTART)
 
         if rec.phase is not Phase.HEALTHY:
             out[vm.vm_id] = rec

@@ -213,7 +213,9 @@ class Simulation:
     and `_boot_load` of its BOOTING or INSTALLING ones, which `_count` moves
     as a VM leaves or enters a host or lifecycle.
 
-    seed: an integer seed, or a generator used as it is.
+    seed: an integer, which seeds `np.random.default_rng(seed)`, or a
+    generator used as it is: the runs of a batch share one, which
+    `hasim.streams` sets to each run's stream.
 
     One rule decides whether a scan ticks and when the next one comes: a
     scan ticks when now >= `_idle_until()`, which is now with the monitor
@@ -250,7 +252,8 @@ class Simulation:
         self.params = config.controller
         self.timing = config.timing
         self.horizon_s = horizon_s
-        self.rng = np.random.default_rng(seed or 0)
+        self.rng = (seed if isinstance(seed, np.random.Generator)
+                    else np.random.default_rng(seed or 0))
         self.monitor = Monitor(config.telemetry)
         self.provisioner = Provisioner(config.profiles)
         self.records: dict[str, EscalationRecord] = {}
@@ -345,9 +348,10 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, kind, args))
 
-    def _trace(self, line: str) -> None:
+    def _trace(self, fmt: str, *args) -> None:
+        """Trace `fmt % args`; nothing is formatted when no trace is collected."""
         if self.trace is not None:
-            self.trace.append(f"{self.now} {line}")
+            self.trace.append(f"{self.now} {fmt % args}")
 
     # -- heartbeats ------------------------------------------------------
 
@@ -468,7 +472,7 @@ class Simulation:
         if ep is not None:
             ep.recovered_at = self.now
             ep.recovered_on = self.state.vms[vm_id].bound_host
-            self._trace(f"recovered {vm_id} {ep.recovered_on}")
+            self._trace("recovered %s %s", vm_id, ep.recovered_on)
 
     # -- controller scan -------------------------------------------------
 
@@ -561,7 +565,7 @@ class Simulation:
             # Even an action that changes no state: its load commit in `tick`
             # never took place.
             self._wake = self.now
-        self._trace(f"action {action}")
+        self._trace("action %s", action)
         ep = self._open.get(action.vm_id)
         if ep is not None:
             ep.actions.append((self.now, action))
@@ -573,11 +577,11 @@ class Simulation:
                 self._power_cycle(vm)
             else:
                 # Halted or unreachable guests cannot execute a reboot.
-                self._trace(f"reboot_unreachable {vm.vm_id}")
+                self._trace("reboot_unreachable %s", vm.vm_id)
         elif action.kind in (RESTART, REINSTALL):
             if action.kind == REINSTALL:
                 self.provisioner.bind_install(vm.mac)
-                self._trace(f"pxe_bind {vm.mac} install:{vm.boot_profile}")
+                self._trace("pxe_bind %s install:%s", vm.mac, vm.boot_profile)
             self._move(vm, action.target_host)
             self._power_cycle(vm)
         elif action.kind == DEFER:
@@ -597,7 +601,7 @@ class Simulation:
         self._set_lifecycle(vm, lifecycle)
         self._schedule(self.now + duration, "boot_complete",
                        (vm.vm_id, self._boot_ticket.get(vm.vm_id, 0)))
-        self._trace(f"boot_start {vm.vm_id} {mode} {duration}")
+        self._trace("boot_start %s %s %s", vm.vm_id, mode, duration)
 
     # -- boot and install completion --------------------------------------
 
@@ -606,23 +610,23 @@ class Simulation:
             return
         host = self.state.hosts.get(machine_id)
         if host is not None:
-            self._trace(f"boot_complete {machine_id} up")
+            self._trace("boot_complete %s up", machine_id)
             self._set_power(host, PowerState.ON)
             return
         vm = self.state.vms[machine_id]
         assert vm.lifecycle in (VmLifecycle.BOOTING, VmLifecycle.INSTALLING)
         if vm.lifecycle is VmLifecycle.INSTALLING:
             self.provisioner.complete_install(vm.mac)
-            self._trace(f"pxe_bind {vm.mac} local")
+            self._trace("pxe_bind %s local", vm.mac)
             self._corrupted.discard(machine_id)
-            self._trace(f"install_complete {machine_id}")
+            self._trace("install_complete %s", machine_id)
         elif machine_id in self._corrupted:
             # The boot completes but the corrupted system never comes up.
-            self._trace(f"boot_complete {machine_id} silent")
+            self._trace("boot_complete %s silent", machine_id)
             self._set_lifecycle(vm, VmLifecycle.UNRESPONSIVE)
             return
         else:
-            self._trace(f"boot_complete {machine_id} running")
+            self._trace("boot_complete %s running", machine_id)
         self._set_lifecycle(vm, VmLifecycle.RUNNING)
 
     # -- failure injection -------------------------------------------------
@@ -631,18 +635,19 @@ class Simulation:
         if inj.kind in (NON_DESTRUCTIVE_CRASH, DESTRUCTIVE_CRASH):
             vm = self.state.vms[inj.vm_id]
             if vm.lifecycle is not VmLifecycle.RUNNING:
-                self._trace(f"inject_skipped {inj.kind} {inj.vm_id}")
+                self._trace("inject_skipped %s %s", inj.kind, inj.vm_id)
                 return
-            self._trace(f"inject {inj.kind} {inj.vm_id}")
+            self._trace("inject %s %s", inj.kind, inj.vm_id)
             if inj.kind == DESTRUCTIVE_CRASH:
                 self._corrupted.add(inj.vm_id)
             self._set_lifecycle(vm, VmLifecycle.UNRESPONSIVE)
             self._open_episode(inj.vm_id, inj.kind)
         elif inj.kind == PHYSICAL_HOST_FAILURE:
-            self._trace(f"inject {inj.kind} {inj.host_id}")
+            self._trace("inject %s %s", inj.kind, inj.host_id)
             self._fail_host(inj.host_id, inj.kind)
         elif inj.kind == POWER_GLITCH:
-            self._trace(f"inject {inj.kind} {','.join(inj.hosts)}")
+            if self.trace is not None:
+                self._trace("inject %s %s", inj.kind, ",".join(inj.hosts))
             for host_id in sorted(inj.hosts):
                 if self._fail_host(host_id, inj.kind):
                     # Power returns: the host boots itself back.
@@ -651,8 +656,9 @@ class Simulation:
                     self._schedule(self.now + duration, "boot_complete",
                                    (host_id, self._boot_ticket.get(host_id, 0)))
         elif inj.kind == LOAD_SPIKE:
-            self._trace(f"inject {inj.kind} {inj.host_id} {load_text(inj.extra_load)} "
-                        f"{inj.duration_s}")
+            if self.trace is not None:
+                self._trace("inject %s %s %s %s", inj.kind, inj.host_id,
+                            load_text(inj.extra_load), inj.duration_s)
             self._add_extra_load(inj.host_id, inj.extra_load)
             self._schedule(self.now + inj.duration_s, "spike_end",
                            (inj.host_id, inj.extra_load))
@@ -664,7 +670,7 @@ class Simulation:
                 # A new ticket cancels a pending glitch boot: the host stays off.
                 self._boot_ticket[host_id] = self._boot_ticket.get(host_id, 0) + 1
             else:
-                self._trace(f"inject_skipped {episode_kind} {host_id}")
+                self._trace("inject_skipped %s %s", episode_kind, host_id)
             return False
         self._set_power(host, PowerState.OFF)
         for vm_id in sorted(host.hosted_vms):
@@ -676,7 +682,7 @@ class Simulation:
 
     def _on_spike_end(self, host_id: str, extra_load: int) -> None:
         self._add_extra_load(host_id, -extra_load)
-        self._trace(f"spike_end {host_id}")
+        self._trace("spike_end %s", host_id)
 
     # -- main loop ---------------------------------------------------------
 

@@ -14,16 +14,16 @@ their published numbers are reproducible from explicit parameters:
                   detect then install (442 s +/- 17). Expected recovery:
                   542 s +/- 45.
 
-Each episode runs on a fresh copy of a one-host cluster with its own rng
-seeded seed + episode index; the crash instant is uniformly jittered across
-one scan period, which is what spreads detection over 70..129 s.
+Each episode runs on a fresh copy of a one-host cluster. Episode i draws
+exactly the stream of `np.random.default_rng(seed + i)`: one generator per
+campaign is set to that stream's starting state before the episode
+(`hasim.streams`). The crash instant is uniformly jittered across one scan
+period, which is what spreads detection over 70..129 s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import parse_cluster_config
 from .engine import (
@@ -33,6 +33,7 @@ from .engine import (
     SimReport,
     Simulation,
 )
+from .streams import streams
 
 # One scan period; crash instants are jittered uniformly across it.
 CRASH_WINDOW_S = 60
@@ -95,17 +96,16 @@ def check_replicate_args(name: str, n: int, seed: int) -> None:
 def replicate_experiment(name: str, n: int, seed: int) -> SimReport:
     """Run n independent crash episodes under the named preset.
 
-    Episode i runs on a fresh cluster with generator seed + i; the first
-    draw places the crash within the scan period, subsequent draws sample
-    durations.
+    Episode i runs on a fresh cluster with the stream of
+    `np.random.default_rng(seed + i)`; the first draw places the crash within
+    the scan period, subsequent draws sample durations.
     """
     check_replicate_args(name, n, seed)
     preset = PRESETS[name]
     config = parse_cluster_config(preset.cluster_doc)
     episodes = []
     vm_id = config.vms[0].vm_id
-    for i in range(n):
-        rng = np.random.default_rng(seed + i)
+    for rng in streams(seed, n):
         crash_at = INJECT_BASE_S + int(rng.integers(0, CRASH_WINDOW_S))
         injection = FailureInjection(at=crash_at, kind=preset.kind, vm_id=vm_id)
         report = Simulation(config, [injection], preset.horizon_s, seed=rng).run()

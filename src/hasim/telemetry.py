@@ -214,8 +214,13 @@ class Monitor:
         `machine_ids` turns Down, or inf. Only silent machines can be Down;
         the answer holds until the next call that records a beat or changes
         the silent set. Costs O(silent machines)."""
-        downs = (self.down_at(m) for m in self.silent if m in machine_ids)
-        return min((down for down in downs if down > now), default=math.inf)
+        first = math.inf
+        for machine_id in self.silent:
+            if machine_id in machine_ids:
+                down = self.down_at(machine_id)
+                if now < down < first:
+                    first = down
+        return first
 
     def snapshot(self, now: int) -> MonitorSnapshot:
         """Liveness view of all registered machines at time `now`, in name

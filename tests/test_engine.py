@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from test_acceptance import random_cluster_doc, random_injections
 
+import hasim.engine
 from hasim.cluster import (
     PhysicalHost,
     PowerState,
@@ -19,7 +20,7 @@ from hasim.cluster import (
     pending_load,
 )
 from hasim.config import ClusterConfig, load_scenario, parse_cluster_config
-from hasim.controller import REBOOT, REINSTALL, RESTART, Phase
+from hasim.controller import REBOOT, REINSTALL, RESTART, Action, Phase
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
     LOAD_SPIKE,
@@ -421,6 +422,30 @@ def test_trace_contains_pxe_bind_records():
                         1200, seed=1, collect_trace=True).run()
     assert "600 pxe_bind 52:54:00:00:00:01 install:default" in report.trace
     assert "1042 pxe_bind 52:54:00:00:00:01 local" in report.trace
+
+
+def test_untraced_runs_format_no_trace_text(monkeypatch):
+    # An untraced run builds no trace line, so it never renders an action or
+    # a spike's load as text; a traced run renders each once, for its line.
+    from test_snapshot_oracle import storm_scenario  # which imports this module
+    scenario = storm_scenario(1)
+    rendered = []
+    action_text, load_text = Action.__str__, hasim.engine.load_text
+    monkeypatch.setattr(Action, "__str__", lambda a: rendered.append(a) or action_text(a))
+    monkeypatch.setattr(hasim.engine, "load_text", lambda x: rendered.append(x) or load_text(x))
+
+    def run(traced):
+        rendered.clear()
+        return Simulation(scenario.config, scenario.injections, scenario.horizon_s,
+                          seed=scenario.seed, collect_trace=traced).run()
+
+    untraced = run(False)
+    assert rendered == []
+    traced = run(True)
+    actions = sum(1 for line in traced.trace if line.split()[1] == "action")
+    spikes = sum(1 for inj in scenario.injections if inj.kind == LOAD_SPIKE)
+    assert len(rendered) == actions + spikes and actions > 100 and spikes > 0
+    assert traced.episodes == untraced.episodes
 
 
 def test_monitor_log_emitted_per_scan():
