@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from types import NoneType
 
 from .cluster import (
     MAC_RE,
@@ -66,26 +67,37 @@ class _Rejected(Exception):
 
 
 _TOP_LEVEL = "top level"
-# The value types of a list of records and of column tests; None is an
-# absent optional value.
-_DICT, _INT, _STRINGS = {dict}, {int}, {str, type(None)}
-_BOOLEANS, _NUMBERS = {bool, type(None)}, {int, float, type(None)}
+# The exact value types of a decoded list of records and of value kinds;
+# None is an absent optional value.
+_DICT, _INT = {dict}, {int}
+_BOOLEANS, _NUMBERS = {bool, NoneType}, {int, float, NoneType}
+
+
+def _instances(column: list, types, excluded=()) -> bool:
+    """Whether each value is an instance of `types` and of no `excluded`
+    type. A kind tests its exact types first, in one C-level pass; this
+    test serves the subclasses a Python caller may pass."""
+    return all(isinstance(value, types) and not isinstance(value, excluded)
+               for value in column)
 
 
 class _Reader:
     """Reads JSON objects against specs, collecting every problem.
 
     A spec (`_Spec`) gives each key (kind, required, bound), in reading
-    order. A kind is a method of this class that takes the JSON value and
-    the bound, and returns the accepted value or raises _Rejected. The kinds
-    that hold records read them with this reader, which keeps the ids its
-    hosts and VMs declare.
+    order. A value kind is a method of this class that takes a column of one
+    key's values and the bound. It returns the accepted values, in C-level
+    passes, or raises _Rejected with the problem of a value it rejects, so a
+    column of one value gets that value's problem. In a column, None is an
+    absent optional value, and only `columns` passes it: `load`, `boolean`
+    and `one_of`, the kinds of optional machine keys, keep it, and the others
+    reject it. The kinds that hold records take the raw value and read the
+    records with this reader, which keeps the ids its hosts and VMs declare.
 
-    An object is read by `record`, a key at a time, which names every
-    problem. A list of hosts or VMs is accepted by `columns`, a key's column
-    at a time: each kind's column test returns the values the kind accepts,
-    in C-level passes, when it accepts every value in the column. A list
-    with any problem is read by `record` instead, a record at a time.
+    An object is read by `record`, a key at a time, each value as a column
+    of one, which names every problem. A list of hosts or VMs is accepted by
+    `columns`, a key's column at a time, when each kind accepts its column.
+    A list with any problem is read by `record` instead, a record at a time.
     """
 
     def __init__(self, problems: list[str], base_dir: Path | None = None):
@@ -107,9 +119,9 @@ class _Reader:
             self.problems.extend(f"{where}: unknown key '{key}'"
                                  for key in body if key not in spec.keys)
         values, complete = {}, True
-        if not body and spec.last_required < 0:  # nothing to read, nothing missing
+        if not body and not spec.requires:  # nothing to read, nothing missing
             return values, complete
-        for _, key, kind, required, bound, _, _ in spec.entries:
+        for key, kind, required, bound, _, raw in spec.entries:
             value = body.get(key)
             if value is None:
                 if required:
@@ -117,7 +129,7 @@ class _Reader:
                     complete = False
                 continue
             try:
-                values[key] = kind(self, value, bound)
+                values[key] = kind(self, value, bound) if raw else kind(self, [value], bound)[0]
             except _Rejected as exc:
                 at = key if where == _TOP_LEVEL else f"{where}.{key}"
                 self.problems.append(f"{at}: {exc}")
@@ -125,142 +137,108 @@ class _Reader:
         return values, complete
 
     def columns(self, bodies: list, spec: _Spec) -> list[list] | None:
-        """The column of accepted values of each spec key up to the last one
-        read, an absent optional value being the key's default, when every
-        record is an object of spec keys with every required key and each
-        key's column test accepts its column; else None."""
+        """The column of accepted values of each spec key, an absent optional
+        value being the key's default, when every record is an object of
+        spec keys with every required key and each key's kind accepts its
+        column; else None. A required key's kind rejects None, an absent value."""
         if not _DICT.issuperset(map(type, bodies)):
             return None
         present = set().union(*bodies)
         if not present <= spec.keys:
             return None
-        # The columns end with the last key read; the machine class gives
-        # the keys after it their defaults.
-        columns, left = [], len(present)
-        for pos, key, _, required, bound, test, default in spec.entries:
-            if not left and pos > spec.last_required:
-                break
+        columns, count = [], len(bodies)
+        for key, kind, required, bound, default, _ in spec.entries:
             if key in present:
-                left -= 1
-                # A required key's test rejects None, an absent value.
-                column = test(self, [body.get(key) for body in bodies], bound)
-                if column is None:
+                try:
+                    column = kind(self, [body.get(key) for body in bodies], bound)
+                except _Rejected:
                     return None
                 if default is not None and None in column:
                     column = [default if value is None else value for value in column]
             elif required:
                 return None
             else:
-                column = [default] * len(bodies)
+                column = [default] * count
             columns.append(column)
         return columns
 
-    def string(self, value, _bound) -> str:
-        if not isinstance(value, str) or not value:
-            raise _Rejected("expected a non-empty string")
-        return value
+    # Value kinds.
 
-    def integer(self, value, minimum: int) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise _Rejected("expected an integer")
-        if value < minimum:
-            raise _Rejected(f"must be >= {minimum}")
-        return value
-
-    def cpu_count(self, value, _bound) -> int:
-        """An integer >= 1 that is a threshold too: it is the default one."""
-        value = self.integer(value, 1)
-        self.load(value, ">")
-        return value
-
-    def load(self, value, op: str) -> int:
-        """A number of load units, as milli-units: >= 0, or > 0 for op ">"."""
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _Rejected("expected a number")
-        if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
-            raise _Rejected("expected a finite number")
-        if value < 0 or (op == ">" and value == 0):
-            raise _Rejected(f"must be {op} 0.0")
+    def string(self, column: list, _bound) -> list[str]:
         try:
-            return to_milli(value)
-        except ValueError as exc:
-            raise _Rejected(str(exc)) from None
-
-    def boolean(self, value, _bound) -> bool:
-        if not isinstance(value, bool):
-            raise _Rejected("expected a boolean")
-        return value
-
-    def one_of(self, value, members: tuple):
-        for member in members:
-            if value == member.value:
-                return member
-        raise _Rejected("must be " + " or ".join(f"'{m.value}'" for m in members))
-
-    def string_list(self, value, _bound) -> tuple[str, ...]:
-        if not isinstance(value, list) or not value or \
-                not all(isinstance(s, str) for s in value):
-            raise _Rejected("expected a non-empty string list")
-        return tuple(value)
-
-    def mac(self, value, _bound) -> str:
-        mac = self.string(value, None).lower()
-        if not MAC_RE.match(mac):
-            raise _Rejected(f"'{mac}' is not a colon-separated 48-bit address")
-        return mac
-
-    # Column tests: the values the kind accepts if it accepts every value in
-    # the column, else None. Only the tests of optional keys' kinds accept
-    # None, an absent value.
-
-    def all_strings(self, column: list, _bound) -> list | None:
-        try:
-            return column if all(map(str.__len__, column)) else None
+            if all(map(str.__len__, column)):
+                return column
         except TypeError:  # a value that is no string
-            return None
+            pass
+        raise _Rejected("expected a non-empty string")
 
-    def all_integers(self, column: list, minimum: int) -> list | None:
-        if _INT.issuperset(map(type, column)) and min(column) >= minimum:
-            return column
-        return None
+    def integer(self, column: list, minimum: int) -> list[int]:
+        if not (_INT.issuperset(map(type, column)) or _instances(column, int, bool)):
+            raise _Rejected("expected an integer")
+        if min(column) < minimum:
+            raise _Rejected(f"must be >= {minimum}")
+        return column
 
-    def all_cpu_counts(self, column: list, _bound) -> list | None:
-        """Below 1e305, an integer >= 1 is a threshold too."""
-        if _INT.issuperset(map(type, column)) and min(column) >= 1 and max(column) < 1e305:
-            return column
-        return None
+    def cpu_count(self, column: list, _bound) -> list[int]:
+        """Integers >= 1 that are thresholds too: each is the default one.
+        Below `to_milli`'s bound of 1e305, an integer >= 1 is a threshold."""
+        if not (_INT.issuperset(map(type, column)) and min(column) >= 1
+                and max(column) < 1e305):
+            self.integer(column, 1)  # names a value that is no integer >= 1,
+            self.load(column, ">")  # or one that is no threshold
+        return column
 
-    def all_booleans(self, column: list, _bound) -> list | None:
-        return column if _BOOLEANS.issuperset(map(type, column)) else None
+    def load(self, column: list, op: str) -> list[int | None]:
+        """Numbers of load units, as milli-units: >= 0, or > 0 for op ">".
+        Each distinct (type, value) is read once: 1 and 1.0 give 1000, and
+        True is no number."""
+        if not (_NUMBERS.issuperset(map(type, column))
+                or _instances(column, (int, float, NoneType), bool)):
+            raise _Rejected("expected a number")
+        milli = dict.fromkeys(zip(map(type, column), column))
+        milli.pop((NoneType, None), None)
+        for key in milli:
+            value = key[1]
+            if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
+                raise _Rejected("expected a finite number")
+            if value < 0 or (op == ">" and value == 0):
+                raise _Rejected(f"must be {op} 0.0")
+            try:
+                milli[key] = to_milli(value)
+            except ValueError as exc:
+                raise _Rejected(str(exc)) from None
+        return list(map(milli.get, zip(map(type, column), column)))
 
-    def all_loads(self, column: list, op: str) -> list | None:
-        """Each distinct (type, value) is read once: 1 and 1.0 give 1000,
-        and True is no number."""
-        if not _NUMBERS.issuperset(map(type, column)):
-            return None
+    def boolean(self, column: list, _bound) -> list[bool | None]:
+        if not _BOOLEANS.issuperset(map(type, column)):  # neither type has subclasses
+            raise _Rejected("expected a boolean")
+        return column
+
+    def one_of(self, column: list, members: tuple) -> list:
+        found = {member.value: member for member in members}
+        found[None] = None
         try:
-            loads = {key: self.load(key[1], op)
-                     for key in set(zip(map(type, column), column)) if key[1] is not None}
-        except _Rejected:
-            return None
-        return list(map(loads.get, zip(map(type, column), column)))
+            return list(map(found.__getitem__, column))
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            names = " or ".join(f"'{member.value}'" for member in members)
+            raise _Rejected(f"must be {names}") from None
 
-    def all_of(self, column: list, members: tuple) -> list | None:
-        if not _STRINGS.issuperset(map(type, column)):
-            return None
-        try:
-            found = {value: self.one_of(value, members)
-                     for value in set(column) if value is not None}
-        except _Rejected:
-            return None
-        return list(map(found.get, column))
+    def string_list(self, column: list, _bound) -> list[tuple[str, ...]]:
+        if _instances(column, list) and all(value and _instances(value, str) for value in column):
+            return list(map(tuple, column))
+        raise _Rejected("expected a non-empty string list")
 
-    def all_macs(self, column: list, _bound) -> list | None:
+    def mac(self, column: list, _bound) -> list[str]:
+        """Colon-separated 48-bit addresses, in lower case."""
         try:
             macs = list(map(str.lower, column))
+            if all(map(MAC_RE.match, macs)):
+                return macs
         except TypeError:  # a value that is no string
-            return None
-        return macs if all(map(MAC_RE.match, macs)) else None
+            pass
+        self.string(column, None)  # names a value that is no non-empty string
+        mac = next(mac for mac in macs if not MAC_RE.match(mac))
+        raise _Rejected(f"'{mac}' is not a colon-separated 48-bit address")
 
     # Kinds that hold records.
 
@@ -279,10 +257,10 @@ class _Reader:
         found = []
         for i, body in enumerate(raw):
             values, complete = self.record(body, spec, f"{where}[{i}]")
-            self.declared[where].add(values.get(spec.entries[0][1]))
+            self.declared[where].add(values.get(spec.entries[0][0]))
             if complete:
                 found += build([[values.get(key, default)]
-                                for _, key, *_, default in spec.entries])
+                                for key, *_, default, _ in spec.entries])
         return found
 
     def profiles(self, raw, _bound) -> dict[str, BootProfile]:
@@ -340,11 +318,16 @@ class _Reader:
                                 host_id=values.pop("host", None), **values)
 
 
+_HOLD_RECORDS = {_Reader.machines, _Reader.profiles, _Reader.block, _Reader.cluster,
+                 _Reader.injections}
+
+
 class _Spec:
     """`{key: (kind, required, bound)}` in reading order, with each key's
-    checks bound once in `entries`: its position, key, kind, whether it is
-    required, its bound, its kind's column test and its default.
-    `last_required` is the position of the last required key, or -1.
+    checks bound once in `entries`: its key, kind, whether it is required,
+    its bound, its default, and whether its kind takes the raw value (a
+    kind that holds records) instead of a column. `requires` says whether
+    any key is required.
 
     A machine spec names the first fields of its machine class, in order,
     and takes their defaults; every other default is None."""
@@ -353,27 +336,19 @@ class _Spec:
         self.keys = frozenset(entries)
         defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING} \
             if cls else {}
-        self.entries = [(pos, key, kind, required, bound, _COLUMNS.get(kind), defaults.get(key))
-                        for pos, (key, (kind, required, bound)) in enumerate(entries.items())]
-        self.last_required = max((pos for pos, _, _, required, *_ in self.entries if required),
-                                 default=-1)
-
-
-_COLUMNS = {_Reader.string: _Reader.all_strings, _Reader.integer: _Reader.all_integers,
-            _Reader.cpu_count: _Reader.all_cpu_counts, _Reader.load: _Reader.all_loads,
-            _Reader.boolean: _Reader.all_booleans, _Reader.one_of: _Reader.all_of,
-            _Reader.mac: _Reader.all_macs}
+        self.entries = [(key, kind, required, bound, defaults.get(key), kind in _HOLD_RECORDS)
+                        for key, (kind, required, bound) in entries.items()]
+        self.requires = any(required for _, required, _ in entries.values())
 
 
 def _hosts(columns: list[list]) -> list[PhysicalHost]:
-    """The hosts of `machines`' columns, which end before the threshold when
-    no record has one. An absent threshold is the default of the cpu_count."""
-    ids, cpu_counts, rams, *optional = columns
-    thresholds = optional.pop(0) if optional else [None] * len(ids)
+    """The hosts of `machines`' columns, one column per `_HOST` key. An
+    absent threshold is the default of the cpu_count."""
+    ids, cpu_counts, rams, thresholds, power_states = columns
     if None in thresholds:
         thresholds = [default_threshold(cpu) if threshold is None else threshold
                       for cpu, threshold in zip(cpu_counts, thresholds)]
-    return list(map(PhysicalHost, ids, cpu_counts, rams, thresholds, *optional))
+    return list(map(PhysicalHost, ids, cpu_counts, rams, thresholds, power_states))
 
 
 def _vms(columns: list[list]) -> list[VirtualMachine]:

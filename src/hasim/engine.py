@@ -178,6 +178,8 @@ def injection_problems(injections: list[FailureInjection | None],
             problems.append(f"{where}.duration_s: must be >= 1")
         if inj.kind == LOAD_SPIKE and type(inj.extra_load) is not int:
             problems.append(f"{where}.extra_load: expected an int of milli-units")
+        elif inj.kind == LOAD_SPIKE and inj.extra_load < 0:
+            problems.append(f"{where}.extra_load: must be >= 0.0")
         if horizon_s is not None and inj.at > horizon_s:
             problems.append(f"{where}: at={inj.at} exceeds horizon_s")
     return problems
@@ -688,6 +690,7 @@ class Simulation:
 
     def run(self) -> SimReport:
         last = (-1, -1)
+        handlers = {}  # kind -> its bound `_on_<kind>`, found at the kind's first event
         while self._heap:
             at, seq, kind, args = heapq.heappop(self._heap)
             if at > self.horizon_s:
@@ -695,7 +698,10 @@ class Simulation:
             assert (at, seq) > last, "event order violated"
             last = (at, seq)
             self.now = at
-            getattr(self, f"_on_{kind}")(*args)
+            handler = handlers.get(kind)
+            if handler is None:
+                handler = handlers[kind] = getattr(self, f"_on_{kind}")
+            handler(*args)
         check_state_invariants(self.state)
         return SimReport(episodes=self.episodes, horizon_s=self.horizon_s,
                          trace=self.trace, monitor_log=self.monitor_log)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bench_inputs import storm_scenario
 from test_acceptance import random_cluster_doc, random_injections
 
 import hasim.engine
@@ -366,6 +367,16 @@ def test_loads_in_units_are_rejected():
         Simulation(config, [], 600)
 
 
+def test_negative_load_spikes_are_rejected():
+    # A spike of -5.0 once took 5 units off the host's load for placement.
+    config = parse_cluster_config(PRESETS["nondestructive"].cluster_doc)
+    spike = FailureInjection(10, LOAD_SPIKE, host_id="node01", extra_load=-5000,
+                             duration_s=100)
+    with pytest.raises(ScenarioError) as exc:
+        Simulation(config, [spike], 600)
+    assert str(exc.value) == "injections[0].extra_load: must be >= 0.0"
+
+
 @pytest.mark.parametrize("field, problem", [
     ("bound_host", "vm 'svc01': unknown bound_host 'nope'"),
     ("boot_profile", "vm 'svc01': unknown profile 'nope'"),
@@ -427,7 +438,6 @@ def test_trace_contains_pxe_bind_records():
 def test_untraced_runs_format_no_trace_text(monkeypatch):
     # An untraced run builds no trace line, so it never renders an action or
     # a spike's load as text; a traced run renders each once, for its line.
-    from test_snapshot_oracle import storm_scenario  # which imports this module
     scenario = storm_scenario(1)
     rendered = []
     action_text, load_text = Action.__str__, hasim.engine.load_text

@@ -9,14 +9,15 @@ included), and equal scenarios and configurations.
 """
 
 import copy
-import importlib.util
 import json
 import random
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 import reader_oracle as oracle
+from bench_inputs import bench_workloads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_config import FUZZ_CLUSTER, JSON_VALUES, mostly, param_block, scenario_docs
@@ -69,6 +70,130 @@ def test_parameter_block_fuzz_reads_alike(controller, telemetry, timing, profile
     cluster = dict(FUZZ_CLUSTER, controller=controller, telemetry=telemetry,
                    timing=timing, profiles=profiles)
     assert_same_reading({"cluster": cluster, "horizon_s": 600})
+
+
+# -- value kinds, a column at a time against the scalar kinds ------------------
+
+
+class Int(int):
+    pass
+
+
+class Float(float):
+    pass
+
+
+class Str(str):
+    pass
+
+
+# Each bound's edges, 1 against 1.0, and values of Python subclasses that a
+# caller may put in a decoded document; the scalar kinds test them by
+# isinstance.
+BOUNDARY_VALUES = [0, 1, 1.0, -1, 10**305, 10**400, 1e305, 0.0005, True, float("nan"), "",
+                   "52:54:00:00:00:AB", "52:54:00:00:00:ZZ", "on", "off", "running",
+                   "halted", ["h0"], Int(3), Float(0.25), Str("52:54:00:00:00:0c"),
+                   np.float64(0.5), np.int64(2)]
+KIND_PROBLEMS = {
+    "expected a non-empty string", "expected an integer", "must be >= 0", "must be >= 1",
+    "expected a number", "expected a finite number", "must be > 0.0", "must be >= 0.0",
+    "expected a number below 1e305", "expected a multiple of 0.001", "expected a boolean",
+    "must be 'on' or 'off'", "must be 'running' or 'halted'",
+    "expected a non-empty string list",
+    "'52:54:00:00:00:zz' is not a colon-separated 48-bit address",
+}
+
+
+def value_kinds() -> list[tuple[str, object]]:
+    """Each (value kind, bound) that a spec of `hasim.config` uses."""
+    specs = [config._HOST, config._VM, config._PROFILE, config._CLUSTER, config._SCENARIO,
+             *(spec for _, spec in config._BLOCKS.values()), *config._INJECTIONS.values()]
+    found = {(kind.__name__, bound): None
+             for spec in specs for _, kind, _, bound, _, raw in spec.entries if not raw}
+    return list(found)
+
+
+VALUE_KINDS = value_kinds()
+
+
+def kind_id(kind: tuple[str, object]) -> str:
+    name, bound = kind
+    if isinstance(bound, tuple):
+        return f"{name}:{'/'.join(member.value for member in bound)}"
+    return name if bound is None else f"{name}{bound}"
+
+
+def scalar_reading(name: str, value, bound) -> tuple[bool, object]:
+    """The scalar kind's accepted value, or its problem."""
+    try:
+        return True, getattr(oracle._Reader, name)(oracle._Reader([]), value, bound)
+    except oracle._Rejected as exc:
+        return False, str(exc)
+
+
+def column_reading(name: str, column: list, bound) -> tuple[bool, object]:
+    """The column kind's accepted values, or the problem it names."""
+    try:
+        return True, getattr(config._Reader, name)(config._Reader([]), list(column), bound)
+    except config._Rejected as exc:
+        return False, str(exc)
+
+
+def same(a, b) -> bool:
+    return type(a) is type(b) and a == b
+
+
+def assert_column_reads_as_its_values(name: str, column: list, bound) -> bool:
+    """An accepted column holds each value's one-value result, in order; a
+    rejected one names the problem of a value the scalar kind rejects.
+    Return whether the column was accepted."""
+    singles = [scalar_reading(name, value, bound) for value in column]
+    accepted, result = column_reading(name, column, bound)
+    if accepted:
+        assert all(ok for ok, _ in singles), (column, singles)
+        assert len(result) == len(column)
+        assert all(map(same, result, (value for _, value in singles))), (column, result)
+    else:
+        assert result in {problem for ok, problem in singles if not ok}, (column, result)
+    return accepted
+
+
+def test_the_specs_use_every_value_kind():
+    assert {name for name, _ in VALUE_KINDS} == {
+        "string", "integer", "cpu_count", "load", "boolean", "one_of", "mac", "string_list"}
+    assert len(VALUE_KINDS) == 11
+
+
+@pytest.mark.parametrize("kind", VALUE_KINDS, ids=kind_id)
+def test_a_column_of_one_reads_as_the_scalar_kind(kind):
+    name, bound = kind
+    for value in BOUNDARY_VALUES:
+        assert_column_reads_as_its_values(name, [value], bound)
+
+
+@pytest.mark.parametrize("kind", VALUE_KINDS, ids=kind_id)
+def test_boundary_columns_read_as_their_values(kind):
+    name, bound = kind
+    accepted = [value for value in BOUNDARY_VALUES if scalar_reading(name, value, bound)[0]]
+    assert accepted and len(accepted) < len(BOUNDARY_VALUES)
+    assert assert_column_reads_as_its_values(name, accepted, bound)
+    assert not assert_column_reads_as_its_values(name, BOUNDARY_VALUES, bound)
+    assert not assert_column_reads_as_its_values(name, BOUNDARY_VALUES[::-1], bound)
+
+
+def test_the_boundary_values_reach_every_problem():
+    problems = {problem for name, bound in VALUE_KINDS for value in BOUNDARY_VALUES
+                for ok, problem in [scalar_reading(name, value, bound)] if not ok}
+    assert KIND_PROBLEMS <= problems
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(column=st.lists(st.sampled_from(BOUNDARY_VALUES)
+                       | JSON_VALUES.filter(lambda value: value is not None),
+                       min_size=1, max_size=5))
+def test_columns_of_json_and_boundary_values_read_as_their_values(column):
+    for name, bound in VALUE_KINDS:
+        assert_column_reads_as_its_values(name, column, bound)
 
 
 # -- seeded malformed scenario documents ----------------------------------------
@@ -189,14 +314,6 @@ def test_all_malformed_documents_read_alike(tmp_path):
 
 
 # -- long lists with one problem ------------------------------------------------
-
-
-def bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
 
 
 def long_list_documents(count: int):

@@ -10,14 +10,13 @@ oracle's entries in name order, and with the monitor log on the logged line
 must be the oracle's rendering byte for byte.
 """
 
-import importlib.util
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
 import pytest
+from bench_inputs import storm_scenario
 from test_acceptance import random_cluster_doc, random_injections
 from test_scan_oracle import overlapping_scenario
 
@@ -139,14 +138,6 @@ def test_property_suite_scenarios_log_as_the_oracle():
     for i in range(500):
         config, injections = overlapping_scenario(rng)
         assert run_against_oracle(config, injections, 900, i)
-
-
-def storm_scenario(seed):
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return load_scenario(json.dumps(workloads.storm_scenario(seed)))
 
 
 def test_storm_benchmark_inputs_log_as_the_oracle():
