@@ -56,7 +56,6 @@ from .telemetry import (
     Monitor,
     MonitorSnapshot,
     TelemetryParams,
-    parse_snapshot,
     serialize_snapshot,
 )
 

@@ -40,7 +40,7 @@ BOUND_LIFECYCLES = {
     VmLifecycle.INSTALLING,
 }
 
-MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
+MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}\Z")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import NoneType
@@ -238,7 +239,7 @@ class _Reader:
             pass
         self.string(column, None)  # names a value that is no non-empty string
         mac = next(mac for mac in macs if not MAC_RE.match(mac))
-        raise _Rejected(f"'{mac}' is not a colon-separated 48-bit address")
+        raise _Rejected(f"{mac!r} is not a colon-separated 48-bit address")
 
     # Kinds that hold records.
 
@@ -298,7 +299,9 @@ class _Reader:
         return result
 
     def injections(self, raw, _bound) -> list[FailureInjection | None]:
-        """Each injection, or None for a rejected one, so that all keep their index."""
+        """Each injection, so that all keep their index: None for one that is
+        no object or has no known kind, and for one with a problem of its own
+        the stand-in of `injection`."""
         if not isinstance(raw, list):
             raise _Rejected("expected a list")
         return [self.injection(body, f"injections[{i}]") for i, body in enumerate(raw)]
@@ -312,10 +315,16 @@ class _Reader:
                 f"{where}.kind: expected one of {', '.join(INJECTION_KINDS)}")
             return None
         values, complete = self.record(body, _INJECTIONS[body["kind"]], where)
-        if not complete:
-            return None
-        return FailureInjection(vm_id=values.pop("vm", None),
-                                host_id=values.pop("host", None), **values)
+        if complete:
+            return FailureInjection(vm_id=values.pop("vm", None),
+                                    host_id=values.pop("host", None), **values)
+        # A stand-in of the accepted time (0 if rejected) and targets, for the
+        # checks against the cluster and horizon; its own problem stops a run.
+        if "vm" in values:
+            return FailureInjection(values.get("at", 0), NON_DESTRUCTIVE_CRASH,
+                                    vm_id=values["vm"])
+        hosts = values.get("hosts", (values["host"],) if "host" in values else ())
+        return FailureInjection(values.get("at", 0), POWER_GLITCH, hosts=hosts)
 
 
 _HOLD_RECORDS = {_Reader.machines, _Reader.profiles, _Reader.block, _Reader.cluster,
@@ -429,6 +438,9 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
         host_ids.add(h.host_id)
         if h.power_state is PowerState.OFF:
             off.add(h.host_id)
+    if len(host_ids) < len(config.hosts):  # a host listed twice has no one power state
+        listed = Counter(h.host_id for h in config.hosts)
+        off = {host_id for host_id in off if listed[host_id] == 1}
 
     vm_ids, macs = set(), set()
     for v in config.vms:
@@ -469,6 +481,8 @@ def _read_cluster(doc, problems: list[str]) -> tuple[ClusterConfig, dict[str, se
     reader = _Reader(problems)
     config = ClusterConfig(**reader.record(doc, _CLUSTER, _TOP_LEVEL)[0])
     _cross_validate(config, problems, reader.declared["hosts"])
+    if problems:  # each line once; only the cross rules' lines can repeat
+        problems[:] = dict.fromkeys(problems)
     return config, reader.declared
 
 

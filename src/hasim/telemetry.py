@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Container, Iterable, NamedTuple
-from xml.etree import ElementTree
 from xml.sax.saxutils import quoteattr
 
-from .cluster import load_text, to_milli
+from .cluster import load_text
 
 UP = "up"
 DOWN = "down"
@@ -105,13 +104,13 @@ class Monitor:
     It is done per machine only for the individual machines: the silent ones,
     and those whose last recorded beat is not older than their class's beat (a
     train start or load change in the last period). The classes are kept from
-    one full snapshot to the next: a train change or a recorded beat marks its
-    machine for a recheck, and the first full snapshot and one earlier than
-    the previous one recheck every train, so a monitor that takes no full
-    snapshot marks nothing. A class holds at least one train, so there are
-    never more classes than trains. The registered ids, their element heads
-    and their classes are kept in name order until a new id is registered or a
-    registered one unregistered.
+    one full snapshot to the next by one rule: a recorded beat or train change
+    marks its machine for a recheck, and after `register_started` or at a
+    snapshot earlier than the previous one every train is rechecked. The
+    marks are a set, at most one per machine. A class holds at least one
+    train, so there are never more classes than trains. The registered ids,
+    their element heads and their classes are kept in name order until a new
+    id is registered or a registered one unregistered.
     """
 
     def __init__(self, params: TelemetryParams | None = None):
@@ -124,8 +123,8 @@ class Monitor:
         self.silent: set[str] = set()
         self._classes: dict[tuple[int, int], _BeatClass] = {}
         self._class_of: dict[str, _BeatClass] = {}
-        self._recheck: set[str] | None = None  # None before the first full snapshot
-        self._classified_at = math.inf
+        self._recheck: set[str] = set()
+        self._classified_at = -math.inf
         self._heads: dict[str, str] = {}
 
     def register(self, machine_id: str, at: int, load: int = 0) -> None:
@@ -154,9 +153,7 @@ class Monitor:
         self._load.update(silent)
         self._train.update(zip(beating, zip(repeat(at), beating.values())))
         self.silent.update(silent)
-        if self._recheck is not None:
-            self._recheck.update(beating, silent)
-        self._order = None
+        self._order, self._classified_at = None, math.inf
 
     def unregister(self, machine_id: str) -> None:
         if machine_id in self._active:
@@ -172,8 +169,7 @@ class Monitor:
             )
         self._last_beat[machine_id] = at
         self._load[machine_id] = load
-        if self._recheck is not None:
-            self._recheck.add(machine_id)
+        self._recheck.add(machine_id)
 
     def start_beats(self, machine_id: str, at: int, load: int) -> None:
         self.record_heartbeat(machine_id, at, load)
@@ -184,8 +180,7 @@ class Monitor:
         """End the train, recording its last beat before `at` explicitly."""
         self._record_train_beat(machine_id, at)
         self._train.pop(machine_id, None)
-        if self._recheck is not None:
-            self._recheck.add(machine_id)
+        self._recheck.add(machine_id)
         if machine_id in self._active:
             self.silent.add(machine_id)
 
@@ -195,8 +190,7 @@ class Monitor:
         if train is not None:
             self._record_train_beat(machine_id, at)
             self._train[machine_id] = (train[0], load)
-            if self._recheck is not None:
-                self._recheck.add(machine_id)
+            self._recheck.add(machine_id)
 
     def _record_train_beat(self, machine_id: str, before: int) -> None:
         train = self._train.get(machine_id)
@@ -227,8 +221,6 @@ class Monitor:
         order, carrying its XML line."""
         if self._order is None:
             self._sort()
-        if self._recheck is None:
-            self._recheck = set()
         if now < self._classified_at:
             self._recheck.update(self._train)
         self._classified_at = now
@@ -343,18 +335,3 @@ def serialize_snapshot(snapshot: MonitorSnapshot) -> str:
     return _cluster(snapshot.taken_at, "".join(
         _head(name) + _tail(entry, load_text(entry[1]))
         for name, entry in sorted(snapshot.entries.items())))
-
-
-def parse_snapshot(text: str) -> MonitorSnapshot:
-    """Inverse of serialize_snapshot."""
-    root = ElementTree.fromstring(text)
-    if root.tag != "CLUSTER":
-        raise ValueError(f"expected CLUSTER root element, got {root.tag}")
-    entries = {}
-    for child in root:
-        entries[child.attrib["NAME"]] = SnapshotEntry(
-            last_heartbeat_at=int(child.attrib["LAST_HEARTBEAT"]),
-            reported_load=to_milli(float(child.attrib["LOAD"])),
-            verdict=child.attrib["VERDICT"].lower(),
-        )
-    return MonitorSnapshot(taken_at=int(root.attrib["TAKEN_AT"]), entries=entries)

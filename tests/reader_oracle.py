@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 from hasim.cluster import MAC_RE, PhysicalHost, PowerState, VirtualMachine, VmLifecycle, \
     default_threshold, to_milli
@@ -132,7 +133,7 @@ class _Reader:
     def mac(self, value, _bound) -> str:
         mac = self.string(value, None).lower()
         if not MAC_RE.match(mac):
-            raise _Rejected(f"'{mac}' is not a colon-separated 48-bit address")
+            raise _Rejected(f"{mac!r} is not a colon-separated 48-bit address")
         return mac
 
     def machines(self, raw, bound) -> list:
@@ -183,7 +184,9 @@ class _Reader:
         return result
 
     def injections(self, raw, _bound) -> list[FailureInjection | None]:
-        """Each injection, or None for a rejected one, so that all keep their index."""
+        """Each injection, so that all keep their index: None for one that is
+        no object or has no known kind, `_Dropped` for one with a problem of
+        its own."""
         if not isinstance(raw, list):
             raise _Rejected("expected a list")
         return [self.injection(body, f"injections[{i}]") for i, body in enumerate(raw)]
@@ -197,10 +200,30 @@ class _Reader:
                 f"{where}.kind: expected one of {', '.join(INJECTION_KINDS)}")
             return None
         values, complete = self.record(body, _INJECTIONS[body["kind"]], where)
-        if not complete:
-            return None
-        return FailureInjection(vm_id=values.pop("vm", None),
-                                host_id=values.pop("host", None), **values)
+        if complete:
+            return FailureInjection(vm_id=values.pop("vm", None),
+                                    host_id=values.pop("host", None), **values)
+        hosts = values.get("hosts", [values["host"]] if "host" in values else [])
+        return _Dropped(values.get("at"), values.get("vm"), hosts)
+
+
+class _Dropped(NamedTuple):
+    """The accepted time and targets of an injection with a problem of its
+    own: None for a rejected or missing time or VM."""
+
+    at: int | None
+    vm: str | None
+    hosts: list[str]
+
+
+def _dropped_problems(where: str, dropped: _Dropped, vm_ids, host_ids, horizon_s) -> list[str]:
+    problems = []
+    if dropped.vm is not None and dropped.vm not in vm_ids:
+        problems.append(f"{where}: unknown vm '{dropped.vm}'")
+    problems += [f"{where}: unknown host '{h}'" for h in dropped.hosts if h not in host_ids]
+    if dropped.at is not None and horizon_s is not None and dropped.at > horizon_s:
+        problems.append(f"{where}: at={dropped.at} exceeds horizon_s")
+    return problems
 
 
 _HOST = {
@@ -273,29 +296,37 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
         problems.append("telemetry: detection_latency_s must be > "
                         f"{HEARTBEAT_PERIOD_S} (the heartbeat period)")
 
+    # Each cross-rule line is reported once, and a host listed twice has no
+    # power state to judge its VMs by.
+    found = []
     host_ids = set()
     for h in config.hosts:
         if h.host_id in host_ids:
-            problems.append(f"duplicate host_id '{h.host_id}'")
+            found.append(f"duplicate host_id '{h.host_id}'")
         host_ids.add(h.host_id)
 
-    off = {h.host_id for h in config.hosts if h.power_state is PowerState.OFF}
+    listed = [h.host_id for h in config.hosts]
+    off = {h.host_id for h in config.hosts
+           if h.power_state is PowerState.OFF and listed.count(h.host_id) == 1}
     vm_ids, macs = set(), set()
     for v in config.vms:
         if v.vm_id in vm_ids:
-            problems.append(f"duplicate vm_id '{v.vm_id}'")
+            found.append(f"duplicate vm_id '{v.vm_id}'")
         vm_ids.add(v.vm_id)
         if v.vm_id in host_ids:
-            problems.append(f"vm_id '{v.vm_id}' collides with a host_id")
+            found.append(f"vm_id '{v.vm_id}' collides with a host_id")
         if v.mac in macs:
-            problems.append(f"duplicate mac '{v.mac}'")
+            found.append(f"duplicate mac '{v.mac}'")
         macs.add(v.mac)
         if v.bound_host not in declared:  # a rejected host is reported already
-            problems.append(f"vm '{v.vm_id}': unknown bound_host '{v.bound_host}'")
+            found.append(f"vm '{v.vm_id}': unknown bound_host '{v.bound_host}'")
         elif v.bound_host in off and v.lifecycle is VmLifecycle.RUNNING:
-            problems.append(f"vm '{v.vm_id}': running on powered-off host '{v.bound_host}'")
+            found.append(f"vm '{v.vm_id}': running on powered-off host '{v.bound_host}'")
         if v.boot_profile not in config.profiles:
-            problems.append(f"vm '{v.vm_id}': unknown profile '{v.boot_profile}'")
+            found.append(f"vm '{v.vm_id}': unknown profile '{v.boot_profile}'")
+    for i, line in enumerate(found):
+        if line not in found[:i]:
+            problems.append(line)
 
     if config.timing.controller_phase_s >= config.controller.scan_period_s:
         problems.append("timing: controller_phase_s must be in [0, scan_period_s)")
@@ -341,8 +372,12 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     injections = values.pop("injections", [])
     if "cluster" in values:
         config, declared = values.pop("cluster")
-        reader.problems.extend(injection_problems(
-            injections, declared["vms"], declared["hosts"], values.get("horizon_s")))
+        against = (declared["vms"], declared["hosts"], values.get("horizon_s"))
+        for i, injection in enumerate(injections):
+            if isinstance(injection, _Dropped):
+                reader.problems += _dropped_problems(f"injections[{i}]", injection, *against)
+            else:
+                reader.problems += injection_problems([None] * i + [injection], *against)
     if reader.problems:
         raise ConfigError(reader.problems)
     return Scenario(config, injections, **values)

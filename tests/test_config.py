@@ -127,6 +127,22 @@ def test_bad_mac_rejected():
     assert any("mac" in p for p in exc.value.problems)
 
 
+def test_mac_with_a_trailing_newline_is_rejected():
+    # `$` also matches before a final newline, and such a MAC splits one
+    # trace record over two lines. A long list is read a column at a time.
+    for count in (1, 40):
+        document = json.loads(doc())
+        document["vms"] = [{"vm_id": f"v{i}", "mac": f"52:54:00:00:00:{i:02x}",
+                            "bound_host": "alfa01", "boot_profile": "compute"}
+                           for i in range(count)]
+        document["vms"][-1]["mac"] += "\n"
+        with pytest.raises(ConfigError) as exc:
+            load_cluster_config(json.dumps(document))
+        mac = repr(document["vms"][-1]["mac"])
+        assert exc.value.problems == [
+            f"vms[{count - 1}].mac: {mac} is not a colon-separated 48-bit address"]
+
+
 def test_nonpositive_threshold_rejected():
     document = json.loads(doc())
     document["hosts"][0]["load_threshold"] = 0
@@ -311,6 +327,29 @@ def test_running_vm_on_powered_off_host_is_rejected():
     load_cluster_config(json.dumps(document))
 
 
+def test_each_cross_rule_problem_is_reported_once():
+    # alfa01 is listed three times, once off: no copy decides whether its
+    # VMs run on a powered-off host. gridce and lamp are listed twice.
+    document = json.loads(doc())
+    alfa01 = document["hosts"][0]
+    document["hosts"] += [dict(alfa01, power_state="off"), alfa01,
+                          {"host_id": "dark", "cpu_count": 2, "ram_mb": 1024,
+                           "power_state": "off"}]
+    lamp = {"vm_id": "lamp", "mac": "52:54:00:00:00:02", "bound_host": "dark",
+            "boot_profile": "ghost"}
+    document["vms"] += [document["vms"][0], lamp, lamp]
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(json.dumps(document))
+    assert exc.value.problems == [
+        "duplicate host_id 'alfa01'",
+        "duplicate vm_id 'gridce'",
+        "duplicate mac '52:54:00:00:00:01'",
+        "vm 'lamp': running on powered-off host 'dark'",
+        "vm 'lamp': unknown profile 'ghost'",
+        "duplicate vm_id 'lamp'",
+        "duplicate mac '52:54:00:00:00:02'"]
+
+
 def test_detection_latency_must_exceed_heartbeat_period():
     with pytest.raises(ConfigError) as exc:
         load_cluster_config(doc(telemetry={"detection_latency_s": 10}))
@@ -425,6 +464,30 @@ def test_injection_missing_at_reports_its_other_problems():
         "injections[0]: unknown key 'extra'",
         "injections[0]: missing required key 'at'",
         "injections[0]: missing required key 'vm'"]
+
+
+def test_dropped_injections_keep_their_target_and_horizon_problems():
+    # An injection with a problem of its own is still checked against the
+    # cluster and the horizon by the time and targets it was read with.
+    assert scenario_problems([
+        {"at": -5, "kind": "power_glitch", "hosts": ["alfa01", "nope"]},
+        {"at": 700, "kind": "load_spike", "host": "alfa01", "extra_load": "lots",
+         "duration_s": 0},
+        {"at": "x", "kind": "destructive_crash", "vm": "ghost"},
+        {"at": 900, "kind": "physical_host_failure", "host": 5},
+        {"at": 800, "kind": "non_destructive_crash", "vm": "gridce", "why": 1},
+    ]) == [
+        "injections[0].at: must be >= 0",
+        "injections[1].extra_load: expected a number",
+        "injections[1].duration_s: must be >= 1",
+        "injections[2].at: expected an integer",
+        "injections[3].host: expected a non-empty string",
+        "injections[4]: unknown key 'why'",
+        "injections[0]: unknown host 'nope'",
+        "injections[1]: at=700 exceeds horizon_s",
+        "injections[2]: unknown vm 'ghost'",
+        "injections[3]: at=900 exceeds horizon_s",
+        "injections[4]: at=800 exceeds horizon_s"]
 
 
 def test_glitch_missing_hosts_is_one_problem():

@@ -240,6 +240,82 @@ def test_random_registration_sequences_snapshot_and_log_as_the_oracle():
     assert earlier > 1000
 
 
+class FirstSnapshotSimulation(Simulation):
+    """An unlogged run whose monitor takes its first full snapshot at one
+    chosen tick, or never."""
+
+    def __init__(self, *args, first_at_tick, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ticks, self.first_at_tick = 0, first_at_tick
+
+    def _tick(self):
+        if self.ticks == self.first_at_tick:
+            assert_same_as_oracle(self.monitor, self.now)
+            assert_classes_in_use(self.monitor)
+        self.ticks += 1
+        super()._tick()
+
+
+def test_full_snapshots_after_long_unlogged_runs_match_the_oracle():
+    # Criterion-5 scenarios run without the log: the monitor marks every
+    # change from t=0 on, and the whole cluster was registered at once. Its
+    # first full snapshot comes at a random tick or after the run, and after
+    # the run a second one follows the unlogged rest, then an earlier one.
+    rng = np.random.default_rng(20261021)
+    mid_run = 0
+    for i in range(200):
+        doc = random_cluster_doc(rng)
+        sim = FirstSnapshotSimulation(parse_cluster_config(doc), random_injections(rng, doc),
+                                      720, seed=i, first_at_tick=int(rng.integers(-1, 4)))
+        sim.run()
+        mid_run += 0 <= sim.first_at_tick < sim.ticks
+        latest = max(sim.monitor._last_beat.values())
+        for now in (720, int(rng.integers(latest, 721))):
+            assert_same_as_oracle(sim.monitor, now)
+            assert_classes_in_use(sim.monitor)
+    assert mid_run > 100
+
+
+def test_register_started_after_full_snapshots_matches_the_oracle():
+    # The engine registers its t=0 cluster with `register_started`; a later
+    # call, after full snapshots, must leave the next one as exact as the
+    # first. Changes accumulate between full snapshots, and some are earlier
+    # than the previous one.
+    rng = np.random.default_rng(20261022)
+    registered_late = earlier = 0
+    for _ in range(200):
+        monitor, now, taken, names = Monitor(), 0, None, iter(range(10**6))
+        for _ in range(40):
+            now += int(rng.integers(0, 25))
+            trains, op = sorted(monitor._train), int(rng.integers(6))
+            if op == 0:
+                fresh = [f"m{next(names):02d}" for _ in range(int(rng.integers(1, 5)))]
+                beating = {m: fresh_load(rng) for m in fresh if rng.random() < 0.7}
+                silent = {m: fresh_load(rng) for m in fresh if m not in beating}
+                monitor.register_started(now, beating, silent)
+                registered_late += taken is not None
+            elif op == 1 and trains:
+                name = trains[int(rng.integers(len(trains)))]
+                monitor.load_changed(name, now, fresh_load(rng))
+            elif op == 2 and trains:
+                monitor.stop_beats(trains[int(rng.integers(len(trains)))], now)
+            elif op == 3:
+                idle = sorted(monitor.silent)
+                if idle:
+                    monitor.start_beats(idle[int(rng.integers(len(idle)))], now,
+                                        fresh_load(rng))
+            elif op == 4 and taken is not None:
+                latest = max(monitor._last_beat.values(), default=0)
+                if latest < taken:
+                    assert_same_as_oracle(monitor, int(rng.integers(latest, taken)))
+                    earlier += 1
+            if rng.random() < 0.3:
+                assert_same_as_oracle(monitor, now)
+                assert_classes_in_use(monitor)
+                taken = now
+    assert registered_late > 1000 and earlier > 300
+
+
 def test_cached_pieces_never_serve_stale_loads_or_verdicts():
     rng = np.random.default_rng(7)
     monitor, now = Monitor(), 0

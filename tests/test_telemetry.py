@@ -1,6 +1,7 @@
 """Monitor staleness rules and snapshot serialization."""
 
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hasim.telemetry import (
     MonitorSnapshot,
     SnapshotEntry,
     TelemetryParams,
-    parse_snapshot,
     serialize_snapshot,
 )
 
@@ -233,6 +233,20 @@ def random_snapshot(rng) -> MonitorSnapshot:
             verdict=UP if rng.random() < 0.5 else DOWN,
         )
     return MonitorSnapshot(taken_at=int(rng.integers(0, 10_000)), entries=entries)
+
+
+def parse_snapshot(text: str) -> MonitorSnapshot:
+    """Inverse of serialize_snapshot: hasim writes the log and never reads it."""
+    root = ElementTree.fromstring(text)
+    assert root.tag == "CLUSTER"
+    entries = {}
+    for child in root:
+        entries[child.attrib["NAME"]] = SnapshotEntry(
+            last_heartbeat_at=int(child.attrib["LAST_HEARTBEAT"]),
+            reported_load=to_milli(float(child.attrib["LOAD"])),
+            verdict=child.attrib["VERDICT"].lower(),
+        )
+    return MonitorSnapshot(taken_at=int(root.attrib["TAKEN_AT"]), entries=entries)
 
 
 def test_serialization_round_trip_randomized():

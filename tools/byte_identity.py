@@ -62,7 +62,7 @@ BAD_CLUSTER = {
         7,
         {"vm_id": "v1", "mac": "52:54:00:00:00:01", "bound_host": "h1", "boot_profile": "p",
          "load_contribution": 0.0001},
-        {"vm_id": None, "mac": "52:54:00:00:00:03", "boot_profile": "p", "lifecycle": None},
+        {"vm_id": None, "mac": "52:54:00:00:00:03\n", "boot_profile": "p", "lifecycle": None},
         {"vm_id": "h1", "mac": "52:54:00:00:00:04", "bound_host": "h1", "boot_profile": "r",
          "load_contribution": True},
     ],
