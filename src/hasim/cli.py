@@ -7,11 +7,14 @@ Subcommands:
   replicate <nondestructive|destructive> [--n N] [--seed N] [--out DIR]
   report <report-dir> [--bin-width S]
 
-stdout carries only machine-parseable CSV (or diagnostics for validate);
-human prose goes to stderr. Exit codes: 0 success, 1 validation error
-(including an out-of-range option, or a `run --out` whose trace would hold
-more than MAX_TRACE_SCANS `scan` lines), 2 I/O error (nothing goes to stdout,
-and an unwritable --out is refused before the first simulation).
+stdout carries only machine-parseable CSV, `OK` from validate, or problem
+lines; human prose goes to stderr. Commands raise and `main` reports: a
+`ConfigError` (bad input, from the reader, an episodes.csv row or
+`Simulation`) prints its problems on stdout, one a line, and exits 1; a
+`Refusal` prints its one line on stderr and exits with its code: 1 for an
+option out of range (or a `run --out` whose trace would hold more than
+MAX_TRACE_SCANS `scan` lines), 2 for an input that cannot be read or an
+--out that cannot be written (refused before the first simulation).
 """
 
 from __future__ import annotations
@@ -41,26 +44,28 @@ EXIT_IO = 2
 MAX_TRACE_SCANS = 1_000_000
 
 
-def _read_text(path: Path) -> str:
-    """A UTF-8 input file; undecodable bytes are a parse error."""
+class Refusal(Exception):
+    """A command refused: the one line for stderr, and the exit code."""
+
+    def __init__(self, line: str, code: int = EXIT_VALIDATION):
+        super().__init__(line)
+        self.code = code
+
+
+def _read_text(path: str) -> str:
+    """A UTF-8 input file; undecodable bytes are a parse error, and a file
+    that cannot be read is refused with EXIT_IO."""
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError([f"parse error: {exc}"]) from exc
-
-
-def cmd_validate(args) -> int:
-    try:
-        load_cluster_config(_read_text(Path(args.config)))
     except OSError as exc:
-        print(f"cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(problem)
-        return EXIT_VALIDATION
+        raise Refusal(f"cannot read {path}: {exc}", EXIT_IO) from exc
+
+
+def cmd_validate(args) -> None:
+    load_cluster_config(_read_text(args.config))
     print("OK")
-    return EXIT_OK
 
 
 def _run_replicated(scenario: Scenario, seed: int, *, collect_trace: bool,
@@ -84,26 +89,24 @@ def _run_replicated(scenario: Scenario, seed: int, *, collect_trace: bool,
                      monitor_log=monitor_log if emit_monitor_log else None)
 
 
-def _write(out_dir: Path, files: Iterable[tuple[str, str]]) -> int:
-    """Create out_dir and write each (name, text) to it; an OSError is one
-    line and EXIT_IO."""
+def _write(out_dir: Path, files: Iterable[tuple[str, str]] = ()) -> None:
+    """Create out_dir and write each (name, text) to it; an OSError is
+    refused with EXIT_IO."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files:
             (out_dir / name).write_text(text)
     except OSError as exc:
-        print(f"cannot write {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+        raise Refusal(f"cannot write {out_dir}: {exc}", EXIT_IO) from exc
 
 
-def _emit(report: SimReport, out: str | None) -> int:
+def _emit(report: SimReport, out: str | None) -> None:
     """Given --out, every output file to that directory; then report.csv to stdout."""
     stats = summarize(report)
     report_csv = format_report_csv(stats)
     if out is None:
         sys.stdout.write(report_csv)
-        return EXIT_OK
+        return
 
     def files():
         yield "report.csv", report_csv
@@ -117,85 +120,61 @@ def _emit(report: SimReport, out: str | None) -> int:
             yield "monitor_log.xml", "\n".join(report.monitor_log) + "\n"
 
     out_dir = Path(out)
-    if _write(out_dir, files()):
-        return EXIT_IO
+    _write(out_dir, files())
     sys.stdout.write(report_csv)
     print(f"wrote {out_dir}", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     if args.emit_monitor_log and args.out is None:
-        print("hasim run: --emit-monitor-log needs --out", file=sys.stderr)
-        return EXIT_VALIDATION
-    path = Path(args.scenario)
-    try:
-        scenario = load_scenario(_read_text(path), base_dir=path.parent)
-    except OSError as exc:
-        print(f"cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(problem)
-        return EXIT_VALIDATION
+        raise Refusal("hasim run: --emit-monitor-log needs --out")
+    scenario = load_scenario(_read_text(args.scenario), base_dir=Path(args.scenario).parent)
     seed = args.seed if args.seed is not None else scenario.seed
     if seed < 0:
-        print("hasim run: seed must be >= 0", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise Refusal("hasim run: seed must be >= 0")
     if args.out is not None:
         scans = scenario.replications * (
             (scenario.horizon_s - scenario.config.timing.controller_phase_s)
             // scenario.config.controller.scan_period_s + 1)
         if scans > MAX_TRACE_SCANS:
-            print(f"hasim run: the trace would hold {scans} scan lines, more than "
-                  f"{MAX_TRACE_SCANS}; shorten horizon_s", file=sys.stderr)
-            return EXIT_VALIDATION
-    if args.out is not None and _write(Path(args.out), ()):
-        return EXIT_IO  # refused before the first simulation
+            raise Refusal(f"hasim run: the trace would hold {scans} scan lines, more "
+                          f"than {MAX_TRACE_SCANS}; shorten horizon_s")
+        _write(Path(args.out))  # refused before the first simulation
     report = _run_replicated(scenario, seed, collect_trace=args.out is not None,
                              emit_monitor_log=args.emit_monitor_log)
-    if _emit(report, args.out):
-        return EXIT_IO
+    _emit(report, args.out)
     unrecovered = len(report.unrecovered())
     if unrecovered:
         print(f"{unrecovered} episode(s) not recovered within the horizon",
               file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_replicate(args) -> int:
+def cmd_replicate(args) -> None:
     try:
         check_replicate_args(args.experiment, args.n, args.seed)
     except ValueError as exc:  # --n or --seed out of range
-        print(f"hasim replicate: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.out is not None and _write(Path(args.out), ()):
-        return EXIT_IO  # refused before the first simulation
-    return _emit(replicate_experiment(args.experiment, args.n, args.seed), args.out)
+        raise Refusal(f"hasim replicate: {exc}") from exc
+    if args.out is not None:
+        _write(Path(args.out))  # refused before the first simulation
+    _emit(replicate_experiment(args.experiment, args.n, args.seed), args.out)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     if args.bin_width < 1:
-        print("hasim report: --bin-width must be >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise Refusal("hasim report: --bin-width must be >= 1")
     report_dir = Path(args.report_dir)
     episodes_path = report_dir / "episodes.csv"
     try:
         episodes = parse_episodes_csv(episodes_path.read_text(encoding="utf-8"))
     except OSError as exc:
-        print(f"cannot read {episodes_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise Refusal(f"cannot read {episodes_path}: {exc}", EXIT_IO) from exc
     except ValueError as exc:  # not an episodes.csv or a bad row, undecodable bytes too
-        print(f"{episodes_path}: {exc}")
-        return EXIT_VALIDATION
+        raise ConfigError([f"{episodes_path}: {exc}"]) from exc
     report = SimReport(episodes=episodes, horizon_s=None)  # episodes.csv holds none
     stats = summarize(report, args.bin_width)
-    if _write(report_dir, ((f"histogram_{s.kind}.csv", format_histogram_csv(s))
-                           for s in stats)):
-        return EXIT_IO
+    _write(report_dir, ((f"histogram_{s.kind}.csv", format_histogram_csv(s)) for s in stats))
     sys.stdout.write(format_report_csv(stats))
     print(summary_text(report, stats), file=sys.stderr, end="")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(problem)
+        return EXIT_VALIDATION
+    except Refusal as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

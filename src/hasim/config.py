@@ -37,20 +37,13 @@ from .engine import (
     NON_DESTRUCTIVE_CRASH,
     PHYSICAL_HOST_FAILURE,
     POWER_GLITCH,
+    ConfigError,
     FailureInjection,
     TimingParams,
     injection_problems,
 )
 from .provisioning import DEFAULT_PROFILE, BootProfile
 from .telemetry import HEARTBEAT_PERIOD_S, TelemetryParams
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent configuration; carries all diagnostics."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 @dataclass
@@ -117,7 +110,7 @@ class _Reader:
             self.problems.append(f"{where}: expected an object")
             return {}, False
         if not body.keys() <= spec.keys:
-            self.problems.extend(f"{where}: unknown key '{key}'"
+            self.problems.extend(f"{where}: unknown key {key!r}"
                                  for key in body if key not in spec.keys)
         values, complete = {}, True
         if not body and not spec.requires:  # nothing to read, nothing missing
@@ -126,7 +119,7 @@ class _Reader:
             value = body.get(key)
             if value is None:
                 if required:
-                    self.problems.append(f"{where}: missing required key '{key}'")
+                    self.problems.append(f"{where}: missing required key {key!r}")
                     complete = False
                 continue
             try:
@@ -221,7 +214,7 @@ class _Reader:
         try:
             return list(map(found.__getitem__, column))
         except (KeyError, TypeError):  # TypeError: an unhashable value
-            names = " or ".join(f"'{member.value}'" for member in members)
+            names = " or ".join(repr(member.value) for member in members)
             raise _Rejected(f"must be {names}") from None
 
     def string_list(self, column: list, _bound) -> list[tuple[str, ...]]:
@@ -269,7 +262,7 @@ class _Reader:
             raise _Rejected("expected an object of name -> profile")
         found = {}
         for name, body in raw.items():
-            values, complete = self.record(body, _PROFILE, f"profiles['{name}']")
+            values, complete = self.record(body, _PROFILE, f"profiles[{name!r}]")
             if complete:
                 found[name] = BootProfile(**values)
         return found
@@ -434,7 +427,7 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
     host_ids, off = set(), set()
     for h in config.hosts:
         if h.host_id in host_ids:
-            problems.append(f"duplicate host_id '{h.host_id}'")
+            problems.append(f"duplicate host_id {h.host_id!r}")
         host_ids.add(h.host_id)
         if h.power_state is PowerState.OFF:
             off.add(h.host_id)
@@ -445,19 +438,19 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
     vm_ids, macs = set(), set()
     for v in config.vms:
         if v.vm_id in vm_ids:
-            problems.append(f"duplicate vm_id '{v.vm_id}'")
+            problems.append(f"duplicate vm_id {v.vm_id!r}")
         vm_ids.add(v.vm_id)
         if v.vm_id in host_ids:
-            problems.append(f"vm_id '{v.vm_id}' collides with a host_id")
+            problems.append(f"vm_id {v.vm_id!r} collides with a host_id")
         if v.mac in macs:
-            problems.append(f"duplicate mac '{v.mac}'")
+            problems.append(f"duplicate mac {v.mac!r}")
         macs.add(v.mac)
         if v.bound_host not in declared:  # a rejected host is reported already
-            problems.append(f"vm '{v.vm_id}': unknown bound_host '{v.bound_host}'")
+            problems.append(f"vm {v.vm_id!r}: unknown bound_host {v.bound_host!r}")
         elif v.bound_host in off and v.lifecycle is VmLifecycle.RUNNING:
-            problems.append(f"vm '{v.vm_id}': running on powered-off host '{v.bound_host}'")
+            problems.append(f"vm {v.vm_id!r}: running on powered-off host {v.bound_host!r}")
         if v.boot_profile not in config.profiles:
-            problems.append(f"vm '{v.vm_id}': unknown profile '{v.boot_profile}'")
+            problems.append(f"vm {v.vm_id!r}: unknown profile {v.boot_profile!r}")
 
     timing = config.timing
     if timing.controller_phase_s >= scan:

@@ -78,8 +78,14 @@ INJECTION_KINDS = (
     LOAD_SPIKE,
 )
 
-class ScenarioError(ValueError):
-    """A scenario references unknown machines or is otherwise unrunnable."""
+
+class ConfigError(ValueError):
+    """Bad input, read from a document or built in Python: one line per
+    problem in `problems`, keys and ids quoted with `repr`; str() joins them."""
+
+    def __init__(self, problems: list[str]):
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
 
 
 @dataclass
@@ -168,12 +174,12 @@ def injection_problems(injections: list[FailureInjection | None],
             problems.append(f"{where}.at: must be >= 0")
         if inj.kind in (NON_DESTRUCTIVE_CRASH, DESTRUCTIVE_CRASH):
             if inj.vm_id not in vm_ids:
-                problems.append(f"{where}: unknown vm '{inj.vm_id}'")
+                problems.append(f"{where}: unknown vm {inj.vm_id!r}")
         elif inj.kind == POWER_GLITCH:
-            problems.extend(f"{where}: unknown host '{h}'"
+            problems.extend(f"{where}: unknown host {h!r}"
                             for h in inj.hosts if h not in host_ids)
         elif inj.host_id not in host_ids:
-            problems.append(f"{where}: unknown host '{inj.host_id}'")
+            problems.append(f"{where}: unknown host {inj.host_id!r}")
         if inj.kind == LOAD_SPIKE and inj.duration_s < 1:
             problems.append(f"{where}.duration_s: must be >= 1")
         if inj.kind == LOAD_SPIKE and type(inj.extra_load) is not int:
@@ -250,7 +256,7 @@ class Simulation:
         problems += injection_problems(injections, self.state.vms, self.state.hosts,
                                        horizon_s)
         if problems:
-            raise ScenarioError("; ".join(problems))
+            raise ConfigError(problems)
         self.params = config.controller
         self.timing = config.timing
         self.horizon_s = horizon_s
@@ -306,7 +312,7 @@ class Simulation:
         hosts = {h.host_id: PhysicalHost(h.host_id, h.cpu_count, h.ram_mb,
                                          h.load_threshold, h.power_state, [])
                  for h in config.hosts}
-        problems = [f"host {h}: load_threshold is not an int of milli-units"
+        problems = [f"host {h!r}: load_threshold is not an int of milli-units"
                     for h, host in hosts.items() if type(host.load_threshold) is not int]
         # host -> load of its running VMs, and of its booting or installing ones
         run = self._run_load = dict.fromkeys(hosts, 0)
@@ -318,12 +324,12 @@ class Simulation:
             vms[vm_id] = VirtualMachine(vm_id, v.mac, host_id, v.boot_profile, v.lifecycle,
                                         v.reinstall_allowed, load)
             if type(load) is not int:
-                problems.append(f"vm {vm_id}: load_contribution is not an int of milli-units")
+                problems.append(f"vm {vm_id!r}: load_contribution is not an int of milli-units")
                 load = 0
             if host_id is not None:
                 host = hosts.get(host_id)
                 if host is None:
-                    problems.append(f"vm '{vm_id}': unknown bound_host '{host_id}'")
+                    problems.append(f"vm {vm_id!r}: unknown bound_host {host_id!r}")
                 elif v.lifecycle is running:
                     host.hosted_vms.append(vm_id)
                     run[host_id] += load
@@ -334,7 +340,7 @@ class Simulation:
                         boot[host_id] += load
                     silent[vm_id] = load
             if v.boot_profile not in config.profiles:
-                problems.append(f"vm '{vm_id}': unknown profile '{v.boot_profile}'")
+                problems.append(f"vm {vm_id!r}: unknown profile {v.boot_profile!r}")
         # A host beats while powered on, reporting its load.
         for host_id, host in hosts.items():
             if host.power_state is PowerState.ON:

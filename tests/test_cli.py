@@ -5,6 +5,7 @@ from pathlib import Path
 
 import hasim.cli
 from hasim.cli import main
+from hasim.config import ConfigError
 from test_engine import WAITING_SCENARIO
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -137,6 +138,18 @@ def test_run_invalid_scenario_exit_1(tmp_path, capsys):
                                "injections": [{"at": 10, "kind": "nope"}]}))
     assert main(["run", str(bad)]) == 1
     assert "kind" in capsys.readouterr().out
+
+
+def test_run_reports_a_problem_the_simulation_finds(capsys, monkeypatch):
+    # A ConfigError raised past the reader takes the reader's path to exit 1.
+    def refusing(*args, **kwargs):
+        raise ConfigError(["a", "b"])
+
+    monkeypatch.setattr(hasim.cli, "Simulation", refusing)
+    assert main(["run", str(SCENARIOS / "power_glitch.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "a\nb\n"
+    assert captured.err == ""
 
 
 def test_run_missing_scenario_exit_2(tmp_path):

@@ -143,6 +143,18 @@ def test_mac_with_a_trailing_newline_is_rejected():
             f"vms[{count - 1}].mac: {mac} is not a colon-separated 48-bit address"]
 
 
+def test_a_newline_in_a_key_or_id_stays_in_its_problem_line():
+    # Every key and id in a problem line is quoted with repr; a raw newline
+    # once split the line in two.
+    document = json.loads(doc())
+    document["hosts"][0]["ra\nck"] = 1
+    document["hosts"][2]["host_id"] = document["hosts"][3]["host_id"] = "h\n1"
+    with pytest.raises(ConfigError) as exc:
+        load_cluster_config(json.dumps(document))
+    assert exc.value.problems == ["hosts[0]: unknown key 'ra\\nck'",
+                                  "duplicate host_id 'h\\n1'"]
+
+
 def test_nonpositive_threshold_rejected():
     document = json.loads(doc())
     document["hosts"][0]["load_threshold"] = 0

@@ -28,9 +28,9 @@ from hasim.engine import (
     NON_DESTRUCTIVE_CRASH,
     PHYSICAL_HOST_FAILURE,
     POWER_GLITCH,
+    ConfigError,
     Episode,
     FailureInjection,
-    ScenarioError,
     SimReport,
     Simulation,
     sample_duration,
@@ -325,7 +325,7 @@ def test_waiting_vm_is_parked_out_of_monitoring():
 
 
 def test_injection_unknown_target_rejected():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError):
         Simulation(one_host_config(),
                    [FailureInjection(10, NON_DESTRUCTIVE_CRASH, "ghost")], 100).run()
 
@@ -338,9 +338,10 @@ def test_simulation_reports_every_injection_problem():
         FailureInjection(10, "meteor_strike"),
         FailureInjection(700, POWER_GLITCH, hosts=("node01", "nope")),
     ]
-    with pytest.raises(ScenarioError) as exc:
+    with pytest.raises(ConfigError) as exc:
         Simulation(one_host_config(), injections, 600)
-    assert str(exc.value).split("; ") == [
+    assert str(exc.value) == "; ".join(exc.value.problems)
+    assert exc.value.problems == [
         "injections[0]: unknown vm 'ghost'",
         "injections[1].at: must be >= 0",
         "injections[2].duration_s: must be >= 1",
@@ -355,15 +356,15 @@ def test_loads_in_units_are_rejected():
     # Loads and thresholds are int milli-units; 0.5 once ran as 0.0005.
     spike = FailureInjection(0, LOAD_SPIKE, host_id="node01", extra_load=0.5,
                              duration_s=100)
-    with pytest.raises(ScenarioError, match=r"^injections\[0\]\.extra_load: expected an int"):
+    with pytest.raises(ConfigError, match=r"^injections\[0\]\.extra_load: expected an int"):
         Simulation(one_host_config(), [spike], 600)
     config = one_host_config()
     config.vms[0].load_contribution = 1.0
-    with pytest.raises(ScenarioError, match="^vm svc01: load_contribution is not an int"):
+    with pytest.raises(ConfigError, match="^vm 'svc01': load_contribution is not an int"):
         Simulation(config, [], 600)
     config = one_host_config()
     config.hosts[0].load_threshold = 4.0
-    with pytest.raises(ScenarioError, match="^host node01: load_threshold is not an int"):
+    with pytest.raises(ConfigError, match="^host 'node01': load_threshold is not an int"):
         Simulation(config, [], 600)
 
 
@@ -372,7 +373,7 @@ def test_negative_load_spikes_are_rejected():
     config = parse_cluster_config(PRESETS["nondestructive"].cluster_doc)
     spike = FailureInjection(10, LOAD_SPIKE, host_id="node01", extra_load=-5000,
                              duration_s=100)
-    with pytest.raises(ScenarioError) as exc:
+    with pytest.raises(ConfigError) as exc:
         Simulation(config, [spike], 600)
     assert str(exc.value) == "injections[0].extra_load: must be >= 0.0"
 
@@ -385,7 +386,7 @@ def test_python_built_config_naming_an_unknown_machine_or_profile(field, problem
     # One problem line each, not a KeyError from set-up or from the boot.
     config = parse_cluster_config(PRESETS["nondestructive"].cluster_doc)
     setattr(config.vms[0], field, "nope")
-    with pytest.raises(ScenarioError) as exc:
+    with pytest.raises(ConfigError) as exc:
         Simulation(config, [FailureInjection(100, NON_DESTRUCTIVE_CRASH, "svc01")], 600).run()
     assert str(exc.value) == problem
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write every output a behavior-preserving change must keep byte-identical.
 
-Run: python3 tools/byte_identity.py DIR
+Run: python3 tools/byte_identity.py [--digests] DIR
 
 For the source tree this script belongs to, it runs each command below with
 that tree's `src/` and writes what the command produced into `DIR/<case>/`:
@@ -29,16 +29,24 @@ The commands:
   --out` on a scenario that names the first cluster by path and has bad
   injections (the documents go to `DIR/inputs/`).
 
-DIR must not exist yet.
+DIR must not exist yet. With `--digests`, stdout then lists the sha256 and
+the path under DIR of every file written there, sorted by path, after a
+header naming the Python and numpy versions: the outputs may change with
+either. `tests/golden/byte_identity.sha256` holds this list, and
+`tests/test_byte_identity.py` checks it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy
 
 TREE = Path(__file__).resolve().parent.parent
 # The benchmark inputs run: (workload, seed).
@@ -131,7 +139,16 @@ def write_inputs(inputs: Path) -> None:
         (inputs / f"{name}.json").write_text(json.dumps(doc))
 
 
+def digests(root: Path) -> list[str]:
+    """`<sha256>  <path>` of each file under root, sorted by path."""
+    paths = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256((root / p).read_bytes()).hexdigest()}  {p}" for p in paths]
+
+
 def main(argv: list[str]) -> int:
+    with_digests = argv[:1] == ["--digests"]
+    if with_digests:
+        argv = argv[1:]
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
@@ -152,6 +169,9 @@ def main(argv: list[str]) -> int:
             (case / stream).write_text(text)
         (case / "exit").write_text(f"{result.returncode}\n")
     print(f"wrote {root}", file=sys.stderr)
+    if with_digests:
+        print(f"# python {platform.python_version()} numpy {numpy.__version__}")
+        print("\n".join(digests(root)))
     return 0
 
 
