@@ -32,12 +32,6 @@ from hasim.provisioning import DEFAULT_PROFILE, BootProfile
 from hasim.telemetry import HEARTBEAT_PERIOD_S, TelemetryParams
 
 
-def _quote(name) -> str:
-    """A key, id or MAC as every problem line names it: the Python literal
-    of it, so a quote or newline in it neither ends the name nor the line."""
-    return repr(name)
-
-
 class _Rejected(Exception):
     """A value of the wrong type or out of bounds; the message says which."""
 
@@ -71,14 +65,14 @@ class _Reader:
             self.problems.append(f"{where}: expected an object")
             return {}, False
         if not body.keys() <= spec.keys():
-            self.problems.extend(f"{where}: unknown key {_quote(key)}"
+            self.problems.extend(f"{where}: unknown key {key!r}"
                                  for key in body if key not in spec)
         values, complete = {}, True
         for key, (kind, required, bound) in spec.items():
             value = body.get(key)
             if value is None:
                 if required:
-                    self.problems.append(f"{where}: missing required key {_quote(key)}")
+                    self.problems.append(f"{where}: missing required key {key!r}")
                     complete = False
                 continue
             try:
@@ -129,7 +123,7 @@ class _Reader:
         for member in members:
             if value == member.value:
                 return member
-        raise _Rejected("must be " + " or ".join(map(_quote, (m.value for m in members))))
+        raise _Rejected("must be " + " or ".join(repr(m.value) for m in members))
 
     def string_list(self, value, _bound) -> tuple[str, ...]:
         if not isinstance(value, list) or not value or \
@@ -140,7 +134,7 @@ class _Reader:
     def mac(self, value, _bound) -> str:
         mac = self.string(value, None).lower()
         if not MAC_RE.match(mac):
-            raise _Rejected(f"{_quote(mac)} is not a colon-separated 48-bit address")
+            raise _Rejected(f"{mac!r} is not a colon-separated 48-bit address")
         return mac
 
     def machines(self, raw, bound) -> list:
@@ -161,7 +155,7 @@ class _Reader:
             raise _Rejected("expected an object of name -> profile")
         found = {}
         for name, body in raw.items():
-            values, complete = self.record(body, _PROFILE, f"profiles[{_quote(name)}]")
+            values, complete = self.record(body, _PROFILE, f"profiles[{name!r}]")
             if complete:
                 found[name] = BootProfile(**values)
         return found
@@ -226,8 +220,8 @@ class _Dropped(NamedTuple):
 def _dropped_problems(where: str, dropped: _Dropped, vm_ids, host_ids, horizon_s) -> list[str]:
     problems = []
     if dropped.vm is not None and dropped.vm not in vm_ids:
-        problems.append(f"{where}: unknown vm {_quote(dropped.vm)}")
-    problems += [f"{where}: unknown host {_quote(h)}" for h in dropped.hosts if h not in host_ids]
+        problems.append(f"{where}: unknown vm {dropped.vm!r}")
+    problems += [f"{where}: unknown host {h!r}" for h in dropped.hosts if h not in host_ids]
     if dropped.at is not None and horizon_s is not None and dropped.at > horizon_s:
         problems.append(f"{where}: at={dropped.at} exceeds horizon_s")
     return problems
@@ -309,7 +303,7 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
     host_ids = set()
     for h in config.hosts:
         if h.host_id in host_ids:
-            found.append(f"duplicate host_id {_quote(h.host_id)}")
+            found.append(f"duplicate host_id {h.host_id!r}")
         host_ids.add(h.host_id)
 
     listed = [h.host_id for h in config.hosts]
@@ -318,19 +312,19 @@ def _cross_validate(config: ClusterConfig, problems: list[str], declared: set) -
     vm_ids, macs = set(), set()
     for v in config.vms:
         if v.vm_id in vm_ids:
-            found.append(f"duplicate vm_id {_quote(v.vm_id)}")
+            found.append(f"duplicate vm_id {v.vm_id!r}")
         vm_ids.add(v.vm_id)
         if v.vm_id in host_ids:
-            found.append(f"vm_id {_quote(v.vm_id)} collides with a host_id")
+            found.append(f"vm_id {v.vm_id!r} collides with a host_id")
         if v.mac in macs:
-            found.append(f"duplicate mac {_quote(v.mac)}")
+            found.append(f"duplicate mac {v.mac!r}")
         macs.add(v.mac)
         if v.bound_host not in declared:  # a rejected host is reported already
-            found.append(f"vm {_quote(v.vm_id)}: unknown bound_host {_quote(v.bound_host)}")
+            found.append(f"vm {v.vm_id!r}: unknown bound_host {v.bound_host!r}")
         elif v.bound_host in off and v.lifecycle is VmLifecycle.RUNNING:
-            found.append(f"vm {_quote(v.vm_id)}: running on powered-off host {_quote(v.bound_host)}")
+            found.append(f"vm {v.vm_id!r}: running on powered-off host {v.bound_host!r}")
         if v.boot_profile not in config.profiles:
-            found.append(f"vm {_quote(v.vm_id)}: unknown profile {_quote(v.boot_profile)}")
+            found.append(f"vm {v.vm_id!r}: unknown profile {v.boot_profile!r}")
     for i, line in enumerate(found):
         if line not in found[:i]:
             problems.append(line)

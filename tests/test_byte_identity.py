@@ -4,7 +4,7 @@ two hash seeds.
 
 A change that alters an output on purpose rewrites the golden file:
 
-    python3 tools/byte_identity.py --digests /tmp/new > tests/golden/byte_identity.sha256
+    python3 tools/byte_identity.py /tmp/new > tests/golden/byte_identity.sha256
 """
 
 import os
@@ -31,8 +31,7 @@ def test_changed_paths_names_changed_added_and_removed_files():
 def test_outputs_match_the_golden_digests_under_two_hash_seeds(tmp_path):
     header, *expected = GOLDEN.read_text().splitlines()
     runs = {seed: subprocess.Popen(
-                [sys.executable, str(ROOT / "tools" / "byte_identity.py"), "--digests",
-                 str(tmp_path / seed)],
+                [sys.executable, str(ROOT / "tools" / "byte_identity.py"), str(tmp_path / seed)],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                 env=dict(os.environ, PYTHONHASHSEED=seed))
             for seed in ("1", "2")}  # in parallel

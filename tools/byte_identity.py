@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write every output a behavior-preserving change must keep byte-identical.
 
-Run: python3 tools/byte_identity.py [--digests] DIR
+Run: python3 tools/byte_identity.py DIR
 
 For the source tree this script belongs to, it runs each command below with
 that tree's `src/` and writes what the command produced into `DIR/<case>/`:
@@ -29,10 +29,9 @@ The commands:
   --out` on a scenario that names the first cluster by path and has bad
   injections (the documents go to `DIR/inputs/`).
 
-DIR must not exist yet. With `--digests`, stdout then lists the sha256 and
-the path under DIR of every file written there, sorted by path, after a
-header naming the Python and numpy versions: the outputs may change with
-either. `tests/golden/byte_identity.sha256` holds this list, and
+DIR must not exist yet. Stdout lists the sha256 and the path under DIR of
+every file written there, sorted by path, after a header naming the Python
+and numpy versions: the outputs may change with either. `tests/golden/byte_identity.sha256` holds this list, and
 `tests/test_byte_identity.py` checks it.
 """
 
@@ -146,9 +145,6 @@ def digests(root: Path) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    with_digests = argv[:1] == ["--digests"]
-    if with_digests:
-        argv = argv[1:]
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
@@ -169,9 +165,8 @@ def main(argv: list[str]) -> int:
             (case / stream).write_text(text)
         (case / "exit").write_text(f"{result.returncode}\n")
     print(f"wrote {root}", file=sys.stderr)
-    if with_digests:
-        print(f"# python {platform.python_version()} numpy {numpy.__version__}")
-        print("\n".join(digests(root)))
+    print(f"# python {platform.python_version()} numpy {numpy.__version__}")
+    print("\n".join(digests(root)))
     return 0
 
 
