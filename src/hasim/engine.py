@@ -59,7 +59,7 @@ from .controller import (
     tick,
 )
 from .provisioning import DEFAULT_PROFILE, INSTALL, Provisioner
-from .telemetry import DOWN, Monitor, MonitorSnapshot, serialize_snapshot
+from .telemetry import DOWN, HEARTBEAT_PERIOD_S, Monitor, MonitorSnapshot, serialize_snapshot
 
 if TYPE_CHECKING:
     from .config import ClusterConfig
@@ -191,6 +191,23 @@ def injection_problems(injections: list[FailureInjection | None],
     return problems
 
 
+def scan_problems(config: "ClusterConfig") -> list[str]:
+    """The reader's problem lines for the three numbers every scan rests on:
+    a scan period of at least 1 s, a phase within it, and a detection
+    latency above the heartbeat period, so that a machine with a beat train
+    is never Down. O(1), so `Simulation` checks them at every run."""
+    scan, phase = config.controller.scan_period_s, config.timing.controller_phase_s
+    problems = []
+    if scan < 1:
+        problems.append("controller.scan_period_s: must be >= 1")
+    elif not 0 <= phase < scan:
+        problems.append("timing: controller_phase_s must be in [0, scan_period_s)")
+    if config.telemetry.detection_latency_s <= HEARTBEAT_PERIOD_S:
+        problems.append("telemetry: detection_latency_s must be > "
+                        f"{HEARTBEAT_PERIOD_S} (the heartbeat period)")
+    return problems
+
+
 def sample_duration(nominal_s: int, jitter_s: int, rng: np.random.Generator) -> int:
     """Uniform integer draw from [nominal - jitter, nominal + jitter].
 
@@ -206,9 +223,12 @@ class Simulation:
     """One scenario run over a private cluster state.
 
     A scan costs in proportion to what changed, not to the cluster. `tick`
-    visits `_visit()`, the VMs the monitor holds silent (the only ones that
-    can be Down) and the VMs with an open escalation. `records` holds those
-    escalations as `tick` returns them; a VM without a record is HEALTHY.
+    visits `_visit()`: the VMs the monitor holds silent (the only ones that
+    can be Down) and the parked VMs with an open escalation. A running VM
+    has a beat train and is Up, so leaving it out drops its record as `tick`
+    would. `records` holds the escalations as `tick` returns them; a VM
+    without a record is HEALTHY. With the monitor log off, a tick of an
+    empty visit keeps no record and skips the snapshot, the table and `tick`.
     `_set_lifecycle`, `_set_power`, `_move` and `_add_extra_load` make every
     change of machine state and the bookkeeping that follows it, and note
     the machines they touch. `tick` reads the host table: each host's power,
@@ -253,6 +273,7 @@ class Simulation:
                  horizon_s: int, *, seed: int | np.random.Generator = 0,
                  collect_trace: bool = False, emit_monitor_log: bool = False):
         problems, beating, silent = self._build_state(config)
+        problems[:0] = scan_problems(config)
         problems += injection_problems(injections, self.state.vms, self.state.hosts,
                                        horizon_s)
         if problems:
@@ -290,9 +311,7 @@ class Simulation:
 
         for inj in injections:
             self._schedule(inj.at, "inject", (inj,))
-        phase = self.timing.controller_phase_s
-        assert 0 <= phase < self.params.scan_period_s
-        self._schedule(phase, "scan", ())
+        self._schedule(self.timing.controller_phase_s, "scan", ())
         self.monitor.register_started(self.now, beating, silent)
         # The wake instant: no `tick` before it can decide anything (see
         # `_idle_until`). Until the first tick, that is the first VM Down instant.
@@ -505,12 +524,14 @@ class Simulation:
                 view.monitor_up = snapshot.entries[machine_id].verdict != DOWN
 
     def _visit(self) -> list[str]:
-        """The VMs a scan passes to `tick`, in vm_id order. Any other VM is Up,
-        or unmonitored and HEALTHY: `tick` would neither act on it nor keep
-        a record for it."""
-        vms = self.state.vms
+        """The VMs a scan passes to `tick`, in vm_id order: the silent ones and
+        the parked ones with a record. Any other VM runs, so it has a beat
+        train and is Up, or is unmonitored and HEALTHY: `tick` would neither
+        act on it nor keep a record for it, so leaving it out drops its
+        record just as visiting it would."""
+        vms, running = self.state.vms, VmLifecycle.RUNNING
         return sorted({m for m in self.monitor.silent if m in vms}
-                      | self.records.keys())
+                      | {m for m in self.records if vms[m].lifecycle is not running})
 
     def _idle_until(self) -> float:
         """No `tick` before this instant can decide anything, unless an event
@@ -542,24 +563,31 @@ class Simulation:
             self._touched.clear()
 
     def _tick(self) -> None:
+        """Pass the visit to `tick` and apply its actions. With the monitor log
+        off, an empty visit decides nothing and keeps no record: it takes no
+        snapshot, leaves the table's stale hosts for the next tick and calls
+        no `tick`."""
         vms = self.state.vms
         visit = self._visit()
-        if self.monitor_log is not None:
-            snapshot = self.monitor.snapshot(self.now)
-            self.monitor_log.append(serialize_snapshot(snapshot))
+        if visit or self.monitor_log is not None:
+            if self.monitor_log is not None:
+                snapshot = self.monitor.snapshot(self.now)
+                self.monitor_log.append(serialize_snapshot(snapshot))
+            else:
+                # Only silent machines can be Down: the silent hosts and the visit.
+                snapshot = self.monitor.snapshot_of(self.now, self.monitor.silent.union(visit))
+            for vm_id, ep in self._open.items():
+                if ep.detected_at is None:
+                    entry = snapshot.entries.get(vm_id)
+                    if entry is not None and entry.verdict == DOWN:
+                        ep.detected_at = self.now
+            self._refresh_table(snapshot)
+            infos = [VmInfo(vm_id, vms[vm_id].bound_host, vms[vm_id].load_contribution,
+                            vms[vm_id].reinstall_allowed) for vm_id in visit]
+            self.records, actions = tick(self.records, snapshot, self._table, self.now,
+                                         self.params, infos)
         else:
-            # Only silent machines can be Down: the silent hosts and the visit.
-            snapshot = self.monitor.snapshot_of(self.now, self.monitor.silent.union(visit))
-        for vm_id, ep in self._open.items():
-            if ep.detected_at is None:
-                entry = snapshot.entries.get(vm_id)
-                if entry is not None and entry.verdict == DOWN:
-                    ep.detected_at = self.now
-        self._refresh_table(snapshot)
-        infos = [VmInfo(vm_id, vms[vm_id].bound_host, vms[vm_id].load_contribution,
-                        vms[vm_id].reinstall_allowed) for vm_id in visit]
-        self.records, actions = tick(self.records, snapshot, self._table, self.now,
-                                     self.params, infos)
+            self.records, actions = {}, []
         self._wake = min([self.monitor.next_down_at(self.now, vms)]
                          + [rec.deadline for rec in self.records.values()
                             if rec.deadline is not None])

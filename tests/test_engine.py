@@ -10,6 +10,7 @@ import pytest
 from bench_inputs import storm_scenario
 from test_acceptance import random_cluster_doc, random_injections
 
+import hasim.cli
 import hasim.engine
 from hasim.cluster import (
     PhysicalHost,
@@ -20,7 +21,7 @@ from hasim.cluster import (
     host_load,
     pending_load,
 )
-from hasim.config import ClusterConfig, load_scenario, parse_cluster_config
+from hasim.config import ClusterConfig, Scenario, load_scenario, parse_cluster_config
 from hasim.controller import REBOOT, REINSTALL, RESTART, Action, Phase
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
@@ -389,6 +390,30 @@ def test_python_built_config_naming_an_unknown_machine_or_profile(field, problem
     with pytest.raises(ConfigError) as exc:
         Simulation(config, [FailureInjection(100, NON_DESTRUCTIVE_CRASH, "svc01")], 600).run()
     assert str(exc.value) == problem
+
+
+@pytest.mark.parametrize("block, field, value", [
+    ("telemetry", "detection_latency_s", 5),
+    ("timing", "controller_phase_s", 60),
+    ("controller", "scan_period_s", 0),
+], ids=["detection_latency_s", "controller_phase_s", "scan_period_s"])
+def test_python_built_config_breaking_a_scan_rule(block, field, value, capsys, monkeypatch):
+    # The reader's one problem line, not a silent run (latency 5 s against
+    # beats every 10 s) or a bare AssertionError; `hasim run` reports it.
+    doc = PRESETS["nondestructive"].cluster_doc
+    with pytest.raises(ConfigError) as read:
+        parse_cluster_config({**doc, block: {**doc.get(block, {}), field: value}})
+    [problem] = read.value.problems
+    config = parse_cluster_config(doc)
+    setattr(getattr(config, block), field, value)
+    crash = [FailureInjection(100, NON_DESTRUCTIVE_CRASH, "svc01")]
+    with pytest.raises(ConfigError) as exc:
+        Simulation(config, crash, 600).run()
+    assert exc.value.problems == [problem]
+    monkeypatch.setattr(hasim.cli, "load_scenario",
+                        lambda *args, **kwargs: Scenario(config, crash, 600))
+    assert hasim.cli.main(["run", str(SCENARIOS / "power_glitch.json")]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
 
 
 def test_injection_on_non_running_vm_skipped():

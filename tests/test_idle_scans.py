@@ -7,14 +7,17 @@ it jumps over them. At every scan the engine skips, and at every grid
 instant up to the horizon that a run jumps over or leaves out by ending
 early, SkipCheckedSimulation runs the full scan it replaces: a snapshot of
 every registered machine, a view of every host and `tick` over every VM.
-That scan must return exactly `records`, no action and no new detection. No
-event runs before a jumped-over instant, so its full scan runs with the
-state as it is when the next scan is scheduled. A skipped scan must not
-tick, and every other scan must. With per-event checks it also holds the
-cluster state equal to a deep copy across every skipped scan, and at every
-scan after which no transition or action happened since the previous scan.
-Every host and VM that no transition touched since the previous scan, which
-the scan's invariant check leaves out, must equal its copy as well.
+That scan must return exactly `records`, no action and no new detection. A
+tick that finds its visit empty with the monitor log off takes no snapshot
+and calls no `tick`; there the full scan must return no record, no action
+and no new detection. No event runs before a jumped-over instant, so its
+full scan runs with the state as it is when the next scan is scheduled. A
+skipped scan must not tick, and every other scan must. With per-event
+checks it also holds the cluster state equal to a deep copy across every
+skipped scan, and at every scan after which no transition or action
+happened since the previous scan. Every host and VM that no transition
+touched since the previous scan, which the scan's invariant check leaves
+out, must equal its copy as well.
 """
 
 import copy
@@ -48,13 +51,13 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class SkipCheckedSimulation(EventCheckedSimulation):
-    """Checks each skipped or jumped-over scan against `tick`, that a
-    skipped scan never ticks and every other scan does, and each unchanged
-    state and untouched machine against its copy at the previous scan; runs
-    with per-event checks."""
+    """Checks each skipped or jumped-over scan, and each tick of an empty
+    visit, against `tick`, that a skipped scan never ticks and every other
+    scan does, and each unchanged state and untouched machine against its
+    copy at the previous scan; runs with per-event checks."""
 
     def __init__(self, *args, **kwargs):
-        self.skipped = self.jumped = self.unchanged = self.ticks = 0
+        self.skipped = self.jumped = self.unchanged = self.ticks = self.empty = 0
         self.changes = 0  # transitions and actions so far
         self._copy = None
         self._scanned = -1  # the change count at the end of the previous scan
@@ -70,17 +73,23 @@ class SkipCheckedSimulation(EventCheckedSimulation):
 
     def _tick(self):
         self.ticks += 1
+        if self.monitor_log is None and not self._visit():
+            self.empty += 1
+            self._assert_decides_nothing(self.now, "an empty visit", records={})
         super()._tick()
 
-    def _assert_decides_nothing(self, at, what):
+    def _assert_decides_nothing(self, at, what, records=None):
+        """The full scan at `at` returns `records` (by default the engine's),
+        no action and no new detection."""
+        expected = self.records if records is None else records
         snapshot = self.monitor.snapshot(at)
         infos = [VmInfo(vm.vm_id, vm.bound_host, vm.load_contribution,
                         vm.reinstall_allowed)
                  for _, vm in sorted(self.state.vms.items())]
         records, actions = tick(self.records, snapshot, full_view(self.state, snapshot),
                                 at, self.params, infos)
-        assert records == self.records and actions == [], \
-            f"the scan at {at} was {what} but decides {actions}"
+        assert records == expected and actions == [], \
+            f"the scan at {at} was {what} but returns {records} and {actions}"
         for vm_id, ep in self._open.items():
             entry = snapshot.entries.get(vm_id)
             assert ep.detected_at is not None or entry is None or entry.verdict != DOWN, \
@@ -143,7 +152,7 @@ def test_glitch_scenarios_skip_only_scans_without_decisions():
         scenario = load_scenario((SCENARIOS / name).read_text(), base_dir=SCENARIOS)
         sim = run_checked(scenario.config, scenario.injections, scenario.horizon_s,
                           scenario.seed, collect_trace=True)
-        assert sim.skipped and sim.jumped
+        assert sim.skipped and sim.jumped and sim.empty
 
 
 @pytest.mark.slow
@@ -151,7 +160,7 @@ def test_glitch_scenarios_skip_only_scans_without_decisions():
 def test_property_suite_scenarios_skip_only_scans_without_decisions(collect_trace):
     # The first 1000 scenarios of acceptance criterion 5, same generator and seeds.
     rng = np.random.default_rng(20260809)
-    skipped = jumped = unchanged = 0
+    skipped = jumped = unchanged = empty = 0
     for i in range(1000):
         doc = random_cluster_doc(rng)
         sim = run_checked(parse_cluster_config(doc), random_injections(rng, doc), 720,
@@ -159,18 +168,21 @@ def test_property_suite_scenarios_skip_only_scans_without_decisions(collect_trac
         skipped += sim.skipped
         jumped += sim.jumped
         unchanged += sim.unchanged
+        empty += sim.empty
     assert skipped > 1000 and unchanged > 1000
-    assert jumped > 1000
+    assert jumped > 1000 and empty > 0
 
 
 @pytest.mark.slow
 def test_overlapping_scenarios_skip_only_scans_without_decisions():
     rng = np.random.default_rng(20261019)
-    skipped = 0
+    skipped = empty = 0
     for i in range(200):
         config, injections = overlapping_scenario(rng)
-        skipped += run_checked(config, injections, 900, i, collect_trace=True).skipped
-    assert skipped > 200
+        sim = run_checked(config, injections, 900, i, collect_trace=True)
+        skipped += sim.skipped
+        empty += sim.empty
+    assert skipped > 200 and empty > 0
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -187,15 +199,21 @@ def test_replicate_presets_skip_only_scans_without_decisions(preset, monkeypatch
     monkeypatch.setattr(hasim.presets, "Simulation", Recorded)
     assert [replicate_experiment(preset, 40, seed).episodes for seed in seeds] == expected
     assert len(sims) == 120 and all(sim.skipped and sim.jumped for sim in sims)
+    assert {sim.empty for sim in sims} == {1}  # the tick after the recovery
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_replicate_episodes_tick_twice_in_four_scans(preset, monkeypatch):
     # An episode scans at the phase, after the crash, at its detection (a
     # tick that acts) and after the recovery (a tick that drops the record),
-    # and then ends. Traced, it still traces one `scan` line per period up
-    # to the horizon, in as many scans and ticks.
-    sims = []
+    # and then ends. The recovered VM beats, so the second tick visits no
+    # VM and calls no `tick`. Traced, it still traces one `scan` line per
+    # period up to the horizon, in as many scans and ticks.
+    sims, calls = [], []
+
+    def counting_tick(*args):
+        calls.append(args[3])
+        return tick(*args)
 
     class Counted(Simulation):
         def __init__(self, *args, traced, **kwargs):
@@ -211,15 +229,18 @@ def test_replicate_episodes_tick_twice_in_four_scans(preset, monkeypatch):
             self.scans += 1
             super()._on_scan()
 
+    monkeypatch.setattr(hasim.engine, "tick", counting_tick)
     horizon_s = PRESETS[preset].horizon_s
     for traced in (False, True):
         monkeypatch.setattr(hasim.presets, "Simulation",
                             functools.partial(Counted, traced=traced))
         for seed in (1, 42, 7_000):
             sims.clear()
+            calls.clear()
             report = replicate_experiment(preset, 200, seed)
             assert len(sims) == len(report.recovered()) == 200
             assert {sim.ticks for sim in sims} == {2}
+            assert len(calls) == 200  # one `tick` per episode
             assert {sim.scans for sim in sims} == {4}
             if not traced:
                 continue

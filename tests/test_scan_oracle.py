@@ -5,8 +5,10 @@ scans: a snapshot of every registered machine, a view of every host with
 its load summed afresh, every VM passed to `tick`, and a next scan at every
 scan. It also reports every host load it beats or logs from a fresh
 `host_load`, not from the engine's load totals. Its trace, episodes, monitor
-log and records must equal the engine's byte for byte, with the monitor log
-on and off.
+log and final records must equal the engine's byte for byte, with the monitor
+log on and off, and after each tick the engine's records must equal the ones
+the full scan at that instant returned: a recovered VM's record drops at the
+same scan.
 """
 
 from pathlib import Path
@@ -54,6 +56,10 @@ def full_view(state, snapshot):
 class FullScanSimulation(Simulation):
     """Every scan covers every machine; every load is summed afresh."""
 
+    def __init__(self, *args, **kwargs):
+        self.records_at = {}  # scan instant -> the records its tick returned
+        super().__init__(*args, **kwargs)
+
     def _load(self, host_id):
         # The heartbeat and load-change reports read this: the monitor log's
         # host LOADs then come from fresh sums.
@@ -75,10 +81,25 @@ class FullScanSimulation(Simulation):
         ]
         self.records, actions = tick(self.records, snapshot, view, self.now,
                                      self.params, infos)
+        self.records_at[self.now] = self.records
         self._trace("scan")
         for action in actions:
             self._apply(action)
         self._schedule(self.now + self.params.scan_period_s, "scan", ())
+
+
+class RecordCheckedSimulation(EventCheckedSimulation):
+    """The engine with per-event checks, holding its records after each tick
+    equal to `expected`'s at that instant (scan instant -> records)."""
+
+    def __init__(self, *args, expected, **kwargs):
+        self.expected = expected
+        super().__init__(*args, **kwargs)
+
+    def _tick(self):
+        super()._tick()
+        assert self.records == self.expected[self.now], \
+            f"the tick at {self.now} left the records {self.records}"
 
 
 def assert_same_as_full_scans(config, injections, horizon_s, seed):
@@ -91,8 +112,9 @@ def assert_same_as_full_scans(config, injections, horizon_s, seed):
                               collect_trace=True, emit_monitor_log=True)
     expected = full.run()
     for emit in (True, False):
-        sparse = EventCheckedSimulation(config, injections, horizon_s, seed=seed,
-                                        collect_trace=True, emit_monitor_log=emit)
+        sparse = RecordCheckedSimulation(config, injections, horizon_s, seed=seed,
+                                         collect_trace=True, emit_monitor_log=emit,
+                                         expected=full.records_at)
         report = sparse.run()
         assert report.trace == expected.trace
         assert report.episodes == expected.episodes
