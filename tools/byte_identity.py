@@ -20,7 +20,8 @@ The commands:
   scenarios;
 - `hasim run --out --emit-monitor-log` on the benchmark's `storm` inputs of
   seeds 1-3 and its `steady` input of seed 1, generated by
-  `bench/workloads.py` (the documents go to `DIR/inputs/`);
+  `bench/workloads.py`, and on a small cluster whose loads are not
+  multiples of 0.25 (the documents go to `DIR/inputs/`);
 - `hasim replicate nondestructive|destructive --n 1000 --seed 42 --out`;
 - the four demos;
 - bad input, whose problem lists must match: `hasim validate` on a cluster
@@ -50,6 +51,26 @@ import numpy
 TREE = Path(__file__).resolve().parent.parent
 # The benchmark inputs run: (workload, seed).
 INPUTS = (("storm", 1), ("storm", 2), ("storm", 3), ("steady", 1))
+# Loads of three decimals, and sums of them, in the monitor log: a load text
+# rounded to fewer digits changes it.
+ODD_LOADS_SCENARIO = {
+    "cluster": {
+        "hosts": [{"host_id": f"h{i}", "cpu_count": 4, "ram_mb": 8192} for i in (1, 2, 3)],
+        "vms": [{"vm_id": vm_id, "mac": f"52:54:00:20:00:{i:02x}", "bound_host": host,
+                 "boot_profile": "p", "load_contribution": load}
+                for i, (vm_id, host, load) in enumerate((
+                    ("v1", "h1", 0.125), ("v2", "h1", 1.234), ("v3", "h2", 2.05),
+                    ("v4", "h2", 0.125), ("v5", "h3", 1.234)))],
+        "profiles": {"p": {}},
+    },
+    "horizon_s": 3600, "seed": 3,
+    "injections": [
+        {"at": 100, "kind": "load_spike", "host": "h3", "extra_load": 0.333, "duration_s": 400},
+        {"at": 200, "kind": "non_destructive_crash", "vm": "v2"},
+        {"at": 450, "kind": "physical_host_failure", "host": "h2"},
+        {"at": 900, "kind": "destructive_crash", "vm": "v5"},
+    ],
+}
 # A cluster with problems in every record kind: unknown, missing, null and
 # mistyped keys, non-object records, bounds, MACs, NaN, 10**400, references.
 BAD_CLUSTER = {
@@ -108,6 +129,8 @@ def cases(root: Path):
     for name, seed in INPUTS:
         scenario = str(root / "inputs" / f"{name}_{seed}.json")
         yield hasim(f"run_{name}_{seed}_log", "run", scenario, "--emit-monitor-log")
+    yield hasim("run_odd_loads_log", "run", str(root / "inputs" / "odd_loads.json"),
+                "--emit-monitor-log")
     for experiment in ("nondestructive", "destructive"):
         yield hasim(f"replicate_{experiment}", "replicate", experiment,
                     "--n", "1000", "--seed", "42")
@@ -134,7 +157,8 @@ def write_inputs(inputs: Path) -> None:
     long_bad_cluster["vms"][1733]["mac"] = "52:54:00:00:06:zz"
     long_bad_cluster["hosts"][151]["rack"] = 12
     for name, doc in (("bad_cluster", BAD_CLUSTER), ("bad_scenario", BAD_SCENARIO),
-                      ("long_bad_cluster", long_bad_cluster)):
+                      ("long_bad_cluster", long_bad_cluster),
+                      ("odd_loads", ODD_LOADS_SCENARIO)):
         (inputs / f"{name}.json").write_text(json.dumps(doc))
 
 
