@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Container, Iterable, NamedTuple
+from typing import Container, Iterable, Mapping, NamedTuple
 from xml.sax.saxutils import quoteattr
 
 from .cluster import load_text
@@ -48,12 +48,12 @@ class MonitorSnapshot:
 
     line: the snapshot's XML line when the monitor rendered it together with
         the entries (`Monitor.snapshot`), else None. It takes no part in
-        equality, and the entries of a snapshot that carries one must not be
-        changed.
+        equality. The entries of such a snapshot are a read-only mapping in
+        name order, so they always match the line.
     """
 
     taken_at: int
-    entries: dict[str, SnapshotEntry] = field(default_factory=dict)
+    entries: Mapping[str, SnapshotEntry] = field(default_factory=dict)
     line: str | None = field(default=None, compare=False, repr=False)
 
 
@@ -62,20 +62,48 @@ class HeartbeatOrderError(ValueError):
 
 
 class _BeatClass:
-    """The trains whose entry is the same at every instant: started in the
-    same second modulo HEARTBEAT_PERIOD_S, and reporting one load, whose
-    `text` is kept. `entry` and `tail` are the members' entry and element
-    tail at the last full snapshot, `members` the number of trains."""
+    """The trains whose entry is the same at every instant: of one beat phase
+    (train start modulo HEARTBEAT_PERIOD_S) and one load, whose `text` is kept.
+    `tail` is their element tail at the last full snapshot, `members` their number."""
 
-    __slots__ = ("key", "text", "members", "entry", "tail")
+    __slots__ = ("key", "text", "members", "tail")
 
     def __init__(self, key: tuple[int, int] | None):
-        self.key, self.members = key, 0
+        self.key, self.members, self.tail = key, 0, None
         self.text = None if key is None else load_text(key[1])
-        self.entry = self.tail = None
 
 
 _SILENT = _BeatClass(None)  # the class place of a machine without a train
+
+
+class _Entries(Mapping):
+    """A full snapshot's entries in name order, frozen at its instant: a
+    machine's own entry (a silent or rechecked one), else its phase's entry
+    with its class's load. It shares the monitor's name order and index, which
+    a new layout replaces and never changes, and copies each place's class."""
+
+    __slots__ = ("_own", "_order", "_index", "_classes", "_phases")
+
+    def __init__(self, own, order, index, classes, phases):
+        self._own, self._order, self._index = own, order, index
+        self._classes, self._phases = classes, phases
+
+    def __getitem__(self, machine_id):
+        if machine_id in self._own:
+            return self._own[machine_id]
+        phase, load = self._classes[self._index[machine_id]].key
+        beat, _, verdict = self._phases[phase]
+        return tuple.__new__(SnapshotEntry, (beat, load, verdict))
+
+    def get(self, machine_id, default=None):
+        return self._own.get(machine_id) or (
+            self[machine_id] if machine_id in self._index else default)
+
+    def __iter__(self):
+        return iter(self._order)
+
+    def __len__(self):
+        return len(self._order)
 
 
 class Monitor:
@@ -97,20 +125,20 @@ class Monitor:
     train is never Down, since the latency exceeds the heartbeat period, so
     only silent machines can be Down in a snapshot.
 
-    The full `snapshot` renders its XML line with the entries, at a cost per
-    machine of a few C-level passes. A train's entry at `now` depends only on
-    its beat class, the train start modulo HEARTBEAT_PERIOD_S and its load, so
-    Python work is done once per class: one shared entry and one element tail.
-    It is done per machine only for the individual machines: the silent ones,
-    and those whose last recorded beat is not older than their class's beat (a
-    train start or load change in the last period). The classes are kept from
-    one full snapshot to the next by one rule: a recorded beat or train change
-    marks its machine for a recheck, and after `register_started` or at a
-    snapshot earlier than the previous one every train is rechecked. The
-    marks are a set, at most one per machine. A class holds at least one
-    train, so there are never more classes than trains. The registered ids,
-    their element heads and their classes are kept in name order until a new
-    id is registered or a registered one unregistered.
+    The full `snapshot` renders its XML line with read-only entries, at a cost
+    per machine of a few C-level passes. A train's entry at `now` depends only
+    on its beat class: its phase (start modulo HEARTBEAT_PERIOD_S) and load.
+    So Python work is done once per phase and once per class, and per machine
+    only for the individual machines: the silent ones, and those whose last
+    recorded beat is not older than their class's beat (a train start or load
+    change in the last period), which reuse the tail of an unchanged entry.
+    The classes are kept from one full snapshot to the next by one rule: a
+    recorded beat or train change marks its machine for a recheck, and after
+    `register_started` or at a snapshot earlier than the previous one every
+    train is rechecked. The marks are a set, at most one per machine. A class
+    holds at least one train, so there are never more classes than trains.
+    The registered ids, their element heads and their classes are kept in
+    name order until a new id is registered or a registered one unregistered.
     """
 
     def __init__(self, params: TelemetryParams | None = None):
@@ -126,6 +154,7 @@ class Monitor:
         self._recheck: set[str] = set()
         self._classified_at = -math.inf
         self._heads: dict[str, str] = {}
+        self._tails: dict[SnapshotEntry, str] = {}  # individual entries' tails
 
     def register(self, machine_id: str, at: int, load: int = 0) -> None:
         """Add a machine to snapshot coverage.
@@ -226,19 +255,20 @@ class Monitor:
         self._classified_at = now
         for machine_id in self._recheck:
             self._reclassify(machine_id)
+        phases = [self._entry(_last_train_beat(p, now), 0, now) for p in range(HEARTBEAT_PERIOD_S)]
+        tails = list(map(_tail, phases))
         for beat_class in self._classes.values():
-            beat = _last_train_beat(beat_class.key[0], now)
-            entry = beat_class.entry = self._entry(beat, beat_class.key[1], now)
-            beat_class.tail = _tail(entry, beat_class.text)
-        last_beat, class_of = self._last_beat, self._class_of
-        self._recheck = {m for m in self._recheck
-                         if m in class_of and class_of[m].entry[0] <= last_beat[m]}
+            beat_class.tail = beat_class.text.join(tails[beat_class.key[0]])
+        self._recheck = {m for m in self._recheck if m in self._class_of
+                         and phases[self._class_of[m].key[0]][0] <= self._last_beat[m]}
         classes, parts, index = self._order_classes, self._parts, self._index
-        entries = dict(zip(self._order, [c.entry for c in classes]))
         parts[1::2] = [c.tail for c in classes]
+        own, kept, self._tails = {}, self._tails, {}
         for machine_id in self.silent.union(index.keys() & self._recheck):
-            entry = entries[machine_id] = self._recorded_entry(machine_id, now)
-            parts[2 * index[machine_id] + 1] = _tail(entry, load_text(entry[1]))
+            entry = own[machine_id] = self._recorded_entry(machine_id, now)
+            parts[2 * index[machine_id] + 1] = self._tails[entry] = \
+                kept.get(entry) or load_text(entry[1]).join(_tail(entry))
+        entries = _Entries(own, self._order, index, classes.copy(), phases)
         return MonitorSnapshot(now, entries, _cluster(now, "".join(parts)))
 
     def snapshot_of(self, now: int, machine_ids: Iterable[str]) -> MonitorSnapshot:
@@ -312,9 +342,9 @@ def _head(name: str) -> str:
     return f'<HOST NAME={quoteattr(name)} LAST_HEARTBEAT="'
 
 
-def _tail(entry: SnapshotEntry, text: str) -> str:
-    """The element after `LAST_HEARTBEAT="`; `text` is the entry's load text."""
-    return f'{entry[0]}" LOAD="{text}" VERDICT="{entry[2].upper()}"/>'
+def _tail(entry: SnapshotEntry) -> tuple[str, str]:
+    """The element after `LAST_HEARTBEAT="`, before and after its load text."""
+    return f'{entry[0]}" LOAD="', f'" VERDICT="{entry[2].upper()}"/>'
 
 
 def _cluster(taken_at: int, hosts: str) -> str:
@@ -333,5 +363,5 @@ def serialize_snapshot(snapshot: MonitorSnapshot) -> str:
     if snapshot.line is not None:
         return snapshot.line
     return _cluster(snapshot.taken_at, "".join(
-        _head(name) + _tail(entry, load_text(entry[1]))
+        _head(name) + load_text(entry[1]).join(_tail(entry))
         for name, entry in sorted(snapshot.entries.items())))

@@ -7,7 +7,9 @@ train-beat formula, and every attribute of an element formatted per entry.
 It reads the monitor's recorded beats and trains, never its beat classes.
 At every scan that calls `tick`, the monitor's full snapshot must hold the
 oracle's entries in name order, and with the monitor log on the logged line
-must be the oracle's rendering byte for byte.
+must be the oracle's rendering byte for byte. After every full snapshot the
+monitor keeps element tails for exactly the entries of its silent and
+rechecked machines.
 """
 
 from dataclasses import dataclass
@@ -81,16 +83,32 @@ def oracle_serialize(snapshot):
     return "".join(parts)
 
 
-def assert_same_as_oracle(monitor, now):
+def assert_entries_equal(entries, expected):
+    """A full snapshot's entries hold the oracle's, in name order, read
+    every way a mapping can be read."""
+    expected = {name: (e.last_heartbeat_at, e.reported_load, e.verdict)
+                for name, e in expected.entries.items()}
+    assert list(entries) == sorted(expected) and len(entries) == len(expected)
+    assert {name: tuple(e) for name, e in entries.items()} == expected
+    assert all(tuple(entries[name]) == tuple(entries.get(name)) == entry and name in entries
+               for name, entry in expected.items())
+    assert entries.get("not registered") is None and "not registered" not in entries
+
+
+def take_as_oracle(monitor, now):
+    """A full snapshot at `now`, checked against the oracle's, with the
+    oracle's snapshot."""
     expected = oracle_snapshot_of(monitor, now, monitor._active)
     snapshot = monitor.snapshot(now)
-    assert list(snapshot.entries) == sorted(expected.entries)
-    assert {name: (e.last_heartbeat_at, e.reported_load, e.verdict)
-            for name, e in expected.entries.items()} == \
-        {name: tuple(e) for name, e in snapshot.entries.items()}
-    line = serialize_snapshot(snapshot)
-    assert line == oracle_serialize(expected)
-    return line
+    assert_entries_equal(snapshot.entries, expected)
+    assert serialize_snapshot(snapshot) == oracle_serialize(expected)
+    individual = monitor.silent | (monitor._recheck & monitor._active)
+    assert monitor._tails.keys() == {snapshot.entries[m] for m in individual}
+    return snapshot, expected
+
+
+def assert_same_as_oracle(monitor, now):
+    return take_as_oracle(monitor, now)[0].line
 
 
 class OracleLogSimulation(Simulation):
@@ -190,11 +208,14 @@ def test_random_registration_sequences_snapshot_and_log_as_the_oracle():
     # loads, some change a load at the instant of
     # a snapshot, and some take a snapshot earlier than the previous one or
     # change a load or stop a train at an instant before the previous one.
+    # Some full snapshots are kept with the oracle's entries at their
+    # instant; after the sequence and a late `register_started`, each still
+    # holds those entries.
     rng = np.random.default_rng(20261018)
     names = ["vm3", "h1", "vm10", "a&b", "h0", "vm2", "<x>"]
-    earlier = 0
+    earlier = kept_count = 0
     for _ in range(300):
-        monitor, now, parked = Monitor(), 0, set()
+        monitor, now, parked, kept = Monitor(), 0, set(), []
         for _ in range(60):
             previous = now
             now += int(rng.integers(0, 25))
@@ -235,9 +256,16 @@ def test_random_registration_sequences_snapshot_and_log_as_the_oracle():
             elif op == 6 and name not in monitor._train:
                 monitor.record_heartbeat(name, now, fresh_load(rng))
             parked &= set(names) - monitor._active
-            assert_same_as_oracle(monitor, now)
+            taken = take_as_oracle(monitor, now)
             assert_classes_in_use(monitor)
-    assert earlier > 1000
+            if rng.random() < 0.1:
+                kept.append(taken)
+        monitor.register_started(now, {"late-train": 500}, {"late-silent": 1500})
+        take_as_oracle(monitor, now + 1)
+        for snapshot, expected in kept:
+            assert_entries_equal(snapshot.entries, expected)
+        kept_count += len(kept)
+    assert earlier > 1000 and kept_count > 1000
 
 
 class FirstSnapshotSimulation(Simulation):
@@ -329,6 +357,45 @@ def test_cached_pieces_never_serve_stale_loads_or_verdicts():
         for verdict in (UP, DOWN, UP):
             snapshot = MonitorSnapshot(5, {"vm": SnapshotEntry(3, load, verdict)})
             assert serialize_snapshot(snapshot) == oracle_serialize(snapshot)
+
+
+def test_kept_tails_follow_a_silent_machines_entry():
+    # A silent VM beside a train, a stopped train and a silent host. Its
+    # verdict flips at exactly the detection latency; it records a second
+    # beat at one instant with another load; it records a beat while it is
+    # unregistered and keeps it when registered again. A kept tail keyed on
+    # less than the whole entry, or kept across those steps, logs a stale line.
+    monitor = Monitor()
+    latency = monitor.params.detection_latency_s
+    for name, load in (("h0", 2000), ("vm", 1000), ("vm-train", 500), ("h1", 3000)):
+        monitor.register(name, 0, load)
+    monitor.start_beats("vm-train", 0, 500)
+    monitor.start_beats("h1", 0, 3000)
+    lines = []
+
+    def log(now):
+        lines.append(assert_same_as_oracle(monitor, now))
+
+    for now in (latency - 1, latency, latency, latency + 60):
+        log(now)
+    monitor.stop_beats("h1", latency + 65)
+    log(latency + 70)
+    monitor.record_heartbeat("vm", 200, 1000)
+    log(200)
+    monitor.record_heartbeat("vm", 200, 2500)
+    log(200)
+    log(200 + latency)
+    monitor.unregister("vm")
+    log(300)
+    monitor.record_heartbeat("vm", 310, 4000)
+    monitor.register("vm", 320)
+    log(320)
+    log(310 + latency)
+    assert 'NAME="vm" LAST_HEARTBEAT="0" LOAD="1.0" VERDICT="UP"' in lines[0]
+    assert 'NAME="vm" LAST_HEARTBEAT="0" LOAD="1.0" VERDICT="DOWN"' in lines[1]
+    assert 'NAME="vm" LAST_HEARTBEAT="200" LOAD="2.5" VERDICT="UP"' in lines[6]
+    assert 'NAME="vm"' not in lines[8]
+    assert 'NAME="vm" LAST_HEARTBEAT="310" LOAD="4.0" VERDICT="DOWN"' in lines[10]
 
 
 def test_two_monitors_with_the_same_names_log_their_own_loads():
