@@ -256,9 +256,9 @@ class Monitor:
         for machine_id in self._recheck:
             self._reclassify(machine_id)
         phases = [self._entry(_last_train_beat(p, now), 0, now) for p in range(HEARTBEAT_PERIOD_S)]
-        tails = list(map(_tail, phases))
+        pieces = list(map(_tail, phases))
         for beat_class in self._classes.values():
-            beat_class.tail = beat_class.text.join(tails[beat_class.key[0]])
+            beat_class.tail = beat_class.text.join(pieces[beat_class.key[0]])
         self._recheck = {m for m in self._recheck if m in self._class_of
                          and phases[self._class_of[m].key[0]][0] <= self._last_beat[m]}
         classes, parts, index = self._order_classes, self._parts, self._index
