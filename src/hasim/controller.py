@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from .cluster import VirtualMachine
 from .telemetry import DOWN, UP, MonitorSnapshot
 
 REBOOT = "reboot"
@@ -66,8 +67,7 @@ class Phase(Enum):
     REQUIRES_HUMAN = "requires_human"
 
 
-@dataclass(frozen=True)
-class EscalationRecord:
+class EscalationRecord(NamedTuple):
     """Controller memory for one VM, held under its vm_id.
 
     A VM without a record is HEALTHY. deadline is the scan time at or after
@@ -86,8 +86,7 @@ class EscalationRecord:
 _HEALTHY = EscalationRecord()
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: str  # REBOOT, RESTART, REINSTALL or DEFER
     vm_id: str
     target_host: str | None = None
@@ -100,11 +99,12 @@ class Action:
 
 @dataclass
 class HostView:
-    """Read-only placement facts for one candidate host.
+    """Placement facts for one candidate host, read-only to `tick`.
 
     load includes the committed contributions of VMs currently booting or
     installing on the host, so back-to-back placements against the same view
-    cannot oversubscribe it.
+    cannot oversubscribe it. The engine's host table keeps one view per host
+    for the whole run and updates it in place when the host changes.
     """
 
     host_id: str
@@ -115,9 +115,9 @@ class HostView:
     load_threshold: int
 
 
-@dataclass(frozen=True)
-class VmInfo:
-    """What the controller needs to know about a VM to act on it."""
+class VmInfo(NamedTuple):
+    """What `tick` reads of a VM, for callers without a `VirtualMachine`;
+    the engine passes its VMs themselves."""
 
     vm_id: str
     bound_host: str | None
@@ -156,7 +156,8 @@ def _entry_level(params: ControllerParams, vm: VmInfo, host_down: bool) -> str:
 
 def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
          view: dict[str, HostView], now: int, params: ControllerParams,
-         vm_infos: Sequence[VmInfo]) -> tuple[dict[str, EscalationRecord], list[Action]]:
+         vm_infos: Sequence[VmInfo | VirtualMachine],
+         ) -> tuple[dict[str, EscalationRecord], list[Action]]:
     """One controller scan: the open escalations of vm_infos plus the actions.
 
     A VM missing from `records` is HEALTHY, and the returned records hold
@@ -165,9 +166,13 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
     scan, and a Down VM steps from HEALTHY at once. Any other record steps
     when its VM is Down and `now` has reached its deadline, which one test
     decides; REQUIRES_HUMAN, without a deadline, never steps. Host liveness
-    is the view's monitor_up. `view` maps host ids to HostViews. The tick
-    never changes it, so a tick that places nothing and commits no reboot
-    costs nothing per host.
+    is the view's monitor_up. `view` maps host ids to HostViews. A VM is
+    read for its vm_id, bound_host, load_contribution and reinstall_allowed
+    only, so the engine passes its table and its VMs as they are. The tick
+    writes neither: it copies a host's view at the host's first change, and
+    makes one map of `view` over the copies at its first placement, which
+    later copies update. A tick that places nothing and commits no reboot
+    costs nothing per host; `choose_host` ranks every host once per placement.
 
     Pure function of its inputs; actions come out ordered by vm_id because
     VMs are processed in that order, which is also the sequential-fill order
@@ -176,7 +181,9 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
     assert snapshot.taken_at == now, "snapshot must be taken at the scan instant"
     # Placements and reboot commits within the tick change private copies,
     # made at a host's first change (sequential fill); `view` stays as it is.
+    # `hosts` is `view` over the copies, made at the first placement.
     copies: dict[str, HostView] = {}
+    hosts: dict[str, HostView] = {}
     out: dict[str, EscalationRecord] = {}
     actions: list[Action] = []
 
@@ -186,12 +193,16 @@ def tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
             v = view[host_id]
             h = copies[host_id] = HostView(v.host_id, v.power_on, v.monitor_up, v.load,
                                            v.vm_count, v.load_threshold)
+            if hosts:
+                hosts[host_id] = h
         return h
 
     def place(rec: EscalationRecord, vm: VmInfo, kind: str) -> EscalationRecord:
         """Place the VM for `kind` or defer it. The views follow at once: the target
         takes its load, and the VM counts move when it leaves its host."""
-        target = choose_host({**view, **copies}.values(), vm)
+        nonlocal hosts
+        hosts = hosts or {**view, **copies}
+        target = choose_host(hosts.values(), vm)
         leaves = (target != vm.bound_host if target is not None
                   else rec.phase is not Phase.AWAITING_CAPACITY)
         if target is not None:

@@ -55,7 +55,6 @@ from .controller import (
     EscalationRecord,
     HostView,
     Phase,
-    VmInfo,
     tick,
 )
 from .provisioning import DEFAULT_PROFILE, INSTALL, Provisioner
@@ -231,11 +230,13 @@ class Simulation:
     empty visit keeps no record and skips the snapshot, the table and `tick`.
     `_set_lifecycle`, `_set_power`, `_move` and `_add_extra_load` make every
     change of machine state and the bookkeeping that follows it, and note
-    the machines they touch. `tick` reads the host table: each host's power,
-    committed load, VM count and threshold as of the last tick, where a
-    touched host's view is rebuilt at the next tick and a silent host takes
-    its verdict from the snapshot (a host with a beat train is Up). `tick`
-    copies a host's view only to place a VM on it or commit a reboot's load.
+    the machines they touch. `tick` reads the visited VMs and the host table
+    in place: one view per host for the whole run, with its power, committed
+    load, VM count and threshold as of the last tick, where a touched host's
+    view is updated at the next tick and a silent host takes its verdict
+    from the snapshot (a host with a beat train is Up). `tick` writes
+    neither; it copies a host's view to place a VM on it or commit a
+    reboot's load.
 
     Host loads are int running totals: `_run_load` of a host's RUNNING VMs
     and `_boot_load` of its BOOTING or INSTALLING ones, which `_count` moves
@@ -290,9 +291,6 @@ class Simulation:
         # touched since are stale until the next tick refreshes them.
         self._table: dict[str, HostView] = {}
         self._stale: set[str] = set(self.state.hosts)
-        self._totals = {VmLifecycle.RUNNING: self._run_load,
-                        VmLifecycle.BOOTING: self._boot_load,
-                        VmLifecycle.INSTALLING: self._boot_load}
         # Machines a transition touched since the last scan.
         self._touched: set[str] = set()
         self.episodes: list[Episode] = []
@@ -425,9 +423,13 @@ class Simulation:
     def _count(self, vm: VirtualMachine, sign: int) -> None:
         """Add the VM's load to its host's total for its lifecycle (sign 1),
         or take it away (sign -1)."""
-        totals = self._totals.get(vm.lifecycle)
-        if totals is not None and vm.bound_host is not None:
-            totals[vm.bound_host] += sign * vm.load_contribution
+        lifecycle, host_id = vm.lifecycle, vm.bound_host
+        if host_id is None:
+            return
+        if lifecycle is VmLifecycle.RUNNING:
+            self._run_load[host_id] += sign * vm.load_contribution
+        elif lifecycle is VmLifecycle.BOOTING or lifecycle is VmLifecycle.INSTALLING:
+            self._boot_load[host_id] += sign * vm.load_contribution
 
     def _set_lifecycle(self, vm: VirtualMachine, lifecycle: VmLifecycle) -> None:
         was_running = vm.lifecycle is VmLifecycle.RUNNING
@@ -503,20 +505,20 @@ class Simulation:
 
     # -- controller scan -------------------------------------------------
 
-    def _host_view(self, host_id: str) -> HostView:
-        """A host's view from the state and its load totals, with the host Up."""
-        host = self.state.hosts[host_id]
-        return HostView(host_id, host.power_state is PowerState.ON, True,
-                        self._load(host_id) + self._boot_load[host_id],
-                        len(host.hosted_vms), host.load_threshold)
-
     def _refresh_table(self, snapshot: MonitorSnapshot) -> None:
-        """Bring the host table up to the state and `snapshot`: a stale host
-        gets a fresh view, a silent host its verdict. A host with a beat
-        train is Up."""
-        table = self._table
+        """Bring the host table up to the state and `snapshot`: a stale host's
+        view (made at its first refresh) is updated in place from the state
+        and the load totals, with the host Up, and a silent host takes its
+        verdict. A host with a beat train is Up."""
+        table, hosts = self._table, self.state.hosts
         for host_id in self._stale:
-            table[host_id] = self._host_view(host_id)
+            host, view = hosts[host_id], table.get(host_id)
+            if view is None:
+                view = table[host_id] = HostView(host_id, True, True, 0, 0, host.load_threshold)
+            view.power_on = host.power_state is PowerState.ON
+            view.monitor_up = True
+            view.load = self._load(host_id) + self._boot_load[host_id]
+            view.vm_count = len(host.hosted_vms)
         self._stale.clear()
         for machine_id in self.monitor.silent:
             view = table.get(machine_id)
@@ -582,10 +584,8 @@ class Simulation:
                     if entry is not None and entry.verdict == DOWN:
                         ep.detected_at = self.now
             self._refresh_table(snapshot)
-            infos = [VmInfo(vm_id, vms[vm_id].bound_host, vms[vm_id].load_contribution,
-                            vms[vm_id].reinstall_allowed) for vm_id in visit]
             self.records, actions = tick(self.records, snapshot, self._table, self.now,
-                                         self.params, infos)
+                                         self.params, [vms[vm_id] for vm_id in visit])
         else:
             self.records, actions = {}, []
         self._wake = min([self.monitor.next_down_at(self.now, vms)]

@@ -22,7 +22,7 @@ from hasim.cluster import (
     pending_load,
 )
 from hasim.config import ClusterConfig, Scenario, load_scenario, parse_cluster_config
-from hasim.controller import REBOOT, REINSTALL, RESTART, Action, Phase
+from hasim.controller import REBOOT, REINSTALL, RESTART, Action, HostView, Phase
 from hasim.engine import (
     DESTRUCTIVE_CRASH,
     LOAD_SPIKE,
@@ -61,8 +61,10 @@ def check_coherence(sim: Simulation) -> None:
             f"host {host_id}: pending load"
     for host_id, view in sim._table.items():
         if host_id not in sim._stale:
-            fresh = sim._host_view(host_id)
-            fresh.monitor_up = view.monitor_up
+            host = state.hosts[host_id]
+            fresh = HostView(host_id, host.power_state is PowerState.ON, view.monitor_up,
+                             host_load(state, host_id) + pending_load(state, host_id),
+                             len(host.hosted_vms), host.load_threshold)
             assert view == fresh, f"host {host_id}: table entry {view} is stale ({fresh})"
             assert view.monitor_up or host_id in monitor.silent, \
                 f"host {host_id} beats but is Down in the table"

@@ -9,7 +9,6 @@ walk, and every step must keep the per-step rules of the state machine. The
 README's table of the state machine must hold exactly the steps of the walk.
 """
 
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -54,7 +53,7 @@ def step(rec, verdict, host_up, fit, due, params, reinstall_allowed):
     step and returns the record as placed, the actions and the VM's next
     record."""
     if rec.deadline is not None:
-        rec = replace(rec, deadline=NOW if due else NOW + params.scan_period_s)
+        rec = rec._replace(deadline=NOW if due else NOW + params.scan_period_s)
     entries = {} if verdict is None else {
         "v": SnapshotEntry(last_heartbeat_at=0, reported_load=VM_LOAD, verdict=verdict)}
     bound = None if rec.phase is Phase.AWAITING_CAPACITY else "h"
@@ -105,7 +104,7 @@ def walk(params, reinstall_allowed, visit=lambda *step: None):
                 visit(placed, inputs, actions, out)
                 steps += 1
                 if out.deadline is not None:
-                    out = replace(out, deadline=0)
+                    out = out._replace(deadline=0)
                 if out not in seen:
                     seen.add(out)
                     nxt.append(out)

@@ -9,7 +9,6 @@ were split between `place` and `_commit`. They are kept as they were, with
 runs is also made on `old_tick`, and the records and actions must be equal.
 """
 
-from dataclasses import replace
 from itertools import product
 from typing import Sequence
 
@@ -104,14 +103,14 @@ def old_tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
                 src = edit(vm.bound_host)
                 if src is not None:
                     src.vm_count -= 1
-            return replace(rec, phase=Phase.AWAITING_CAPACITY, deadline=None,
+            return rec._replace(phase=Phase.AWAITING_CAPACITY, deadline=None,
                            pending=kind)
         actions.append(Action(kind, vm.vm_id, target))
         _commit(edit, vm, target)
         if kind == RESTART:
-            return replace(rec, phase=Phase.RESTART_ISSUED,
+            return rec._replace(phase=Phase.RESTART_ISSUED,
                            deadline=now + params.t2_s, pending=None)
-        return replace(rec, phase=Phase.REINSTALL_ISSUED,
+        return rec._replace(phase=Phase.REINSTALL_ISSUED,
                        deadline=now + params.reinstall_patience_s, pending=None)
 
     for vm in sorted(vm_infos, key=lambda v: v.vm_id):
@@ -134,7 +133,7 @@ def old_tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
                 # placements in this tick must not claim that headroom.
                 if src is not None:
                     edit(vm.bound_host).load += vm.load_contribution
-                rec = replace(rec, phase=Phase.REBOOT_ISSUED,
+                rec = rec._replace(phase=Phase.REBOOT_ISSUED,
                               deadline=now + params.t1_s)
             else:
                 rec = place(rec, vm, level)
@@ -155,10 +154,10 @@ def old_tick(records: dict[str, EscalationRecord], snapshot: MonitorSnapshot,
             if now >= rec.deadline:
                 cycles = rec.cycles + 1
                 if cycles >= MAX_ESCALATION_CYCLES:
-                    rec = replace(rec, phase=Phase.REQUIRES_HUMAN,
+                    rec = rec._replace(phase=Phase.REQUIRES_HUMAN,
                                   deadline=None, cycles=cycles)
                 else:
-                    rec = place(replace(rec, cycles=cycles), vm, RESTART)
+                    rec = place(rec._replace(cycles=cycles), vm, RESTART)
 
         elif rec.phase is Phase.AWAITING_CAPACITY:
             rec = place(rec, vm, rec.pending or RESTART)
