@@ -43,7 +43,7 @@ BOUND_LIFECYCLES = {
 MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}\Z")
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysicalHost:
     host_id: str
     cpu_count: int
@@ -53,7 +53,7 @@ class PhysicalHost:
     hosted_vms: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class VirtualMachine:
     vm_id: str
     mac: str

@@ -63,8 +63,10 @@ class _Rejected(Exception):
 _TOP_LEVEL = "top level"
 # The exact value types of a decoded list of records and of value kinds;
 # None is an absent optional value.
-_DICT, _INT = {dict}, {int}
+_DICT, _INT, _STR = {dict}, {int}, {str}
 _BOOLEANS, _NUMBERS = {bool, NoneType}, {int, float, NoneType}
+# A MAC's shape: with each hex digit read as 0, every MAC reads as _MAC.
+_HEX_TO_0, _MAC = str.maketrans("0123456789abcdef", "0" * 16), "00:00:00:00:00:00"
 
 
 def _instances(column: list, types, excluded=()) -> bool:
@@ -159,6 +161,10 @@ class _Reader:
     # Value kinds.
 
     def string(self, column: list, _bound) -> list[str]:
+        """Non-empty strings: exact `str` values in C-level passes, and by
+        `str.__len__` the subclasses a Python caller may pass."""
+        if _STR.issuperset(map(type, column)) and "" not in column:
+            return column
         try:
             if all(map(str.__len__, column)):
                 return column
@@ -184,15 +190,19 @@ class _Reader:
 
     def load(self, column: list, op: str) -> list[int | None]:
         """Numbers of load units, as milli-units: >= 0, or > 0 for op ">".
-        Each distinct (type, value) is read once: 1 and 1.0 give 1000, and
-        True is no number."""
-        if not (_NUMBERS.issuperset(map(type, column))
+        Each distinct number is read once, by value if all share one type, else
+        by (type, value): 10**20 == 1e20, but only the float is no multiple of
+        0.001. 1 and 1.0 give 1000, and True is no number."""
+        types = set(map(type, column))
+        if not (_NUMBERS.issuperset(types)
                 or _instances(column, (int, float, NoneType), bool)):
             raise _Rejected("expected a number")
-        milli = dict.fromkeys(zip(map(type, column), column))
-        milli.pop((NoneType, None), None)
-        for key in milli:
-            value = key[1]
+        types.discard(NoneType)
+        keys = column if len(types) < 2 else list(zip(map(type, column), column))
+        milli = dict(zip(keys, column))
+        for key, value in milli.items():
+            if value is None:
+                continue
             if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
                 raise _Rejected("expected a finite number")
             if value < 0 or (op == ">" and value == 0):
@@ -201,7 +211,7 @@ class _Reader:
                 milli[key] = to_milli(value)
             except ValueError as exc:
                 raise _Rejected(str(exc)) from None
-        return list(map(milli.get, zip(map(type, column), column)))
+        return list(map(milli.get, keys))
 
     def boolean(self, column: list, _bound) -> list[bool | None]:
         if not _BOOLEANS.issuperset(map(type, column)):  # neither type has subclasses
@@ -223,10 +233,13 @@ class _Reader:
         raise _Rejected("expected a non-empty string list")
 
     def mac(self, column: list, _bound) -> list[str]:
-        """Colon-separated 48-bit addresses, in lower case."""
+        """Colon-separated 48-bit addresses, in lower case: 17 characters each
+        (else a 16- and an 18-character one could tile two), and together of
+        the shape of as many `_MAC`s."""
         try:
             macs = list(map(str.lower, column))
-            if all(map(MAC_RE.match, macs)):
+            if {17}.issuperset(map(len, macs)) and \
+                    "".join(macs).translate(_HEX_TO_0) == _MAC * len(macs):
                 return macs
         except TypeError:  # a value that is no string
             pass

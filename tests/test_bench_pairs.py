@@ -1,6 +1,6 @@
 """`tools/bench_pairs.py`'s summary of alternating benchmark pairs, which
 decides every performance claim: wins, ties, the parent's interquartile
-range and the median ratio."""
+range, the median ratio and the regression verdict."""
 
 import importlib.util
 from pathlib import Path
@@ -12,7 +12,8 @@ spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "b
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-LOWER, HIGHER = {"name": "m", "better": "lower"}, {"name": "m", "better": "higher"}
+LOWER = {"name": "m", "better": "lower", "bound": 0.25}
+HIGHER = {"name": "m", "better": "higher", "bound": 0.25}
 
 
 def pairs_of(parent: list[float], change: list[float]) -> list[dict]:
@@ -42,6 +43,26 @@ def test_the_median_ratio_needs_a_nonzero_parent_median():
     ratio = "median_ratio_change_over_parent"
     assert bench_pairs.summarize(pairs_of([0, 0, 0], [1, 2, 3]), LOWER)[ratio] is None
     assert bench_pairs.summarize(pairs_of([2, 4, 6], [3, 6, 9]), LOWER)[ratio] == 1.5
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+@pytest.mark.parametrize("bound, worse_by, verdict", [
+    # The parent's median is 12 and its interquartile range 2.
+    (0.25, 4, "worse"),  # beyond the bound of 3
+    (0.25, 3, "ok"),  # at the bound, with the range inside it
+    (0.25, -4, "ok"),
+    (0.1, 3, "worse"),  # beyond the bound of 1.2, whose range is wider
+    (0.1, 0, "unresolved"),
+    (0.1, -2, "unresolved"),  # better, but a change run meets a parent run
+    (0.1, -5, "ok"),  # every change run beats every parent run
+])
+def test_a_regression_is_judged_by_the_bound_and_the_parents_iqr(better, bound, worse_by,
+                                                                  verdict):
+    parent = [10, 11, 12, 13, 14]
+    step = worse_by if better == "lower" else -worse_by
+    metric = {"name": "m", "better": better, "bound": bound}
+    summary = bench_pairs.summarize(pairs_of(parent, [p + step for p in parent]), metric)
+    assert summary["regression"] == verdict
 
 
 def test_main_refuses_a_single_pair(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Domain model tests: load units, derived load, threshold defaults, state invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,24 @@ def test_load_text_is_the_repr_of_the_units():
 def test_default_threshold_rejects_bad_input():
     with pytest.raises(ValueError):
         default_threshold(0)
+
+
+def test_hosts_and_vms_are_slotted_dataclasses():
+    # A set-up builds a host or VM per record twice: without slots, each
+    # carries its own instance dict.
+    state = make_state()
+    for machine in (state.hosts["h1"], state.vms["a"]):
+        assert not hasattr(machine, "__dict__")
+        with pytest.raises(AttributeError):
+            machine.extra = 1
+    host, vm = state.hosts["h1"], state.vms["a"]
+    assert dataclasses.astuple(host) == ("h1", 4, 8192, 4000, PowerState.ON, ["a", "b", "c"])
+    assert dataclasses.astuple(vm) == ("a", "52:54:00:00:00:0a", "h1", "p",
+                                       VmLifecycle.RUNNING, True, 800)
+    moved = dataclasses.replace(vm, bound_host=None, lifecycle=VmLifecycle.HALTED)
+    assert (moved.vm_id, moved.bound_host, moved.lifecycle) == ("a", None, VmLifecycle.HALTED)
+    assert vm.bound_host == "h1"
+    assert dataclasses.replace(host, power_state=PowerState.OFF).hosted_vms is host.hosted_vms
 
 
 # -- oracle: a whole-graph check that words its own messages

@@ -181,6 +181,42 @@ def test_boundary_columns_read_as_their_values(kind):
     assert not assert_column_reads_as_its_values(name, BOUNDARY_VALUES[::-1], bound)
 
 
+NAN = float("nan")
+# Columns at the edges of the kinds' whole-column tests: a 16- and an
+# 18-character MAC that tile the shape of two; a non-hex letter, a colon or a
+# hex digit out of place; a value whose lower case is longer (İ lowers to two
+# characters); fullwidth digits; numbers equal across int and float, which
+# only the float may fail (10**20 and 1e20); -0.0 and 0; two NaNs, one object
+# twice; and the empty string among exact and subclassed strings.
+ONE_PASS_COLUMNS = [
+    ["aa:bb:cc:dd:ee:f", "faa:bb:cc:dd:ee:ff"],
+    ["52:54:00:00:00:01", "52:54:00:00:0x:02"], ["52:54:00:00:00:0g", "52:54:00:00:00:01"],
+    ["52:54:00:00:00::1"], ["52:54:00:00:00a01"], ["52:54:00:00:00:01", "52:54:00:00:00:İ"],
+    ["52:54:00:00:00:İ1"], ["52:54:00:00:00:０１", "52:54:00:00:00:01"], ["５２:54:00:00:00:01"],
+    ["52:54:00:00:00:0A", "52:54:00:00:00:0a", Str("52:54:00:00:00:0B")],
+    [10**20, 1e20], [1e20, 10**20], [10**20, 10**20], [1e20, 1e20], [-0.0, 0], [0, -0.0],
+    [-0.0, -0.0, 0.0], [NAN, float("nan")], [NAN, NAN], [1, 1.0, 0.5], [0.5, Float(0.5)],
+    ["h0", ""], ["", "h0"], [Str("h0"), "h1"], ["h0", Str("")], ["h0", "h0", "h1"],
+]
+
+
+@pytest.mark.parametrize("column", ONE_PASS_COLUMNS, ids=repr)
+def test_columns_at_the_one_pass_tests_read_as_their_values(column):
+    for name, bound in VALUE_KINDS:
+        assert_column_reads_as_its_values(name, column, bound)
+
+
+def test_the_one_pass_tests_reject_what_the_scalar_kinds_reject():
+    assert column_reading("mac", ["aa:bb:cc:dd:ee:f", "faa:bb:cc:dd:ee:ff"], None) == \
+        (False, "'aa:bb:cc:dd:ee:f' is not a colon-separated 48-bit address")
+    assert column_reading("mac", [], None) == (True, [])
+    for column in ([10**20, 1e20], [1e20, 10**20]):
+        assert column_reading("load", column, ">=") == (False, "expected a multiple of 0.001")
+    assert column_reading("load", [-0.0, 0], ">") == (False, "must be > 0.0")
+    assert column_reading("string", ["h0", ""], None) == \
+        (False, "expected a non-empty string")
+
+
 def test_the_boundary_values_reach_every_problem():
     problems = {problem for name, bound in VALUE_KINDS for value in BOUNDARY_VALUES
                 for ok, problem in [scalar_reading(name, value, bound)] if not ok}

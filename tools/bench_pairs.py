@@ -11,7 +11,12 @@ parent's BENCHMARK.json lists, it prints each side's median and quartiles, the
 change/parent ratio of the medians, the pairs the change won (ties count for
 neither) and whether the medians differ by more than the parent's
 interquartile range: a gain counts only when the change wins nine pairs in ten
-and that last column reads "yes". --json writes every run and the summary.
+and that column reads "yes". The last column judges a regression against the
+metric's `bound` in BENCHMARK.json, a share of the parent's median: "worse"
+when the change's median is worse than the parent's by more than the bound;
+else "unresolved" when the parent's interquartile range is wider than the
+bound, unless every change run beats every parent run; else "ok". --json
+writes every run and the summary.
 
 Exit code 1 when a run is not correct or fails operations, or when a pair's
 two runs disagree on `episodes_recovered`, `recovery_p50_s` or
@@ -63,7 +68,23 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
             "pairs": len(pairs),
             "median_ratio_change_over_parent":
                 change["median"] / parent["median"] if parent["median"] else None,
-            "gap_beyond_parent_iqr": gap > parent["q3"] - parent["q1"]}
+            "gap_beyond_parent_iqr": gap > parent["q3"] - parent["q1"],
+            "regression": regression(sides, parent, change, metric)}
+
+
+def regression(sides: dict, parent: dict, change: dict, metric: dict) -> str:
+    """"worse", "unresolved" or "ok" by the metric's bound, as the module
+    docstring says."""
+    lower = metric["better"] == "lower"
+    bound = metric["bound"] * parent["median"]
+    worse_by = change["median"] - parent["median"]
+    if (worse_by if lower else -worse_by) > bound:
+        return "worse"
+    all_beat = (max(sides["change"]) < min(sides["parent"]) if lower
+                else min(sides["change"]) > max(sides["parent"]))
+    if parent["q3"] - parent["q1"] > bound and not all_beat:
+        return "unresolved"
+    return "ok"
 
 
 def main(argv=None) -> int:
@@ -103,17 +124,17 @@ def main(argv=None) -> int:
         print(f"{args.workload}, {args.pairs} pairs, seeds {args.first_seed}-"
               f"{args.first_seed + args.pairs - 1}, --seconds {args.seconds}")
         columns = ("metric", "parent_med", "parent_q1", "parent_q3", "change_med",
-                   "change_q1", "change_q3", "ratio", "won", "beyond_iqr")
-        print(("{:22}" + " {:>11}" * 9).format(*columns))
+                   "change_q1", "change_q3", "ratio", "won", "beyond_iqr", "regression")
+        print(("{:22}" + " {:>11}" * 10).format(*columns))
         for metric in metrics:
             s = summary[metric["name"]] = summarize(pairs, metric)
             ratio = s["median_ratio_change_over_parent"]
             values = [format(s[side][q], ".5g") for side in ("parent", "change")
                       for q in ("median", "q1", "q3")]
-            print(("{:22}" + " {:>11}" * 9).format(
+            print(("{:22}" + " {:>11}" * 10).format(
                 metric["name"], *values, "-" if ratio is None else format(ratio, ".3f"),
                 f"{s['change_wins']}/{s['pairs']}",
-                "yes" if s["gap_beyond_parent_iqr"] else "no"))
+                "yes" if s["gap_beyond_parent_iqr"] else "no", s["regression"]))
     for problem in problems:
         print(f"bench_pairs: {problem}", file=sys.stderr)
     if args.json is not None:
