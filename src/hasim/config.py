@@ -161,15 +161,10 @@ class _Reader:
     # Value kinds.
 
     def string(self, column: list, _bound) -> list[str]:
-        """Non-empty strings: exact `str` values in C-level passes, and by
-        `str.__len__` the subclasses a Python caller may pass."""
-        if _STR.issuperset(map(type, column)) and "" not in column:
+        """Non-empty strings, exact `str` values tested in C-level passes."""
+        if (_STR.issuperset(map(type, column)) or _instances(column, str)) \
+                and "" not in column:
             return column
-        try:
-            if all(map(str.__len__, column)):
-                return column
-        except TypeError:  # a value that is no string
-            pass
         raise _Rejected("expected a non-empty string")
 
     def integer(self, column: list, minimum: int) -> list[int]:
