@@ -40,6 +40,10 @@ BOUND_LIFECYCLES = {
     VmLifecycle.INSTALLING,
 }
 
+# The members the checks test per machine, bound once: a member's lookup on
+# its Enum class costs about 0.1 µs, several times a global's.
+_OFF, _HALTED, _WAITING = PowerState.OFF, VmLifecycle.HALTED, VmLifecycle.WAITING_FOR_CAPACITY
+
 MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}\Z")
 
 
@@ -138,19 +142,18 @@ def check_state_invariants(state: ClusterState) -> None:
     hosted = {vm_id: host.host_id for host in hosts for vm_id in host.hosted_vms}
     holds = sum(len(host.hosted_vms) for host in hosts) == len(hosted)
     bound = {}
-    waiting = VmLifecycle.WAITING_FOR_CAPACITY
     for vm in state.vms.values():
         if vm.bound_host is not None:
-            if vm.lifecycle is waiting:
+            if vm.lifecycle is _WAITING:
                 holds = False
             bound[vm.vm_id] = vm.bound_host
         elif vm.lifecycle in BOUND_LIFECYCLES:
             holds = False
     if holds and hosted == bound:
         for host in hosts:
-            if host.power_state is PowerState.OFF:
+            if host.power_state is _OFF:
                 for vm_id in host.hosted_vms:
-                    if state.vms[vm_id].lifecycle is not VmLifecycle.HALTED:
+                    if state.vms[vm_id].lifecycle is not _HALTED:
                         holds = False
         if holds:
             return
@@ -171,7 +174,6 @@ def check_touched_invariants(state: ClusterState, machine_ids: Iterable[str]) ->
     AssertionError names the first violation.
     """
     hosts, vms = state.hosts, state.vms
-    off, halted = PowerState.OFF, VmLifecycle.HALTED
     for machine_id in sorted(machine_ids):
         host = hosts.get(machine_id)
         if host is not None:
@@ -186,7 +188,7 @@ def check_touched_invariants(state: ClusterState, machine_ids: Iterable[str]) ->
                     f"VM {vm_id} hosted by more than one host"
                     if vm.bound_host in hosts and vm_id in hosts[vm.bound_host].hosted_vms
                     else f"VM {vm_id} binding ({vm.bound_host}) disagrees with host {machine_id}")
-                assert host.power_state is not off or vm.lifecycle is halted, \
+                assert host.power_state is not _OFF or vm.lifecycle is _HALTED, \
                     f"VM {vm_id} is {vm.lifecycle.value} on powered-off host {machine_id}"
             continue
         vm = vms[machine_id]
@@ -194,11 +196,11 @@ def check_touched_invariants(state: ClusterState, machine_ids: Iterable[str]) ->
             assert vm.lifecycle not in BOUND_LIFECYCLES, \
                 f"VM {machine_id} is {vm.lifecycle.value} but unbound"
             continue
-        assert vm.lifecycle is not VmLifecycle.WAITING_FOR_CAPACITY, \
+        assert vm.lifecycle is not _WAITING, \
             f"VM {machine_id} is waiting for capacity but still bound"
         host = hosts.get(vm.bound_host)
         assert host is not None, f"VM {machine_id} bound to unknown host {vm.bound_host}"
         assert machine_id in host.hosted_vms, \
             f"VM {machine_id} bound to {vm.bound_host} but absent from its hosted_vms"
-        assert host.power_state is not off or vm.lifecycle is halted, \
+        assert host.power_state is not _OFF or vm.lifecycle is _HALTED, \
             f"VM {machine_id} is {vm.lifecycle.value} on powered-off host {host.host_id}"

@@ -394,6 +394,36 @@ def test_python_built_config_naming_an_unknown_machine_or_profile(field, problem
     assert str(exc.value) == problem
 
 
+@pytest.mark.parametrize("vm_changes, host_power, problem", [
+    ({"bound_host": None}, PowerState.ON, "vm 'svc01': running without a bound_host"),
+    ({"bound_host": None, "lifecycle": VmLifecycle.BOOTING}, PowerState.ON,
+     "vm 'svc01': booting without a bound_host"),
+    ({"lifecycle": VmLifecycle.WAITING_FOR_CAPACITY}, PowerState.ON,
+     "vm 'svc01': waiting_for_capacity while bound to 'node01'"),
+    ({}, PowerState.OFF, "vm 'svc01': running on powered-off host 'node01'"),
+    ({"lifecycle": VmLifecycle.UNRESPONSIVE}, PowerState.OFF,
+     "vm 'svc01': unresponsive on powered-off host 'node01'"),
+], ids=["unbound_running", "unbound_booting", "bound_waiting", "running_on_off_host",
+        "unresponsive_on_off_host"])
+def test_python_built_config_breaking_a_binding_rule(vm_changes, host_power, problem,
+                                                     capsys, monkeypatch):
+    # One problem line, not a bare AssertionError at the end of the run (an
+    # unbound running VM) or a silent run with no episode (a bound VM that
+    # waits for capacity); `hasim run` reports it.
+    config = parse_cluster_config(PRESETS["nondestructive"].cluster_doc)
+    for field, value in vm_changes.items():
+        setattr(config.vms[0], field, value)
+    config.hosts[0].power_state = host_power
+    crash = [FailureInjection(100, NON_DESTRUCTIVE_CRASH, "svc01")]
+    with pytest.raises(ConfigError) as exc:
+        Simulation(config, crash, 600).run()
+    assert exc.value.problems == [problem]
+    monkeypatch.setattr(hasim.cli, "load_scenario",
+                        lambda *args, **kwargs: Scenario(config, crash, 600))
+    assert hasim.cli.main(["run", str(SCENARIOS / "power_glitch.json")]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+
+
 @pytest.mark.parametrize("block, field, value", [
     ("telemetry", "detection_latency_s", 5),
     ("timing", "controller_phase_s", 60),
