@@ -58,6 +58,7 @@ from .controller import (
     tick,
 )
 from .provisioning import DEFAULT_PROFILE, INSTALL, Provisioner
+from .streams import PCG64Stream, seeded
 from .telemetry import DOWN, HEARTBEAT_PERIOD_S, Monitor, MonitorSnapshot, serialize_snapshot
 
 if TYPE_CHECKING:
@@ -215,10 +216,12 @@ def scan_problems(config: "ClusterConfig") -> list[str]:
     return problems
 
 
-def sample_duration(nominal_s: int, jitter_s: int, rng: np.random.Generator) -> int:
+def sample_duration(nominal_s: int, jitter_s: int,
+                    rng: PCG64Stream | np.random.Generator) -> int:
     """Uniform integer draw from [nominal - jitter, nominal + jitter].
 
-    Consumes exactly one draw from the generator. Drawing the offset from
+    Consumes one draw from a `PCG64Stream` or a numpy `Generator` alike, or
+    none for a zero jitter (a range of one value). Drawing the offset from
     the lower bound gives the same numbers as drawing the value, and keeps
     nominal durations beyond the int64 range usable.
     """
@@ -252,9 +255,9 @@ class Simulation:
     and `_boot_load` of its BOOTING or INSTALLING ones, which `_count` moves
     as a VM leaves or enters a host or lifecycle.
 
-    seed: an integer, which seeds `np.random.default_rng(seed)`, or a
-    generator used as it is: the runs of a batch share one, which
-    `hasim.streams` sets to each run's stream.
+    seed: an integer (a numpy one too), which starts the
+    `hasim.streams.PCG64Stream` of `np.random.default_rng(seed)`, or a stream
+    or numpy `Generator` used as it is; `hasim.streams` yields a batch's.
 
     One rule decides whether a scan ticks and when the next one comes: a
     scan ticks when now >= `_idle_until()`, which is now with the monitor
@@ -281,7 +284,7 @@ class Simulation:
     """
 
     def __init__(self, config: "ClusterConfig", injections: list[FailureInjection],
-                 horizon_s: int, *, seed: int | np.random.Generator = 0,
+                 horizon_s: int, *, seed: int | PCG64Stream | np.random.Generator = 0,
                  collect_trace: bool = False, emit_monitor_log: bool = False):
         problems, beating, silent = self._build_state(config)
         problems[:0] = scan_problems(config)
@@ -292,8 +295,8 @@ class Simulation:
         self.params = config.controller
         self.timing = config.timing
         self.horizon_s = horizon_s
-        self.rng = (seed if isinstance(seed, np.random.Generator)
-                    else np.random.default_rng(seed or 0))
+        self.rng = (seed if isinstance(seed, (PCG64Stream, np.random.Generator))
+                    else seeded(seed or 0))
         self.monitor = Monitor(config.telemetry)
         self.provisioner = Provisioner(config.profiles)
         self.records: dict[str, EscalationRecord] = {}

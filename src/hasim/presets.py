@@ -15,10 +15,10 @@ their published numbers are reproducible from explicit parameters:
                   542 s +/- 45.
 
 Each episode runs on a fresh copy of a one-host cluster. Episode i draws
-exactly the stream of `np.random.default_rng(seed + i)`: one generator per
-campaign is set to that stream's starting state before the episode
-(`hasim.streams`). The crash instant is uniformly jittered across one scan
-period, which is what spreads detection over 70..129 s.
+exactly what `np.random.default_rng(seed + i)` would draw, from a
+`hasim.streams.PCG64Stream` started at that generator's state, so an episode
+makes no numpy call. The crash instant is uniformly jittered across one
+scan period, which is what spreads detection over 70..129 s.
 """
 
 from __future__ import annotations
@@ -97,18 +97,21 @@ def replicate_experiment(name: str, n: int, seed: int) -> SimReport:
     """Run n independent crash episodes under the named preset.
 
     Episode i runs on a fresh cluster with the stream of
-    `np.random.default_rng(seed + i)`; the first draw places the crash within
-    the scan period, subsequent draws sample durations.
+    `np.random.default_rng(seed + i)`; the first draw picks the crash
+    instant within the scan period, subsequent draws sample durations. The
+    campaign's possible crash injections are built once, so an episode
+    allocates nothing outside its `Simulation`.
     """
     check_replicate_args(name, n, seed)
     preset = PRESETS[name]
     config = parse_cluster_config(preset.cluster_doc)
     episodes = []
     vm_id = config.vms[0].vm_id
+    crashes = [[FailureInjection(at=INJECT_BASE_S + k, kind=preset.kind, vm_id=vm_id)]
+               for k in range(CRASH_WINDOW_S)]
     for rng in streams(seed, n):
-        crash_at = INJECT_BASE_S + int(rng.integers(0, CRASH_WINDOW_S))
-        injection = FailureInjection(at=crash_at, kind=preset.kind, vm_id=vm_id)
-        report = Simulation(config, [injection], preset.horizon_s, seed=rng).run()
+        injections = crashes[rng.integers(0, CRASH_WINDOW_S)]
+        report = Simulation(config, injections, preset.horizon_s, seed=rng).run()
         episodes.extend(report.episodes)
     return SimReport(episodes=episodes, horizon_s=preset.horizon_s)
 

@@ -39,6 +39,7 @@ from hasim.engine import (
 )
 from hasim.presets import PRESETS
 from hasim.provisioning import DEFAULT_PROFILE
+from hasim.streams import PCG64Stream, seeded
 from hasim.telemetry import UP
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -159,11 +160,26 @@ def test_sample_duration_statistics_oracle():
     assert abs(statistics.mean(draws) - 442) < 0.5
 
 
+def rng_state(rng) -> tuple:
+    """A numpy Generator's or a PCG64Stream's whole state."""
+    if isinstance(rng, PCG64Stream):
+        return rng.state, rng.inc, rng.has_uint32, rng.uinteger
+    s = rng.bit_generator.state
+    return s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]
+
+
 def test_sample_duration_consumes_exactly_one_draw():
-    a, b = np.random.default_rng(5), np.random.default_rng(5)
-    sample_duration(80, 10, a)
-    b.integers(70, 91)
-    assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
+    # One draw for a jitter above zero; none for a zero jitter, whose range
+    # holds one value. A numpy Generator and a PCG64Stream alike.
+    for make in (np.random.default_rng, seeded):
+        a, b = make(5), make(5)
+        sample_duration(80, 10, a)
+        b.integers(70, 91)
+        assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
+        before = rng_state(a)
+        assert sample_duration(80, 0, a) == 80
+        assert rng_state(a) == before
+        assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
 
 
 # -- single-failure timelines (hand-derived from the scan/staleness rules) --
@@ -483,6 +499,19 @@ def test_unseeded_simulation_uses_seed_zero():
     unseeded = Simulation(config, injections, 1500, collect_trace=True).run()
     assert unseeded.trace == Simulation(config, injections, 1500, seed=0,
                                         collect_trace=True).run().trace
+
+
+def test_numpy_integer_seed_runs_as_the_int():
+    # A numpy integer is a seed, not a generator: it starts the stream an int
+    # starts, which is the stream of np.random.default_rng(seed).
+    scenario = load_scenario((SCENARIOS / "power_glitch.json").read_text(),
+                             base_dir=SCENARIOS)
+    runs = [Simulation(scenario.config, scenario.injections, scenario.horizon_s,
+                       seed=seed, collect_trace=True, emit_monitor_log=True).run()
+            for seed in (5, np.int64(5), np.random.default_rng(5))]
+    assert runs[0].episodes and runs[0] == runs[1] == runs[2]
+    other = Simulation(scenario.config, scenario.injections, scenario.horizon_s, seed=6).run()
+    assert other.episodes != runs[0].episodes
 
 
 def test_trace_contains_pxe_bind_records():

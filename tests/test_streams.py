@@ -1,8 +1,10 @@
 """Every run of a batch draws exactly the stream of `np.random.default_rng(seed + i)`.
 
-`hasim.streams` derives PCG64 states instead of building a generator per run.
-The oracles are numpy's own seeding (`np.random.PCG64(seed).state`) and the
-replaced per-episode loop of `replicate_experiment`, kept here as it was.
+`hasim.streams` derives PCG64 states instead of building a generator per run,
+and draws from them in Python ints. The oracles are numpy itself (its seeding,
+`np.random.PCG64(seed).state`, and its `Generator.integers` with the state it
+leaves) and the replaced per-episode loop of `replicate_experiment`, kept here
+as it was.
 """
 
 import json
@@ -20,10 +22,43 @@ from hasim.presets import (
     PRESETS,
     replicate_experiment,
 )
-from hasim.streams import BLOCK, pcg64_states, streams
+from hasim.streams import BLOCK, PCG64Stream, pcg64_states, seeded, streams
 from test_cli import SCENARIOS
 
 SEEDS = (0, 42, 2**32 - 3, 10**30)
+# Every case of numpy's int64 `integers(low, high)`, 32-bit and 64-bit draws
+# interleaved so that the half-word buffer carries across 64-bit draws: one
+# value (nothing drawn), hasim's 21, 35 and 60, a range of 2**31 + 1 that
+# rejects about half its words, 2**32 (the raw 32-bit word), 64-bit ranges
+# up to all of int64 (the raw 64-bit word), and lows other than 0.
+CASES = ((0, 60), (0, 2**40), (0, 21), (0, 1), (0, 2**31 + 1), (0, 2**63),
+         (0, 35), (-5, 5), (0, 2**32), (0, 2**31 + 1), (7, 8), (-2**63, 2**63),
+         (0, 2), (0, 2**32 + 1), (2**63 - 3, 2**63), (0, 2**31 + 1), (-2**63, -2**63 + 60))
+# The ranges hasim draws and the edges of its word sizes.
+HASIM_RANGES = (1, 21, 35, 60, 2**31 + 1, 2**32, 2**40)
+
+
+def numpy_state(rng: np.random.Generator) -> tuple:
+    s = rng.bit_generator.state
+    return s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]
+
+
+def stream_state(stream: PCG64Stream) -> tuple:
+    return stream.state, stream.inc, stream.has_uint32, stream.uinteger
+
+
+def words_drawn(before: tuple, after: tuple) -> int:
+    """The 32-bit words a 32-bit draw took, counted on numpy's own PCG64:
+    the LCG steps between the two states, two words each, plus the buffered
+    word it started with, less the one it left."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                           "state": {"state": before[0], "inc": before[1]}}
+    steps = 0
+    while bit_generator.state["state"]["state"] != after[0]:
+        bit_generator.random_raw()
+        steps += 1
+    return before[2] + 2 * steps - after[2]
 
 
 def oracle_replicate(name: str, n: int, seed: int) -> SimReport:
@@ -66,17 +101,52 @@ def test_seeds_of_more_words_than_the_pool_cross_word_counts():
 
 
 def test_streams_equal_default_rng_across_blocks():
-    # One draw of every kind the engine and the presets take, across a block
-    # boundary; the generator's state must carry nothing from the run before.
+    # One draw of every range hasim takes, and the word-size edges, across a
+    # block boundary; each stream must carry nothing from the run before, and
+    # ends in numpy's whole state, which fixes every later draw.
     n = BLOCK + 3
     for i, rng in enumerate(streams(2**32 - BLOCK, n)):
         want = np.random.default_rng(2**32 - BLOCK + i)
-        assert rng.integers(0, 60) == want.integers(0, 60)
-        assert rng.integers(0, 2**40, size=2).tolist() == want.integers(0, 2**40, size=2).tolist()
-        assert rng.random() == want.random()
+        assert [rng.integers(0, k) for k in HASIM_RANGES] == \
+            [want.integers(0, k) for k in HASIM_RANGES]
+        assert stream_state(rng) == numpy_state(want)
     assert i == n - 1
     with pytest.raises(ValueError):
         next(streams(-1, 1))
+
+
+def test_the_stream_draws_and_leaves_state_as_numpy():
+    # Each case three times from each seed's stream, against default_rng:
+    # equal values and equal whole state after every draw. The rejection
+    # loop must run, or the range of 2**31 + 1 tested nothing.
+    first = 2**32 - BLOCK // 2
+    runs = [(seeded(seed), seed) for seed in SEEDS]
+    runs += [(stream, first + i) for i, stream in enumerate(streams(first, BLOCK))]
+    rejected = 0
+    for stream, seed in runs:
+        want = np.random.default_rng(seed)
+        assert stream_state(stream) == numpy_state(want)
+        for low, high in CASES * 3:
+            before = numpy_state(want)
+            assert stream.integers(low, high) == want.integers(low, high), (seed, low, high)
+            assert stream_state(stream) == numpy_state(want), (seed, low, high)
+            if high - low == 2**31 + 1:
+                rejected += words_drawn(before, numpy_state(want)) > 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("low, high, message", [
+    (0, 2**63 + 1, "high is out of bounds for int64"),
+    (-2**63 - 1, 0, "low is out of bounds for int64"),
+    (5, 5, "low >= high"),
+    (6, 5, "low >= high"),
+])
+def test_the_stream_refuses_what_numpy_refuses(low, high, message):
+    stream, want = seeded(1), np.random.default_rng(1)
+    for rng in (stream, want):
+        with pytest.raises(ValueError, match=message):
+            rng.integers(low, high)
+    assert stream_state(stream) == numpy_state(want) == stream_state(seeded(1))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
